@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -387,14 +388,16 @@ def cmd_mellin_table(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviated options: _glue_negative_values matches full names only
     p = argparse.ArgumentParser(
         prog="whittaker-mb",
+        allow_abbrev=False,
         description="Whittaker wave functions of classical split groups: "
         "verification sweeps and numerical evaluation.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    pv = sub.add_parser("verify", help="run the exact property suites")
+    pv = sub.add_parser("verify", allow_abbrev=False, help="run the exact property suites")
     pv.add_argument("--group", required=True, choices=sorted(GROUPS))
     pv.add_argument("--rank", required=True, type=int)
     pv.add_argument("--trials", type=int, default=100)
@@ -403,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--output", default=None)
     pv.set_defaults(func=cmd_verify)
 
-    pe = sub.add_parser("eval", help="evaluate the wave function")
+    pe = sub.add_parser("eval", allow_abbrev=False, help="evaluate the wave function")
     pe.add_argument("--group", required=True, choices=sorted(GROUPS))
     pe.add_argument("--rank", required=True, type=int)
     pe.add_argument("--lambda", dest="lam", required=True)
@@ -415,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--output", default=None)
     pe.set_defaults(func=cmd_eval)
 
-    pm = sub.add_parser("mellin-table", help="tabulate the Mellin transform")
+    pm = sub.add_parser("mellin-table", allow_abbrev=False, help="tabulate the Mellin transform")
     pm.add_argument("--group", required=True, choices=sorted(GROUPS))
     pm.add_argument("--rank", required=True, type=int)
     pm.add_argument("--lambda", dest="lam", required=True)
@@ -427,11 +430,31 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# options whose values may start with a minus sign
+_VECTOR_OPTIONS = ("--lambda", "--x", "--s-grid")
+
+
+def _glue_negative_values(argv):
+    """Write `--x -0.1,2` as `--x=-0.1,2`: argparse takes a separate value
+    that starts with a minus and is not a plain number for an option."""
+    out = []
+    k = 0
+    while k < len(argv):
+        arg = argv[k]
+        if arg in _VECTOR_OPTIONS and k + 1 < len(argv) and re.match(r"-\.?\d", argv[k + 1]):
+            out.append(f"{arg}={argv[k + 1]}")
+            k += 2
+        else:
+            out.append(arg)
+            k += 1
+    return out
+
+
 def main(argv=None) -> int:
     _cap_threads()
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     from .quadrature import DimensionTooLarge

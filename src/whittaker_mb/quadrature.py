@@ -3,12 +3,26 @@ positive-cone quadrature, and the classical special-function oracles.
 
 The Mellin-Barnes engine integrates a Gamma-product integrand over the
 shifted imaginary plane with a tensor trapezoid rule.  Gamma decay makes
-the trapezoid rule converge geometrically; per-axis truncation comes
+the trapezoid rule converge geometrically (Trefethen and Weideman, SIAM
+Rev. 56, 2014); per-axis truncation comes
 from the Gamma-decay envelope (spectral shifts translate the profile,
 so they add to the truncation), and the error estimate extrapolates
-three dyadic grid levels and adds the boundary-shell mass.  All
-reductions run in a fixed order, so results are reproducible bit for
-bit at fixed panel counts.
+three dyadic grid levels and adds the boundary-shell mass.
+
+The tensor sum is never formed as a dense grid.  Each Gamma factor
+depends on a few contour variables, so the factors sharing a support
+make one table, and the sum contracts these tables with one weight
+vector per axis along a greedy numpy.einsum_path plan (the greedy order
+of opt_einsum, Smith and Gray, JOSS 3, 2018).  The coarser grid
+levels contract the same tables sliced, and the boundary-shell mass
+contracts their moduli.  Before any table is built, the plan's flop
+count and its largest table or intermediate are held against MAX_FLOPS
+and MAX_ENTRIES: a first attempt over budget raises DimensionTooLarge,
+and a refinement over budget ends the refinement with NotConverged and
+the last result.  The positive-cone sum likewise never forms the
+complex integrand: its phase is linear, so it contracts the real weight
+exp(-S) with one phase vector per axis.  Contractions follow a fixed
+plan, so results are reproducible bit for bit at fixed panel counts.
 """
 
 from __future__ import annotations
@@ -174,6 +188,13 @@ def contour_base_point(constraints, variables=None, fixed=None, margin=0.125, ca
 # ---------------------------------------------------------------------------
 # tensor trapezoid engine for Gamma-product contour integrals
 
+# Budget of one contour sum: the flops of its contraction plans and the
+# entries of its largest table or intermediate (16 bytes each).  A refinement
+# attempt over budget is not run.
+MAX_FLOPS = 2e10
+MAX_ENTRIES = 2**22
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
 
 def _axis_rates(num, den, variables):
     rates = []
@@ -198,109 +219,103 @@ def _form_offset(f, lam, fixed):
     return acc
 
 
+def _shaped(arr, axis, ndim):
+    """View of the 1-D `arr` along `axis` of an `ndim`-dimensional grid."""
+    shape = [1] * ndim
+    shape[axis] = arr.size
+    return arr.reshape(shape)
+
+
+def _plan(supports, sizes, output=()):
+    """Greedy pairwise order (numpy.einsum_path) for contracting operands
+    that run over the axis tuples `supports`, keeping the axes `output`.
+
+    Returns the einsum subscripts, the path, its flop count and the entry
+    count of its largest operand or intermediate.
+    """
+    subs = ",".join("".join(_LETTERS[a] for a in s) for s in supports)
+    subs += "->" + "".join(_LETTERS[a] for a in output)
+    shapes = [np.broadcast_to(0.0, [sizes[a] for a in s]) for s in supports]
+    path = np.einsum_path(subs, *shapes, optimize=("greedy", MAX_ENTRIES))[0]
+    live = [set(s) for s in supports]
+    flops = 0.0
+    largest = max(math.prod(sizes[a] for a in s) for s in supports)
+    for step in path[1:]:
+        picked = [live.pop(i) for i in sorted(step, reverse=True)]
+        union = set().union(*picked)
+        kept = union & set(output).union(*live)
+        flops += math.prod(sizes[a] for a in union) * len(picked)
+        largest = max(largest, math.prod(sizes[a] for a in kept))
+        live.append(kept)
+    return subs, path, flops, largest
+
+
 def _contour_sum(num, den, variables, base, lam, hx, nodes, fixed=None):
     """Trapezoid sum of prod Gamma(num)/prod Gamma(den) * exp(sum z_v hx_v)
-    over the tensor grid; returns (fine, coarse, face_abs, n_evals)."""
+    over the tensor grid, contracted factor by factor.
+
+    Factors that share a support are summed in log space into one table;
+    the per-axis weights are vectors.  The sums on the grids of every
+    second and every fourth node contract the same tables sliced, and the
+    mass on each pair of boundary faces contracts the moduli with that axis
+    kept.  Returns (fine, coarse, coarse4, face_abs, n_evals), n_evals
+    being the node count of the dense grid.  Raises DimensionTooLarge,
+    before any table is built, when the plans exceed the budget.
+    """
     d = len(variables)
     axes = {v: k for k, v in enumerate(variables)}
-    zs = [base[v] + 1j * nodes[k] for k, v in enumerate(variables)]
-    if d == 0:
-        acc = 0j
-        for f in num:
-            acc += log_gamma_complex(_form_offset(f, lam, fixed))
-        for f in den:
-            acc -= log_gamma_complex(_form_offset(f, lam, fixed))
-        val = complex(np.exp(acc))
-        return val, val, val, [0.0], 1
-
-    def shaped(arr, axis, ndim):
-        shape = [1] * ndim
-        shape[axis] = arr.size
-        return arr.reshape(shape)
-
-    tables = []
+    const = 0j
+    groups = {}
     for sign, forms in ((1.0, num), (-1.0, den)):
         for f in forms:
-            support = [v for v in f.gamma if v in axes]
-            if not support:
-                # constant factor; fold into a 0-dim table
-                val = np.exp(sign * log_gamma_array(_form_offset(f, lam, fixed)))
-                tables.append(((), complex(val)))
-                continue
-            support.sort(key=lambda v: axes[v])
-            arg = np.zeros((1,) * len(support), dtype=complex) + _form_offset(
-                f, lam, fixed
-            )
-            for pos, v in enumerate(support):
-                arg = arg + float(f.gamma[v]) * shaped(zs[axes[v]], pos, len(support))
-            tables.append((tuple(axes[v] for v in support), np.exp(sign * log_gamma_array(arg))))
-
-    weights = []
-    for k, v in enumerate(variables):
-        w = np.exp(zs[k] * hx.get(v, 0.0))
-        weights.append(w * (nodes[k][1] - nodes[k][0] if nodes[k].size > 1 else 1.0))
-
-    n0 = nodes[0].size
-    inner_shape = tuple(nodes[k].size for k in range(1, d))
-    base_weight = np.ones(inner_shape, dtype=complex) if d > 1 else None
-    if d > 1:
-        for k in range(1, d):
-            base_weight = base_weight * shaped(weights[k], k - 1, d - 1)
-
-    fine = 0j
-    coarse = 0j
-    coarse4 = 0j
-    face_abs = [0.0] * d
-    evals = 0
-    for i0 in range(n0):
-        if d == 1:
-            val = weights[0][i0]
-            for support, table in tables:
-                if support == ():
-                    val = val * table
-                else:
-                    val = val * table[i0]
-            arr = np.asarray(val)
-        else:
-            arr = base_weight * weights[0][i0]
-            for support, table in tables:
-                if support == ():
-                    arr = arr * table
-                    continue
-                if support[0] == 0:
-                    view, sup = table[i0], support[1:]
-                else:
-                    view, sup = table, support
-                newshape = [1] * (d - 1)
-                for a, size in zip(sup, view.shape):
-                    newshape[a - 1] = size
-                arr = arr * view.reshape(newshape)
-        s = complex(arr.sum())
-        fine += s
-        evals += arr.size
-        absarr = np.abs(arr)
-        if i0 == 0 or i0 == n0 - 1:
-            face_abs[0] += float(absarr.sum())
-        if d > 1:
-            for k in range(1, d):
-                face_abs[k] += float(absarr.take(0, axis=k - 1).sum())
-                face_abs[k] += float(absarr.take(-1, axis=k - 1).sum())
-        if i0 % 2 == 0:
-            if d == 1:
-                coarse += s * 2.0
-                if i0 % 4 == 0:
-                    coarse4 += s * 4.0
+            support = tuple(sorted(axes[v] for v in f.gamma if v in axes))
+            if support:
+                groups.setdefault(support, []).append((sign, f))
             else:
-                red = arr
-                for k in range(d - 1, 0, -1):
-                    red = red.take(range(0, red.shape[k - 1], 2), axis=k - 1)
-                coarse += complex(red.sum()) * (2.0**d)
-                if i0 % 4 == 0:
-                    red4 = arr
-                    for k in range(d - 1, 0, -1):
-                        red4 = red4.take(range(0, red4.shape[k - 1], 4), axis=k - 1)
-                    coarse4 += complex(red4.sum()) * (4.0**d)
-    return fine, coarse, coarse4, face_abs, evals
+                const += sign * complex(log_gamma_array(_form_offset(f, lam, fixed)))
+    if d == 0:
+        val = complex(np.exp(const))
+        return val, val, val, [0.0], 1
+
+    sizes = [nd.size for nd in nodes]
+    supports = list(groups) + [(k,) for k in range(d)]
+    plans = [_plan(supports, sizes)] + [_plan(supports, sizes, (k,)) for k in range(d)]
+    flops = sum(p[2] for p in plans)
+    largest = max(p[3] for p in plans)
+    if flops > MAX_FLOPS or largest > MAX_ENTRIES:
+        raise DimensionTooLarge(
+            f"contour contraction of {flops:.2g} flops with {largest:.2g}-entry "
+            "tables exceeds the budget"
+        )
+
+    zs = [base[v] + 1j * nodes[k] for k, v in enumerate(variables)]
+    tables, moduli = [], []
+    for support, forms in groups.items():
+        logt = 0j
+        for sign, f in forms:
+            arg = _form_offset(f, lam, fixed)
+            for pos, k in enumerate(support):
+                arg = arg + float(f.gamma[variables[k]]) * _shaped(zs[k], pos, len(support))
+            logt = logt + sign * log_gamma_array(arg)
+        tables.append(np.exp(logt))
+        moduli.append(np.exp(logt.real))
+    for k, v in enumerate(variables):
+        w = np.exp(zs[k] * hx.get(v, 0.0)) * (nodes[k][1] - nodes[k][0] if sizes[k] > 1 else 1.0)
+        tables.append(w)
+        moduli.append(np.abs(w))
+
+    scale = complex(np.exp(const))
+    subs, path = plans[0][:2]
+
+    def contract(step):
+        sliced = [t[(slice(None, None, step),) * t.ndim] for t in tables]
+        return complex(np.einsum(subs, *sliced, optimize=path)) * step**d * scale
+
+    face_abs = []
+    for k in range(d):
+        edges = np.einsum(plans[k + 1][0], *moduli, optimize=plans[k + 1][1])
+        face_abs.append(float(edges[0] + edges[-1]) * abs(scale))
+    return contract(1), contract(2), contract(4), face_abs, math.prod(sizes)
 
 
 def plan_contour(integrand: MBIntegrand, lam, tol, x=None, base=None) -> ContourSpec:
@@ -375,6 +390,9 @@ def eval_mb(
     Includes the e^{-i(lambda, x)} prefactor and the (2 pi i)^{-d}
     normalization.  `base_point` overrides the feasibility shift (used by
     the contour-independence checks); must satisfy the constraint set.
+    Raises DimensionTooLarge for d > 4 or when the first attempt's
+    contraction is over budget; a refinement over budget ends the
+    refinement (NotConverged with the last result).
     """
     t0 = time.perf_counter()
     d = integrand.dimension
@@ -401,15 +419,14 @@ def eval_mb(
     value = err = None
     evals_total = 0
     for attempt in range(max_refine + 1):
-        if spec.total_nodes > 6e8:
+        try:
+            fine, est, evals = _run_contour(
+                integrand.num, integrand.den, variables, base, lam, hx, spec, rates
+            )
+        except DimensionTooLarge:
             if attempt == 0:
-                raise DimensionTooLarge(
-                    f"contour grid of {spec.total_nodes:.2g} nodes exceeds the budget"
-                )
+                raise
             break  # keep the best value computed so far
-        fine, est, evals = _run_contour(
-            integrand.num, integrand.den, variables, base, lam, hx, spec, rates
-        )
         evals_total += evals
         value = pref * scale * fine
         err = scale * est
@@ -441,7 +458,12 @@ def _dotf(a, b):
 
 
 def eval_mellin_transform(split: MellinSplit, s_values, lam, tol: float = 1e-7) -> QuadResult:
-    """Value of M(s) at fixed outer Mellin variables."""
+    """Value of M(s) at fixed outer Mellin variables.
+
+    Same contraction budget as eval_mb: DimensionTooLarge when the first
+    attempt is over it, NotConverged with the last result when a
+    refinement is.
+    """
     t0 = time.perf_counter()
     fixed = {("s", j + 1): complex(s_values[j]) for j in range(len(split.outer_vars))}
     variables = split.inner_vars
@@ -487,9 +509,14 @@ def eval_mellin_transform(split: MellinSplit, s_values, lam, tol: float = 1e-7) 
     scale = (2.0 * math.pi) ** (-d) * jac
     evals_total = 0
     for attempt in range(4):
-        fine, est, evals = _run_contour(
-            split.num, split.den, variables, base, lam, {}, spec, rates, fixed=fixed
-        )
+        try:
+            fine, est, evals = _run_contour(
+                split.num, split.den, variables, base, lam, {}, spec, rates, fixed=fixed
+            )
+        except DimensionTooLarge:
+            if attempt == 0:
+                raise
+            break  # keep the best value computed so far
         evals_total += evals
         value = scale * fine
         err = scale * est
@@ -530,15 +557,18 @@ def _cone_exponent(family, n, x):
     return out
 
 
-def _cone_action(family, n, coords, efac):
-    """Re-exponent S(u) = sum of image coordinates + sum t_gamma E_gamma."""
-    img = bz_map_coords(family, n, coords)
-    s = None
-    for label, val in img.items():
-        s = val if s is None else s + val
+def _cone_action(family, n, coords, efac, out):
+    """Add the re-exponent S(u) = sum of image coordinates + sum t_gamma E_gamma
+    into `out` (zeros of the broadcast shape) and return it.
+
+    In place, because a fresh full-size array per term and per grid slice
+    costs more than the additions themselves.
+    """
+    for val in bz_map_coords(family, n, coords).values():
+        out += val
     for label, val in coords.items():
-        s = s + val * efac[label]
-    return s
+        out += val * efac[label]
+    return out
 
 
 def eval_cone(
@@ -554,8 +584,10 @@ def eval_cone(
 
     In logarithmic coordinates u = log t the integrand is
     exp(-S(u) - i phase(u)) with S the sum of image and rescaled chart
-    coordinates; tensor trapezoid for d <= 4, scrambled Sobol sampling
-    beyond that (d <= 8).
+    coordinates and phase(u) linear.  For d <= 4 a tensor trapezoid rule
+    sums it slice by slice: each slice holds the real weight exp(-S),
+    contracted with one phase vector per axis (see _cone_sum).  Beyond
+    that (d <= 8) it uses scrambled Sobol sampling.
     """
     t0 = time.perf_counter()
     rs = build_root_system(family, n)
@@ -569,7 +601,7 @@ def eval_cone(
 
     def action(uvals):
         coords = {lab: np.exp(uvals[k]) for k, lab in enumerate(labels)}
-        return _cone_action(family, n, coords, efac)
+        return _cone_action(family, n, coords, efac, np.zeros(()))
 
     # locate the minimum of S coarsely, then march out per axis
     probe = np.linspace(-4.0, 3.0, 8)
@@ -662,52 +694,48 @@ def eval_cone(
 
 def _cone_sum(family, n, labels, efac, phase, nodes, s_shift):
     """Trapezoid sum of exp(-(S - s_shift) - i phase) over the tensor grid;
-    also returns the absolute mass sitting on the boundary faces."""
+    also returns the absolute mass sitting on the boundary faces.
+
+    The phase is linear in u, so exp(-i phase) is a product of one vector
+    per axis and |integrand| = exp(-(S - s_shift)).  Each slice of the
+    first axis holds only that real weight: the phase vectors contract it,
+    and the face masses are plain sums of it.
+    """
     d = len(labels)
     hs = [float(nd[1] - nd[0]) if nd.size > 1 else 1.0 for nd in nodes]
-    voxel = 1.0
-    for h in hs:
-        voxel *= h
+    voxel = math.prod(hs)
+    waves = [np.exp(-1j * phase[lab] * nd) for lab, nd in zip(labels, nodes)]
 
-    def shaped(arr, axis, ndim):
-        shape = [1] * ndim
-        shape[axis] = arr.size
-        return arr.reshape(shape)
+    buf = np.empty([nd.size for nd in (nodes if d == 1 else nodes[1:])])
+
+    def weight(coords):
+        buf.fill(0.0)
+        _cone_action(family, n, coords, efac, buf)
+        np.subtract(s_shift, buf, out=buf)
+        return np.exp(buf, out=buf)
+
+    def contract(w, vecs):
+        acc = w @ vecs[-1].real + 1j * (w @ vecs[-1].imag)
+        for vec in reversed(vecs[:-1]):
+            acc = acc @ vec
+        return complex(acc)
 
     if d == 1:
-        u = nodes[0]
-        coords = {labels[0]: np.exp(u)}
-        s = _cone_action(family, n, coords, efac) - s_shift
-        ph = phase[labels[0]] * u
-        arr = np.exp(-s - 1j * ph)
-        face = float(abs(arr[0]) + abs(arr[-1])) * voxel
-        return complex(arr.sum()) * voxel, face, u.size
+        w = weight({labels[0]: np.exp(nodes[0])})
+        return contract(w, waves) * voxel, float(w[0] + w[-1]) * voxel, w.size
 
     total = 0j
     face_mass = 0.0
-    evals = 0
     n0 = nodes[0].size
+    inner = {lab: np.exp(_shaped(nodes[k], k - 1, d - 1)) for k, lab in enumerate(labels) if k}
     for i0 in range(n0):
-        coords = {}
-        for k, lab in enumerate(labels):
-            if k == 0:
-                coords[lab] = math.exp(nodes[0][i0])
-            else:
-                coords[lab] = np.exp(shaped(nodes[k], k - 1, d - 1))
-        s = _cone_action(family, n, coords, efac) - s_shift
-        ph = phase[labels[0]] * nodes[0][i0]
-        for k in range(1, d):
-            ph = ph + phase[labels[k]] * shaped(nodes[k], k - 1, d - 1)
-        arr = np.exp(-s - 1j * ph)
-        total += complex(arr.sum())
-        evals += arr.size
-        absarr = np.abs(arr)
+        w = weight({labels[0]: math.exp(nodes[0][i0]), **inner})
+        total += waves[0][i0] * contract(w, waves[1:])
         if i0 == 0 or i0 == n0 - 1:
-            face_mass += float(absarr.sum()) * voxel
-        for k in range(1, d):
-            face_mass += float(absarr.take(0, axis=k - 1).sum()) * voxel
-            face_mass += float(absarr.take(-1, axis=k - 1).sum()) * voxel
-    return total * voxel, face_mass, evals
+            face_mass += float(w.sum())
+        for k in range(d - 1):
+            face_mass += float(w.take(0, axis=k).sum()) + float(w.take(-1, axis=k).sum())
+    return total * voxel, face_mass * voxel, n0 * w.size
 
 
 def _cone_qmc(family, n, labels, efac, phase, bounds, pref, tol, seed, t0):
@@ -725,7 +753,7 @@ def _cone_qmc(family, n, labels, efac, phase, bounds, pref, tol, seed, t0):
         sob = qmc.Sobol(d, scramble=True, seed=seed + r)
         pts = lo + sob.random_base2(m) * (hi - lo)
         coords = {lab: np.exp(pts[:, k]) for k, lab in enumerate(labels)}
-        s = _cone_action(family, n, coords, efac)
+        s = _cone_action(family, n, coords, efac, np.zeros(pts.shape[0]))
         ph = np.zeros(pts.shape[0])
         for k, lab in enumerate(labels):
             ph = ph + phase[lab] * pts[:, k]

@@ -109,6 +109,37 @@ class TestEval:
         )
         assert code == 2
 
+    def test_negative_vectors_as_separate_values(self, capsys):
+        spaced = ["eval", "--group", "gl", "--rank", "2", "--lambda", "-1,2",
+                  "--x", "-0.07,0.89", "--method", "mb"]
+        glued = ["eval", "--group", "gl", "--rank", "2", "--lambda=-1,2",
+                 "--x=-0.07,0.89", "--method", "mb"]
+        assert run(spaced) == 0
+        a = capsys.readouterr().out
+        assert run(glued) == 0
+        b = capsys.readouterr().out
+        assert a == b
+        rec = json.loads(a)
+        assert rec["lambda"] == [-1.0, 2.0] and rec["x"] == [-0.07, 0.89]
+
+    def test_abbreviated_options_are_rejected(self):
+        # only full option names are accepted, so every accepted spelling
+        # of a vector option also takes a value that starts with a minus
+        assert run(["eval", "--group", "gl", "--rank", "2", "--lam", "-1,2",
+                    "--x", "0,0"]) == 2
+        assert run(["mellin-table", "--group", "gl", "--rank", "2", "--lambda", "1,-1",
+                    "--s", "-1:1:3"]) == 2
+        assert run(["eval", "--group", "gl", "--rank", "2", "--lambda", "-1,2",
+                    "--x", "0,0", "--meth", "mb"]) == 2
+
+    def test_repeated_sp2_cross_eval_is_byte_identical(self, capsys):
+        args = ["eval", "--group", "sp", "--rank", "2", "--lambda", "0.9,-0.5",
+                "--x", "0.3,-0.2", "--method", "cross", "--tol", "1e-4"]
+        assert run(args) == 0
+        a = capsys.readouterr().out
+        assert run(args) == 0
+        assert capsys.readouterr().out == a
+
     def test_mb_dimension_guard_is_usage_error(self):
         code = run(
             ["eval", "--group", "gl", "--rank", "5", "--method", "mb",

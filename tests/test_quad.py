@@ -3,11 +3,17 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 
 from whittaker_mb.mellin import AffineForm, assemble_mb_integrand
-from whittaker_mb.gammafn import PoleHit, abs_gamma_envelope
+from whittaker_mb.gammafn import PoleHit, abs_gamma_envelope, log_gamma_array
 from whittaker_mb.quadrature import (
+    _cone_action,
+    _cone_exponent,
+    _cone_phase_coeffs,
+    _cone_sum,
+    _contour_sum,
     DimensionTooLarge,
     Infeasible,
     NotConverged,
@@ -20,6 +26,7 @@ from whittaker_mb.quadrature import (
     log_gamma_complex,
     plan_contour,
 )
+from whittaker_mb.roots import build_root_system
 
 
 def closed_gl2(lam, x):
@@ -222,3 +229,114 @@ class TestOracles:
                 - log_gamma_complex(a + b + c + d)
             )
             assert abs(lhs - rhs) / abs(rhs) < 1e-9
+
+
+def _close(got, ref, rel=1e-13):
+    return abs(got - ref) <= rel * abs(ref)
+
+
+def _dense_contour(num, den, variables, base, lam, hx, nodes, fixed):
+    """The contour sums of _contour_sum, from the whole grid at once."""
+    d = len(variables)
+    grids = np.meshgrid(*[base[v] + 1j * nd for v, nd in zip(variables, nodes)], indexing="ij")
+    z = dict(zip(variables, grids))
+    logf = sum(z[v] * hx.get(v, 0.0) for v in variables)
+    for sign, forms in ((1.0, num), (-1.0, den)):
+        for f in forms:
+            arg = f.eval({**fixed, **z}, lam)
+            logf = logf + sign * log_gamma_array(arg + np.zeros(grids[0].shape))
+    arr = np.exp(logf) * math.prod(nd[1] - nd[0] for nd in nodes)
+    coarse = [arr[(slice(None, None, step),) * d].sum() * step**d for step in (2, 4)]
+    mod = np.abs(arr)
+    faces = [mod.take(0, axis=k).sum() + mod.take(-1, axis=k).sum() for k in range(d)]
+    return complex(arr.sum()), complex(coarse[0]), complex(coarse[1]), faces, arr.size
+
+
+def _dense_cone(family, n, labels, efac, phase, nodes, s_shift):
+    """The cone sum of _cone_sum, from the complex integrand on the whole grid."""
+    grids = np.meshgrid(*nodes, indexing="ij")
+    coords = {lab: np.exp(g) for lab, g in zip(labels, grids)}
+    s = _cone_action(family, n, coords, efac, np.zeros(grids[0].shape))
+    ph = sum(phase[lab] * g for lab, g in zip(labels, grids))
+    voxel = math.prod(nd[1] - nd[0] for nd in nodes)
+    arr = np.exp(-(s - s_shift) - 1j * ph)
+    mod = np.abs(arr)
+    face = sum(mod.take(0, axis=k).sum() + mod.take(-1, axis=k).sum() for k in range(len(labels)))
+    return complex(arr.sum()) * voxel, face * voxel, arr.size
+
+
+class TestContractedKernels:
+    # half-widths m of the axes (2m + 1 nodes): none a multiple of four
+    HALF = (3, 5, 7, 6)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_contour_sum_matches_dense_grid(self, d):
+        g = [("g", k + 1, k + 2) for k in range(d)]
+        s1 = ("s", 1)
+        num = [AffineForm({g[k]: 1}, {1: 0.5}, const=1) for k in range(d)]
+        num += [AffineForm({g[k]: 1, g[k + 1]: -1}, const=2) for k in range(d - 1)]
+        num += [AffineForm({g[0]: -1, s1: 1}, const=2)]  # fixed outer variable
+        num += [AffineForm({g[d - 1]: 1, g[0]: 1}, {2: -1}, const=2)]  # shares a support
+        num += [AffineForm(const=3)]  # constant factor
+        den = [AffineForm({g[0]: 1, g[d - 1]: 1}, const=3), AffineForm({s1: 1}, const=1)]
+        base = {v: 0.3 + 0.1 * k for k, v in enumerate(g)}
+        lam = (0.4, -0.7)
+        hx = {g[0]: 0.3, g[d - 1]: -0.2}
+        fixed = {s1: 0.7 + 0.2j}
+        nodes = [np.arange(-m, m + 1) * 0.3 for m in self.HALF[:d]]
+        got = _contour_sum(num, den, g, base, lam, hx, nodes, fixed)
+        ref = _dense_contour(num, den, g, base, lam, hx, nodes, fixed)
+        for a, b in zip(got[:3], ref[:3]):
+            assert _close(a, b)
+        assert len(got[3]) == d
+        for a, b in zip(got[3], ref[3]):
+            assert _close(a, b)
+        assert got[4] == ref[4] == math.prod(2 * m + 1 for m in self.HALF[:d])
+
+    @pytest.mark.parametrize(
+        "family,n", [("gl", 2), ("so_even", 2), ("gl", 3), ("sp", 2), ("so_odd", 2)]
+    )
+    def test_cone_sum_matches_dense_grid(self, family, n):
+        labels = list(build_root_system(family, n).positive_roots)
+        lam, x = (0.5, -0.8, 0.3)[:n], (0.2, -0.1, 0.1)[:n]
+        efac = _cone_exponent(family, n, x)
+        phase = _cone_phase_coeffs(family, n, lam)
+        nodes = [np.linspace(-2.0, 1.0, 2 * m + 1) for m in self.HALF[: len(labels)]]
+        got = _cone_sum(family, n, labels, efac, phase, nodes, 1.5)
+        ref = _dense_cone(family, n, labels, efac, phase, nodes, 1.5)
+        assert _close(got[0], ref[0])
+        assert _close(got[1], ref[1])
+        assert got[2] == ref[2]
+
+
+class TestContractionBudget:
+    def test_first_attempt_over_budget_is_typed(self, monkeypatch):
+        import whittaker_mb.quadrature as quad
+
+        monkeypatch.setattr(quad, "MAX_FLOPS", 10.0)
+        with pytest.raises(DimensionTooLarge):
+            eval_mb(assemble_mb_integrand("gl", 2), (0.0, 0.0), (0.0, 0.0))
+
+    def test_so_even3_mellin_ends_typed_within_budget(self, tmp_path):
+        import json
+        import tracemalloc
+
+        from whittaker_mb import cli
+        from whittaker_mb.quadrature import MAX_ENTRIES
+
+        argv = ["mellin-table", "--group", "so-even", "--rank", "3",
+                "--lambda", "0.5,-0.3,0.2", "--s-grid", "1:1:1", "--format", "json"]
+        out = tmp_path / "t.json"
+        tracemalloc.start()
+        try:
+            code = cli.main(argv + ["--output", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # NotConverged with the partial row, or DimensionTooLarge
+        assert code in (2, 3)
+        if code == 3:
+            row = json.loads(out.read_text())["rows"][0]
+            assert math.isfinite(row["re"]) and math.isfinite(row["im"])
+        # the next refinement would need a 441^3 table (1.28 GiB) alone
+        assert peak < 16 * MAX_ENTRIES * 16
