@@ -41,12 +41,8 @@ from .charts import (
 from .bz import (
     BZResult,
     bz_closed_form,
-    bz_gl,
     bz_inverse,
     bz_oracle,
-    bz_so_even,
-    bz_so_odd,
-    bz_sp,
     left_whittaker_value,
     random_positive_chart,
     right_whittaker_value,

@@ -60,10 +60,6 @@ class BZResult:
 # closed forms, generic over the scalar type
 
 
-def _one(c):
-    return 1
-
-
 def _u_so_even(c, n, i, j):
     if i == j:
         return 1
@@ -175,36 +171,11 @@ def bz_twist_coords(family: str, n: int, c: dict) -> list:
     return out
 
 
-def _closed_form(chart: LusztigChart) -> BZResult:
+def bz_closed_form(chart: LusztigChart) -> BZResult:
     rs = chart.root_system
     img = bz_map_coords(rs.family, rs.n, chart.coords)
     twist = bz_twist_coords(rs.family, rs.n, chart.coords)
     return BZResult(LusztigChart(rs, img), twist)
-
-
-def bz_gl(chart: LusztigChart) -> BZResult:
-    return _closed_form(chart)
-
-
-def bz_so_even(chart: LusztigChart) -> BZResult:
-    return _closed_form(chart)
-
-
-def bz_so_odd(chart: LusztigChart) -> BZResult:
-    return _closed_form(chart)
-
-
-def bz_sp(chart: LusztigChart) -> BZResult:
-    return _closed_form(chart)
-
-
-def bz_closed_form(chart: LusztigChart) -> BZResult:
-    return {
-        "gl": bz_gl,
-        "so_even": bz_so_even,
-        "so_odd": bz_so_odd,
-        "sp": bz_sp,
-    }[chart.root_system.family](chart)
 
 
 def bz_inverse(family: str, image_chart: LusztigChart) -> LusztigChart:

@@ -1,9 +1,10 @@
 """Batch command-line surface: verification sweeps, evaluation, tabulation.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3
-numerical non-convergence.  Output is deterministic for a fixed
-configuration and seed: no timestamps, sorted JSON keys, fixed float
-formatting.
+Exit codes: 0 success, 1 verification failure, 2 usage error (also a
+point outside the contour domain, a Gamma pole, or a contraction over
+budget on its first attempt), 3 numerical non-convergence.  Output is
+deterministic for a fixed configuration and seed: no timestamps, sorted
+JSON keys, fixed float formatting.
 """
 
 from __future__ import annotations
@@ -457,12 +458,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    from .quadrature import DimensionTooLarge
+    from .quadrature import DimensionTooLarge, Infeasible, PoleHit
     from .roots import UnsupportedRank
 
     try:
         return args.func(args)
-    except (UsageError, UnsupportedRank, DimensionTooLarge) as exc:
+    except (UsageError, UnsupportedRank, DimensionTooLarge, Infeasible, PoleHit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -207,10 +207,6 @@ def scalar_inverse(x):
     return 1 / x
 
 
-def to_float(x) -> float:
-    return float(x)
-
-
 class ExactMatrix:
     """Dense matrix over exact scalars (Fraction and/or QSqrt2)."""
 
@@ -334,9 +330,6 @@ class ExactMatrix:
                     for j in range(k, n):
                         a[i][j] = a[i][j] - m * a[k][j]
         return det * sign
-
-    def to_float(self):
-        return [[float(v) for v in row] for row in self.rows]
 
     def __repr__(self):
         return "ExactMatrix(" + repr(self.rows) + ")"

@@ -4,9 +4,9 @@ The principal branch of log Gamma is computed from the Bernoulli-number
 asymptotic series (DLMF 5.11.1) after shifting the argument to
 Re z >= 10 with the recursion log Gamma(z) = log Gamma(z+1) - log z.
 For arguments off the real axis the recursion never crosses a branch
-cut, so the result is the standard analytic continuation.  Both a
-scalar entry point (with pole detection) and a vectorized numpy path
-are provided; the vectorized path is what the contour quadratures use.
+cut, so the result is the standard analytic continuation.  The
+vectorized numpy path is what the contour quadratures use; the scalar
+entry point delegates to it, and both raise PoleHit at the poles.
 """
 
 from __future__ import annotations
@@ -49,9 +49,20 @@ def _stirling(z):
 
 
 def log_gamma_array(z):
-    """Principal-branch log Gamma on a complex numpy array."""
+    """Principal-branch log Gamma on a complex numpy array.
+
+    Raises PoleHit when an entry is a pole (a nonpositive integer).  Only
+    the entries on the real axis are looked at, so the check adds no
+    full-size float temporary.  The work runs on a flat array whatever
+    the input shape (numpy's scalar arithmetic rounds differently), so a
+    value has the same bits on its own as inside a grid.
+    """
     z = np.asarray(z, dtype=complex)
-    work = z.copy()
+    axis = z[z.imag == 0.0].real
+    poles = axis[(axis <= 0.0) & (axis == np.floor(axis))]
+    if poles.size:
+        raise PoleHit(f"log Gamma pole at {poles[0]:g}")
+    work = z.flatten()
     acc = np.zeros_like(work)
     while True:
         mask = work.real < _SHIFT_RE
@@ -59,7 +70,7 @@ def log_gamma_array(z):
             break
         acc[mask] -= np.log(work[mask])
         work[mask] += 1.0
-    return _stirling(work) + acc
+    return (_stirling(work) + acc).reshape(z.shape)
 
 
 def log_gamma_complex(z) -> complex:
@@ -67,14 +78,7 @@ def log_gamma_complex(z) -> complex:
 
     Raises PoleHit at the poles (nonpositive integers).
     """
-    zc = complex(z)
-    if zc.imag == 0.0 and zc.real <= 0.0 and zc.real == int(zc.real):
-        raise PoleHit(f"log Gamma pole at {zc}")
-    return complex(log_gamma_array(np.array([zc]))[0])
-
-
-def gamma_complex(z) -> complex:
-    return complex(np.exp(log_gamma_complex(z)))
+    return complex(log_gamma_array(complex(z)))
 
 
 def abs_gamma_envelope(x: float, y: float) -> float:

@@ -56,9 +56,6 @@ class RootSystem:
     def d(self) -> int:
         return len(self.positive_roots)
 
-    def root_index(self, label) -> int:
-        return self.positive_roots.index(label)
-
 
 def _gl_word(n):
     word = []
@@ -124,13 +121,6 @@ def build_root_system(family: str, n: int, max_rank: int = DEFAULT_MAX_RANK) -> 
 
 # ---------------------------------------------------------------------------
 # matrix realizations
-
-
-def _unit(n, i, j, v=Fraction(1)):
-    """n x n matrix with single entry v at (i, j); 1-based indices."""
-    m = ExactMatrix.zeros(n)
-    m.rows[i - 1][j - 1] = v
-    return m
 
 
 @dataclass(frozen=True)
@@ -225,15 +215,6 @@ def build_realization(family: str, n: int) -> ChevalleyRealization:
             form.rows[i - 1][size - i] = Fraction(1)
         kind = "sym"
     return ChevalleyRealization(family, n, size, e, f, h, form, kind)
-
-
-def exp_generator(real: ChevalleyRealization, letter: int, c, neg: bool = False) -> ExactMatrix:
-    """exp(c * e_letter) (or exp(c * f_letter) with neg=True) as an exact matrix."""
-    m = ExactMatrix.identity(real.matrix_size)
-    terms = real.exp_terms_f(letter, c) if neg else real.exp_terms(letter, c)
-    for i, j, v in terms:
-        m.rows[i][j] = m.rows[i][j] + v
-    return m
 
 
 def weyl_lift(word, real: ChevalleyRealization) -> ExactMatrix:

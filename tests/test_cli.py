@@ -179,6 +179,20 @@ class TestMellinTable:
         )
         assert code == 2
 
+    def test_s_outside_the_domain_is_usage_error(self, capsys):
+        # no inner contour separates the poles at s = (0, 0)
+        code = run(["mellin-table", "--group", "gl", "--rank", "3", "--lambda", "0,0,0",
+                    "--s-grid", "0:1:2"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_s_at_a_gamma_pole_is_usage_error(self, capsys):
+        # M(0) = Gamma(0)^2 for gl rank 2 at lambda = 0
+        code = run(["mellin-table", "--group", "gl", "--rank", "2", "--lambda", "0,0",
+                    "--s-grid", "0:0:1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "t.json"
         assert run(

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from whittaker_mb.mellin import AffineForm, assemble_mb_integrand
+from whittaker_mb.mellin import AffineForm, assemble_mb_integrand, mellin_of_whittaker
 from whittaker_mb.gammafn import PoleHit, abs_gamma_envelope, log_gamma_array
 from whittaker_mb.quadrature import (
     _cone_action,
@@ -23,6 +23,7 @@ from whittaker_mb.quadrature import (
     constraint_slacks,
     eval_cone,
     eval_mb,
+    eval_mellin_transform,
     log_gamma_complex,
     plan_contour,
 )
@@ -47,6 +48,25 @@ class TestLogGamma:
     def test_pole(self):
         with pytest.raises(PoleHit):
             log_gamma_complex(-3)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_array_pole_is_typed(self):
+        with pytest.raises(PoleHit):
+            log_gamma_array(np.array([[0.5, 1.0 + 2.0j], [-2.0, 3.0]]))
+        with pytest.raises(PoleHit):
+            log_gamma_array(0.0)
+        # next to the poles, and on their line off the real axis: finite
+        near = np.array([-2.5, -3.0 + 1e-9j, -1e-12, 0.0 + 0.5j])
+        assert np.all(np.isfinite(log_gamma_array(near)))
+
+    def test_array_values_do_not_depend_on_shape(self):
+        rng = np.random.default_rng(5)
+        z = rng.uniform(-4, 6, (3, 4)) + 1j * rng.uniform(-5, 5, (3, 4))
+        grid = log_gamma_array(z)
+        assert grid.shape == z.shape
+        for idx in np.ndindex(z.shape):
+            assert complex(log_gamma_array(z[idx])) == grid[idx]
+            assert log_gamma_complex(z[idx]) == grid[idx]
 
     def test_against_reference_disk(self):
         rng = random.Random(99)
@@ -230,6 +250,21 @@ class TestOracles:
             )
             assert abs(lhs - rhs) / abs(rhs) < 1e-9
 
+    def test_barnes_unreachable_tol_carries_partial_result(self):
+        a, b, c, d = 0.6 + 0.1j, 0.9, 0.7 - 0.3j, 1.1
+        with pytest.raises(NotConverged) as exc:
+            barnes_first_lemma_quad(a, b, c, d, tol=1e-20)
+        res = exc.value.result
+        assert res is not None and not res.converged
+        assert abs(res.value - barnes_first_lemma_quad(a, b, c, d)) <= 1e-9 * abs(res.value)
+
+    def test_barnes_narrow_strip_is_infeasible(self):
+        # -min(Re a, Re b) = -0.1 and min(Re c, Re d) = 0.14: a strip 0.24 wide
+        with pytest.raises(Infeasible):
+            barnes_first_lemma_quad(0.1, 0.5, 0.14, 0.6)
+        with pytest.raises(Infeasible):
+            barnes_first_lemma_quad(-0.5, 0.5, 0.2, 0.6)  # no strip at all
+
 
 def _close(got, ref, rel=1e-13):
     return abs(got - ref) <= rel * abs(ref)
@@ -249,7 +284,7 @@ def _dense_contour(num, den, variables, base, lam, hx, nodes, fixed):
     coarse = [arr[(slice(None, None, step),) * d].sum() * step**d for step in (2, 4)]
     mod = np.abs(arr)
     faces = [mod.take(0, axis=k).sum() + mod.take(-1, axis=k).sum() for k in range(d)]
-    return complex(arr.sum()), complex(coarse[0]), complex(coarse[1]), faces, arr.size
+    return complex(arr.sum()), complex(coarse[0]), complex(coarse[1]), faces, arr.size, mod.sum()
 
 
 def _dense_cone(family, n, labels, efac, phase, nodes, s_shift):
@@ -292,6 +327,7 @@ class TestContractedKernels:
         for a, b in zip(got[3], ref[3]):
             assert _close(a, b)
         assert got[4] == ref[4] == math.prod(2 * m + 1 for m in self.HALF[:d])
+        assert _close(got[5], ref[5])
 
     @pytest.mark.parametrize(
         "family,n", [("gl", 2), ("so_even", 2), ("gl", 3), ("sp", 2), ("so_odd", 2)]
@@ -310,12 +346,22 @@ class TestContractedKernels:
 
 
 class TestContractionBudget:
-    def test_first_attempt_over_budget_is_typed(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda: eval_mb(assemble_mb_integrand("gl", 2), (0.0, 0.0), (0.0, 0.0)),
+            lambda: eval_mellin_transform(
+                mellin_of_whittaker("gl", 3), (0.8, 1.1), (0.5, 0.0, -0.5)
+            ),
+        ],
+        ids=["eval_mb", "eval_mellin_transform"],
+    )
+    def test_first_attempt_over_budget_is_typed(self, monkeypatch, evaluate):
         import whittaker_mb.quadrature as quad
 
         monkeypatch.setattr(quad, "MAX_FLOPS", 10.0)
         with pytest.raises(DimensionTooLarge):
-            eval_mb(assemble_mb_integrand("gl", 2), (0.0, 0.0), (0.0, 0.0))
+            evaluate()
 
     def test_so_even3_mellin_ends_typed_within_budget(self, tmp_path):
         import json
