@@ -7,6 +7,14 @@ supporting field arithmetic (exact rationals, dual numbers, numpy
 arrays).  The oracle computes the same data by building X(-t) * w0bar
 exactly and running the LDU decomposition; closed form and oracle must
 agree exactly, which is the backbone correctness check of the package.
+
+No dense matrix product or inverse is formed.  The lifts w0bar (and the
+lift of the embedded rank-(n-1) subgroup) are signed permutation
+matrices: their (column -> row, sign) maps are derived once per family
+and rank from `w0_lift`, so multiplying by a lift only moves and negates
+entries, and the inverse of a lift is its transpose.  The inverse of a
+first-string matrix prod exp(c * e_letter) is applied as the factors
+exp(-c * e_letter) in reverse order.
 """
 
 from __future__ import annotations
@@ -14,8 +22,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .exact import ExactMatrix, SingularLeadingMinor, lu_gauss_decompose
+from .exact import ExactMatrix, SingularLeadingMinor, lu_gauss_decompose, signed_permutation
 from .charts import (
     LusztigChart,
     _frac,
@@ -38,22 +47,6 @@ class StructureViolation(AssertionError):
 class BZResult:
     image_chart: LusztigChart
     twist: list  # independent diagonal entries: n for gl, T_1..T_n otherwise
-
-    def twist_matrix(self) -> ExactMatrix:
-        rs = self.image_chart.root_system
-        family, n = rs.family, rs.n
-        size = rs.matrix_size
-        m = ExactMatrix.zeros(size)
-        if family == "gl":
-            for k in range(n):
-                m.rows[k][k] = self.twist[k]
-            return m
-        for k in range(n):
-            m.rows[k][k] = self.twist[k]
-            m.rows[size - 1 - k][size - 1 - k] = 1 / self.twist[k]
-        if family == "so_odd":
-            m.rows[n][n] = Fraction(1)
-        return m
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +182,22 @@ def bz_inverse(family: str, image_chart: LusztigChart) -> LusztigChart:
 # exact oracle via Gauss decomposition
 
 
+@lru_cache(maxsize=None)
+def _lift_perm(family: str, n: int, embedded: bool = False) -> tuple:
+    """Signed permutation map of w0bar (or of the embedded lift w0bar')."""
+    lift = w0_lift_embedded(family, n) if embedded else w0_lift(family, n)
+    return signed_permutation(lift)
+
+
 def bz_oracle(chart: LusztigChart) -> BZResult:
-    """Ground truth: LDU of X(-t) * w0bar, coordinates peeled off the U factor."""
+    """Ground truth: LDU of X(-t) * w0bar, coordinates peeled off the U factor.
+
+    X(-t) * w0bar is X(-t) with its columns permuted and negated by the
+    signed permutation map of w0bar; no product is formed.
+    """
     rs = chart.root_system
     m = chart_to_matrix(chart, negate=True)
-    g = m * w0_lift(rs.family, rs.n)
+    g = m.permute_columns(_lift_perm(rs.family, rs.n))
     try:
         dec = lu_gauss_decompose(g)
     except SingularLeadingMinor as exc:
@@ -220,14 +224,17 @@ def bz_oracle(chart: LusztigChart) -> BZResult:
 # first-string matrices and the block-diagonalization diagnostic
 
 
+def _string1_word(rs):
+    """(letter, label) pairs of the last simple-root string, in product order."""
+    return [(letter, label) for letter, label in rs.word if label[1] == 1]
+
+
 def string1_matrix(chart: LusztigChart, negate: bool = False) -> ExactMatrix:
     """Product of the one-parameter factors of the last simple-root string."""
     rs = chart.root_system
     real = build_realization(rs.family, rs.n)
     m = ExactMatrix.identity(real.matrix_size)
-    for letter, label in rs.word:
-        if label[1] != 1:
-            continue
+    for letter, label in _string1_word(rs):
         cval = chart.coords[label]
         if negate:
             cval = -cval
@@ -235,22 +242,13 @@ def string1_matrix(chart: LusztigChart, negate: bool = False) -> ExactMatrix:
     return m
 
 
-def _exact_inverse(m: ExactMatrix) -> ExactMatrix:
-    n = m.nrows
-    a = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-         for i, r in enumerate(m.rows)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        a[k], a[piv] = a[piv], a[k]
-        p = a[k][k]
-        a[k] = [v / p for v in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [vi - f * vk for vi, vk in zip(a[i], a[k])]
-    return ExactMatrix([row[n:] for row in a])
+def _times_string1_inverse(m: ExactMatrix, chart: LusztigChart) -> None:
+    """In-place M <- M * string1_matrix(chart)^{-1}, as the factors
+    exp(-c * e_letter) of the first string in reverse order."""
+    rs = chart.root_system
+    real = build_realization(rs.family, rs.n)
+    for letter, label in reversed(_string1_word(rs)):
+        m.apply_right_sparse(real.exp_terms(letter, -chart.coords[label]))
 
 
 def u_matrix_check(chart: LusztigChart) -> dict:
@@ -261,18 +259,21 @@ def u_matrix_check(chart: LusztigChart) -> dict:
     column (and, outside gl, the last row), with explicit diagonal
     entries built from the first-string coordinates.  Returns the
     diagnostic report; raises StructureViolation on any failed entry.
+
+    Both lifts act as signed permutations (the inverse of w0bar' is its
+    transpose), and A(p)^{-1} is applied as exp(-p * e_letter) over the
+    first string in reverse order, so U is built without a dense product
+    or a matrix inverse.
     """
     rs = chart.root_system
     family, n = rs.family, rs.n
     image = bz_closed_form(chart).image_chart
-    a_minus = string1_matrix(chart, negate=True)
-    a_image = string1_matrix(image)
     u = (
-        _exact_inverse(w0_lift_embedded(family, n))
-        * a_minus
-        * w0_lift(family, n)
-        * _exact_inverse(a_image)
+        string1_matrix(chart, negate=True)
+        .permute_columns(_lift_perm(family, n))
+        .permute_rows(_lift_perm(family, n, embedded=True))
     )
+    _times_string1_inverse(u, image)
     size = rs.matrix_size
     c = chart.coords
     expected = {}

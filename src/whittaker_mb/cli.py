@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -39,6 +40,11 @@ def _parse_vector(text: str, rank: int, what: str):
     if len(vals) != rank:
         raise UsageError(f"{what} needs {rank} components, got {len(vals)}")
     return vals
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise UsageError(f"--tol must be finite and positive, got {tol!r}")
 
 
 def _write_output(text: str, path):
@@ -221,6 +227,8 @@ def _verify_report(group: str, rank: int, trials: int, seed: int) -> dict:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     report = _verify_report(args.group, args.rank, args.trials, args.seed)
     if args.format == "json":
         text = _json_dumps(report)
@@ -242,6 +250,7 @@ def cmd_eval(args) -> int:
     from .mellin import assemble_mb_integrand
     from .quadrature import NotConverged, eval_cone, eval_mb
 
+    _check_tol(args.tol)
     family = GROUPS[args.group]
     lam = _parse_vector(args.lam, args.rank, "--lambda")
     x = _parse_vector(args.x, args.rank, "--x")
@@ -322,6 +331,7 @@ def cmd_mellin_table(args) -> int:
     from .mellin import bump_gl3, mellin_of_whittaker
     from .quadrature import NotConverged, eval_mellin_transform
 
+    _check_tol(args.tol)
     family = GROUPS[args.group]
     lam = _parse_vector(args.lam, args.rank, "--lambda")
     split = mellin_of_whittaker(family, args.rank)

@@ -56,8 +56,10 @@ class QSqrt2:
     def _coerce(x):
         if isinstance(x, QSqrt2):
             return x
-        if isinstance(x, (int, Fraction)):
-            return QSqrt2(x, 0)
+        if isinstance(x, Fraction):
+            return _rational(x)
+        if isinstance(x, int):
+            return _rational(Fraction(x))
         return None
 
     @property
@@ -73,6 +75,8 @@ class QSqrt2:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not (self.b or o.b):
+            return _rational(self.a + o.a)
         return QSqrt2(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
@@ -93,6 +97,8 @@ class QSqrt2:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not (self.b or o.b):
+            return _rational(self.a * o.a)
         return QSqrt2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
 
     __rmul__ = __mul__
@@ -194,6 +200,17 @@ class QSqrt2:
         return f"QSqrt2({self.a}, {self.b})"
 
 
+_ZERO = Fraction(0)
+
+
+def _rational(a: Fraction) -> QSqrt2:
+    """QSqrt2 with rational part a and no sqrt(2) part, built without coercion."""
+    x = object.__new__(QSqrt2)
+    x.a = a
+    x.b = _ZERO
+    return x
+
+
 SQRT2 = QSqrt2(0, 1)
 
 
@@ -281,9 +298,6 @@ class ExactMatrix:
             a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
         )
 
-    def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.rows))
-
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(list(zip(*self.rows)))
 
@@ -298,14 +312,30 @@ class ExactMatrix:
         """In-place M <- M * (Id + S) for sparse S = [(a, b, v), ...].
 
         The (a, b) pairs must be distinct; the update reads original
-        columns, so simultaneous terms are handled correctly.
+        columns, so simultaneous terms are handled correctly.  Rows whose
+        entry in column a is zero get nothing from that term.
         """
         adds = [
-            [row[a] * v for row in self.rows] for (a, b, v) in terms
+            [(row, row[a] * v) for row in self.rows if row[a]] for (a, b, v) in terms
         ]
         for (a, b, v), col in zip(terms, adds):
-            for i, row in enumerate(self.rows):
-                row[b] = row[b] + col[i]
+            for row, x in col:
+                row[b] = row[b] + x
+
+    def permute_columns(self, perm) -> "ExactMatrix":
+        """M * W for a signed permutation W with perm = signed_permutation(W):
+        column j of the product is sign * (column r of M) for perm[j] = (r, sign)."""
+        return ExactMatrix(
+            [[row[r] if s > 0 else -row[r] for r, s in perm] for row in self.rows]
+        )
+
+    def permute_rows(self, perm) -> "ExactMatrix":
+        """W^T * M = W^{-1} * M for a signed permutation W with
+        perm = signed_permutation(W): row i of the product is
+        sign * (row r of M) for perm[i] = (r, sign)."""
+        return ExactMatrix(
+            [self.rows[r] if s > 0 else [-v for v in self.rows[r]] for r, s in perm]
+        )
 
     def det(self):
         """Exact determinant via elimination with row pivoting."""
@@ -333,6 +363,28 @@ class ExactMatrix:
 
     def __repr__(self):
         return "ExactMatrix(" + repr(self.rows) + ")"
+
+
+def signed_permutation(m: ExactMatrix) -> tuple:
+    """Column map of a signed permutation matrix: perm[j] = (r, sign) where
+    m[r, j] = sign = +-1 is the only nonzero entry of column j.
+
+    Raises ValueError unless every column is monomial with entry +-1 and
+    the rows r are distinct, so that m is orthogonal and its inverse is
+    its transpose.
+    """
+    if m.nrows != m.ncols:
+        raise ValueError("signed permutation of a non-square matrix")
+    perm = []
+    for j in range(m.ncols):
+        nonzero = [(r, row[j]) for r, row in enumerate(m.rows) if row[j]]
+        if len(nonzero) != 1 or nonzero[0][1] not in (1, -1):
+            raise ValueError(f"column {j} is not monomial with entry +-1")
+        r, v = nonzero[0]
+        perm.append((r, 1 if v == 1 else -1))
+    if len({r for r, _ in perm}) != len(perm):
+        raise ValueError("columns share a row")
+    return tuple(perm)
 
 
 def _dot(row, col):
@@ -459,18 +511,16 @@ class Dual:
         return o.__truediv__(self)
 
     def __pow__(self, k: int):
+        """(v, e)**k = (v**k, k * v**(k-1) * e)."""
         if not isinstance(k, int):
             return NotImplemented
-        if k < 0:
-            return (Dual(Fraction(1)) / self) ** (-k)
-        out = Dual(Fraction(1))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        if k == 0:
+            return Dual(Fraction(1))
+        if k < 0 and self.val == 0:
+            raise DivisionByZero("dual division by zero")
+        v = Fraction(self.val) if isinstance(self.val, int) else self.val
+        p = v ** (k - 1)
+        return Dual(p * v, k * p * self.eps)
 
     def __neg__(self):
         return Dual(-self.val, -self.eps)

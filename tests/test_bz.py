@@ -1,11 +1,14 @@
 import math
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
 
 from whittaker_mb.bz import (
     OutsideBigCell,
+    _lift_perm,
+    _times_string1_inverse,
     bz_closed_form,
     bz_inverse,
     bz_oracle,
@@ -13,14 +16,52 @@ from whittaker_mb.bz import (
     left_whittaker_value,
     random_positive_chart,
     right_whittaker_value,
+    string1_matrix,
     u_matrix_check,
 )
 from whittaker_mb.charts import constant_chart, monomial_weight
-from whittaker_mb.roots import Weight
+from whittaker_mb.exact import ExactMatrix
+from whittaker_mb.roots import Weight, w0_lift, w0_lift_embedded
 
 SMALL_RANKS = [("gl", 2), ("gl", 3), ("gl", 4), ("so_even", 2), ("so_even", 3),
                ("so_odd", 1), ("so_odd", 2), ("so_odd", 3), ("sp", 1), ("sp", 2),
                ("sp", 3)]
+
+# every family and rank of the verify sweep (test_acceptance.BZ_RANKS)
+ALL_RANKS = [("gl", n) for n in (2, 3, 4, 5, 6)] + [("so_even", n) for n in (2, 3, 4)] + [
+    (family, n) for family in ("so_odd", "sp") for n in (1, 2, 3, 4)
+]
+
+
+def _dense_matrix(family, n, rng):
+    """Random exact matrix of the family's size with some zero entries."""
+    size = w0_lift(family, n).nrows
+    return ExactMatrix(
+        [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(size)]
+         for _ in range(size)]
+    )
+
+
+class TestStructuredFactors:
+    @pytest.mark.parametrize("family,n", ALL_RANKS)
+    @pytest.mark.parametrize("embedded", [False, True])
+    def test_lift_permutation_matches_dense_product(self, family, n, embedded):
+        lift = w0_lift_embedded(family, n) if embedded else w0_lift(family, n)
+        perm = _lift_perm(family, n, embedded)
+        m = _dense_matrix(family, n, random.Random(zlib.crc32(repr((family, n)).encode())))
+        assert m.permute_columns(perm) == m * lift
+        assert m.permute_rows(perm) == lift.transpose() * m
+        assert lift.transpose() * lift == ExactMatrix.identity(lift.nrows)
+
+    @pytest.mark.parametrize("family,n", ALL_RANKS)
+    def test_reversed_string_factors_invert_the_string(self, family, n):
+        rng = random.Random(zlib.crc32(repr((family, n, "a")).encode()))
+        for chart in (random_positive_chart(family, n, rng),
+                      bz_closed_form(random_positive_chart(family, n, rng)).image_chart):
+            a = string1_matrix(chart)
+            _times_string1_inverse(a, chart)
+            assert a.is_identity()
+
 
 
 class TestOracle:
@@ -58,7 +99,7 @@ class TestOracle:
 class TestClosedForms:
     @pytest.mark.parametrize("family,n", SMALL_RANKS)
     def test_matches_oracle(self, family, n):
-        rng = random.Random(hash((family, n, "cf")) & 0xFFFF)
+        rng = random.Random(zlib.crc32(repr((family, n, "cf")).encode()))
         for _ in range(20):
             ch = random_positive_chart(family, n, rng)
             a = bz_closed_form(ch)
@@ -144,7 +185,7 @@ class TestInverse:
 
     @pytest.mark.parametrize("family,n", SMALL_RANKS)
     def test_inverse_of_forward(self, family, n):
-        rng = random.Random(hash((family, n, "inv")) & 0xFFFF)
+        rng = random.Random(zlib.crc32(repr((family, n, "inv")).encode()))
         for _ in range(20):
             ch = random_positive_chart(family, n, rng)
             assert bz_inverse(family, bz_closed_form(ch).image_chart) == ch
@@ -158,7 +199,7 @@ class TestUMatrix:
 
     @pytest.mark.parametrize("family,n", SMALL_RANKS)
     def test_structure_random(self, family, n):
-        rng = random.Random(hash((family, n, "u")) & 0xFFFF)
+        rng = random.Random(zlib.crc32(repr((family, n, "u")).encode()))
         for _ in range(5):
             u_matrix_check(random_positive_chart(family, n, rng))
 
@@ -200,7 +241,7 @@ class TestWhittakerValues:
     @pytest.mark.parametrize("family,n", SMALL_RANKS)
     def test_monomial_forms_agree(self, family, n):
         # t^nu on the chart equals p^(-nu) on the image, exactly
-        rng = random.Random(hash((family, n, "lw")) & 0xFFFF)
+        rng = random.Random(zlib.crc32(repr((family, n, "lw")).encode()))
         ch = random_positive_chart(family, n, rng)
         img = bz_closed_form(ch).image_chart
         nu = Weight({k: rng.randint(-3, 3) for k in range(1, n + 1)})

@@ -1,4 +1,5 @@
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -87,7 +88,7 @@ class TestExtraction:
          ("so_odd", 4), ("sp", 1), ("sp", 2), ("sp", 3), ("sp", 4)],
     )
     def test_roundtrip_random_charts(self, family, n):
-        rng = random.Random(hash((family, n)) & 0xFFFF)
+        rng = random.Random(zlib.crc32(repr((family, n)).encode()))
         for _ in range(10):
             ch = random_positive_chart(family, n, rng)
             back = extract_coordinates(chart_to_matrix(ch), ch.root_system)

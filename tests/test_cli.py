@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from whittaker_mb import cli
 
 
@@ -63,6 +65,14 @@ class TestVerify:
         assert report["ok"] is False
         bad = [c for c in report["checks"] if c["failed"]]
         assert bad and bad[0]["counterexample"] is not None
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_usage_error(self, trials, capsys):
+        code = run(["verify", "--group", "gl", "--rank", "2", f"--trials={trials}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
     def test_csv_format(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -140,6 +150,15 @@ class TestEval:
         assert run(args) == 0
         assert capsys.readouterr().out == a
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_tol_not_finite_positive_is_usage_error(self, tol, capsys):
+        code = run(["eval", "--group", "gl", "--rank", "2", "--lambda", "1,-1",
+                    "--x", "0.3,-0.3", "--method", "mb", f"--tol={tol}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
     def test_mb_dimension_guard_is_usage_error(self):
         code = run(
             ["eval", "--group", "gl", "--rank", "5", "--method", "mb",
@@ -192,6 +211,15 @@ class TestMellinTable:
                     "--s-grid", "0:0:1"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_tol_not_finite_positive_is_usage_error(self, tol, capsys):
+        code = run(["mellin-table", "--group", "gl", "--rank", "2", "--lambda", "0.5,-0.5",
+                    "--s-grid", "0.5:1.5:3", f"--tol={tol}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "t.json"

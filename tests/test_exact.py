@@ -14,6 +14,7 @@ from whittaker_mb.exact import (
     SingularLeadingMinor,
     jacobian_exact,
     lu_gauss_decompose,
+    signed_permutation,
 )
 
 fractions = st.fractions(
@@ -64,6 +65,20 @@ class TestQSqrt2:
             assert float(x) <= float(y)
         elif y < x:
             assert float(y) <= float(x)
+
+    @pytest.mark.parametrize("other", [Fraction(-7, 3), 5, QSqrt2(Fraction(2, 9))])
+    def test_rational_fast_path_matches_general_formula(self, other):
+        x = QSqrt2(Fraction(5, 4))
+        o = QSqrt2._coerce(other)
+        general_sum = QSqrt2(x.a + o.a, x.b + o.b)
+        general_product = QSqrt2(x.a * o.a + 2 * x.b * o.b, x.a * o.b + x.b * o.a)
+        for got, want in ((x + other, general_sum), (other + x, general_sum),
+                          (x * other, general_product), (other * x, general_product)):
+            assert type(got) is QSqrt2
+            assert got == want and hash(got) == hash(want)
+            assert (got.a, got.b) == (want.a, want.b)
+            assert type(got.a) is Fraction and type(got.b) is Fraction
+            assert hash(got) == hash(want.a)
 
     def test_mixed_arithmetic_with_fraction(self):
         assert Fraction(1, 2) + SQRT2 == QSqrt2(Fraction(1, 2), 1)
@@ -126,6 +141,22 @@ class TestMatrixAlgebra:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
 
+    def test_apply_right_sparse_simultaneous_terms_match_dense(self):
+        # a term's target column is another term's source column, and rows
+        # with a zero source entry are skipped
+        m = ExactMatrix(
+            [[1, 0, 2, 0], [0, 3, 0, 1], [Fraction(1, 2), 0, 0, 5], [0, 0, SQRT2, 1]]
+        )
+        terms = [(0, 1, Fraction(2)), (1, 2, SQRT2), (2, 0, Fraction(-3, 4)),
+                 (1, 3, Fraction(1, 3))]
+        s = ExactMatrix.zeros(4)
+        for i, j, v in terms:
+            s.rows[i][j] = v
+        expected = m * (ExactMatrix.identity(4) + s)
+        got = m.copy()
+        got.apply_right_sparse(terms)
+        assert got == expected
+
     def test_apply_right_sparse_matches_dense(self):
         rng = random.Random(3)
         m = frac_matrix(4, rng)
@@ -137,6 +168,27 @@ class TestMatrixAlgebra:
         got = m.copy()
         got.apply_right_sparse(terms)
         assert got == expected
+
+
+class TestSignedPermutation:
+    def test_map_of_a_signed_permutation(self):
+        w = ExactMatrix([[0, -1, 0], [0, 0, 1], [QSqrt2(1), 0, 0]])
+        assert signed_permutation(w) == ((2, 1), (0, -1), (1, 1))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 1], [1, 1]],  # two nonzero entries in a column
+            [[0, 2], [1, 0]],  # entry other than +-1
+            [[0, SQRT2], [1, 0]],
+            [[1, 0], [0, 0]],  # zero column
+            [[1, 1], [0, 0]],  # columns share a row
+            [[1, 0, 0], [0, 1, 0]],  # not square
+        ],
+    )
+    def test_rejects_other_matrices(self, rows):
+        with pytest.raises(ValueError):
+            signed_permutation(ExactMatrix(rows))
 
 
 class TestDualNumbers:
@@ -156,3 +208,23 @@ class TestDualNumbers:
         y = x**3 / (1 + x)
         assert y.val == Fraction(27, 4)
         assert y.eps == Fraction(27, 4) * (Fraction(3, 3) - Fraction(1, 4))
+
+    @pytest.mark.parametrize("k", range(-3, 5))
+    @pytest.mark.parametrize(
+        "val,eps",
+        [(Fraction(3, 7), Fraction(-2, 5)), (Fraction(-4), Fraction(1)),
+         (QSqrt2(Fraction(1, 2), 3), QSqrt2(-1, Fraction(2, 3))),
+         (QSqrt2(Fraction(5, 3)), Fraction(1))],
+    )
+    def test_power_matches_repeated_multiplication(self, k, val, eps):
+        x = Dual(val, eps)
+        base = x if k >= 0 else Dual(Fraction(1)) / x
+        want = Dual(Fraction(1))
+        for _ in range(abs(k)):
+            want = want * base
+        got = x**k
+        assert got.val == want.val and got.eps == want.eps
+
+    def test_negative_power_of_zero_raises(self):
+        with pytest.raises(DivisionByZero):
+            Dual(Fraction(0), Fraction(1)) ** -2
