@@ -27,8 +27,10 @@ and MAX_ENTRIES: a first attempt over budget raises DimensionTooLarge,
 and a refinement over budget ends the refinement with NotConverged and
 the last result.  The positive-cone sum likewise never forms the
 complex integrand: its phase is linear, so it contracts the real weight
-exp(-S) with one phase vector per axis.  Contractions follow a fixed
-plan, so results are reproducible bit for bit at fixed panel counts.
+exp(-S) with one phase vector per axis, and it measures the mass on
+every grid hyperplane, to which the box of the next attempt is trimmed.
+Contractions follow a fixed plan, so results are reproducible bit for
+bit at fixed panel counts.
 """
 
 from __future__ import annotations
@@ -550,6 +552,17 @@ def _cone_action(family, n, coords, efac, out):
     return out
 
 
+# Box search of the cone's tensor rule: the probe values of each log
+# coordinate around the minimum of S, and the step and reach of the march
+# out of it.  Trimming: after an attempt passes the face check, each end of
+# each axis may drop hyperplanes carrying up to TRIM_SHARE * tol * |value|
+# / (2 d) of mass before the next, finer attempt.
+_PROBE = np.linspace(-4.0, 3.0, 8)
+_MARCH_STEP = 0.5
+_MARCH_REACH = 80.0
+TRIM_SHARE = 0.01
+
+
 def eval_cone(
     family: str,
     n: int,
@@ -563,10 +576,25 @@ def eval_cone(
 
     In logarithmic coordinates u = log t the integrand is
     exp(-S(u) - i phase(u)) with S the sum of image and rescaled chart
-    coordinates and phase(u) linear.  For d <= 4 a tensor trapezoid rule
-    sums it slice by slice: each slice holds the real weight exp(-S),
-    contracted with one phase vector per axis (see _cone_sum).  Beyond
-    that (d <= 8) it uses scrambled Sobol sampling.
+    coordinates and phase(u) linear.  _cone_box finds a box around the
+    minimum of S outside which S has risen by log(10/tol) + 6.  For
+    d <= 4 a tensor trapezoid rule sums the integrand over that box slice
+    by slice (see _cone_sum); beyond that (d <= 8) it uses scrambled Sobol
+    sampling.
+
+    Each tensor attempt is checked first: if the mass on the boundary
+    faces exceeds 0.1 tol |value|, the box widens by 1.5 per side and the
+    attempt repeats at the same step.  An attempt that passes is compared
+    with the previous one (geometric extrapolation of the difference),
+    and the estimate adds the face mass.  Before the next attempt, whose
+    step is 0.65 times shorter, the box is trimmed to the mass this
+    attempt measured: from each end of each axis, hyperplanes go while
+    their cumulative mass stays within TRIM_SHARE tol |value| / (2 d),
+    and the innermost of them stays as the new face (_cone_trim).  The
+    mass trimmed off is added to every later error estimate.  When no
+    attempt meets tol, NotConverged carries the last attempt, whose
+    est_error is |value| plus the face and trimmed mass if it could not
+    be compared with a finer grid.
     """
     t0 = time.perf_counter()
     rs = build_root_system(family, n)
@@ -577,58 +605,7 @@ def eval_cone(
     efac = _cone_exponent(family, n, x)
     phase = _cone_phase_coeffs(family, n, lam)
     lt = math.log(10.0 / tol) + 6.0
-
-    def action(uvals):
-        coords = {lab: np.exp(uvals[k]) for k, lab in enumerate(labels)}
-        return _cone_action(family, n, coords, efac, np.zeros(()))
-
-    # locate the minimum of S coarsely, then march out per axis
-    probe = np.linspace(-4.0, 3.0, 8)
-    center = [0.0] * d
-    s_center = float(action(np.array(center)))
-    for sweep in range(2):
-        for k in range(d):
-            best, best_s = center[k], None
-            for val in probe:
-                trial = list(center)
-                trial[k] = float(val)
-                s = float(action(np.array(trial)))
-                if best_s is None or s < best_s:
-                    best, best_s = float(val), s
-            center[k] = best
-        s_center = float(action(np.array(center)))
-    # march outward along axes and diagonal sign patterns; the reach of
-    # every direction widens the box, so slow cross-directions cannot
-    # hide beyond the truncation
-    if d <= 4:
-        dirs = [
-            v
-            for v in itertools.product((-1.0, 0.0, 1.0), repeat=d)
-            if any(c != 0 for c in v)
-        ]
-    else:
-        rng_dirs = np.random.default_rng(12345)
-        dirs = [tuple(v) for v in np.eye(d)] + [tuple(-v) for v in np.eye(d)]
-        dirs += [
-            tuple(rng_dirs.choice((-1.0, 0.0, 1.0), size=d))
-            for _ in range(48)
-        ]
-        dirs = [v for v in dirs if any(c != 0 for c in v)]
-    lo_b = [center[k] - 1.0 for k in range(d)]
-    hi_b = [center[k] + 1.0 for k in range(d)]
-    for v in dirs:
-        t = 0.0
-        while t < 80.0:
-            t += 0.5
-            trial = [center[k] + t * v[k] for k in range(d)]
-            if float(action(np.array(trial))) - s_center >= lt:
-                break
-        for k in range(d):
-            if v[k] > 0:
-                hi_b[k] = max(hi_b[k], center[k] + t * v[k] + 1.0)
-            elif v[k] < 0:
-                lo_b[k] = min(lo_b[k], center[k] - t * (-v[k]) - 1.0)
-    bounds = list(zip(lo_b, hi_b))
+    s_center, bounds = _cone_box(family, n, labels, efac, lt)
 
     pref = complex(math.cos(-_dotf(lam, x)), math.sin(-_dotf(lam, x)))
 
@@ -637,55 +614,143 @@ def eval_cone(
 
     nu_mag = max((abs(v) for v in phase.values()), default=0.0)
     h = min(0.34, 2.0 * math.pi / (12.0 + 2.0 * nu_mag))
+    scale = math.exp(-s_center)
     evals_total = 0
-    prev = None
-    diff_prev = None
-    value = err = None
+    prev = diff_prev = None
+    dropped = 0.0
     for attempt in range(5):
         nodes = []
         for k in range(d):
             lo, hi = bounds[k]
             m = int(math.ceil((hi - lo) / h))
             nodes.append(np.linspace(lo, lo + m * h, m + 1))
-        total, face_mass, evals = _cone_sum(family, n, labels, efac, phase, nodes, s_center)
+        total, face_mass, evals, marginals = _cone_sum(
+            family, n, labels, efac, phase, nodes, s_center
+        )
         evals_total += evals
-        value = pref * total * math.exp(-s_center)
-        face = face_mass * math.exp(-s_center)
-        if face > 0.1 * tol * abs(value):
+        value = pref * total * scale
+        face = face_mass * scale
+        widen = face > 0.1 * tol * abs(value)
+        if widen or prev is None:
+            # nothing finer to compare with: the value itself is the bound
+            err = abs(value)
+        else:
+            diff = abs(value - prev)
+            err = diff
+            if diff_prev is not None and diff_prev > diff > 0:
+                err = min(diff, 4.0 * diff * diff / diff_prev)
+        err += face + dropped
+        if widen:
             # boundary carries mass: widen the box and retry
             bounds = [(lo - 1.5, hi + 1.5) for lo, hi in bounds]
             prev = diff_prev = None
             continue
         if prev is not None:
-            diff = abs(value - prev)
-            err = diff
-            if diff_prev is not None and diff_prev > diff > 0:
-                err = min(diff, 4.0 * diff * diff / diff_prev)
-            err += face
             if err <= tol * max(abs(value), 1e-300):
                 return QuadResult(value, err, evals_total, time.perf_counter() - t0)
             diff_prev = diff
         prev = value
+        bounds, cut = _cone_trim(nodes, marginals, TRIM_SHARE * tol * abs(total) / (2 * d))
+        dropped += cut * scale
         h *= 0.65
     result = QuadResult(value, err, evals_total, time.perf_counter() - t0, converged=False)
     raise NotConverged(f"cone quadrature not converged (err {err:.3g})", result)
 
 
+def _cone_box(family, n, labels, efac, lt):
+    """S at its approximate minimum, and the per-axis bounds of the box
+    outside which S exceeds that minimum by `lt`.
+
+    Two sweeps over the axes move each coordinate of the centre to the
+    first minimum of S over the _PROBE values, evaluated as one (8, d)
+    array per axis.  Then every direction of a set (all nonzero sign
+    patterns for d <= 4, axes and random patterns beyond) marches out of
+    the centre in _MARCH_STEP steps until S has risen by `lt`, or up to
+    _MARCH_REACH; all directions still marching at a step are one array.
+    The reach of every direction, plus 1, widens the box, so slow
+    cross-directions cannot hide beyond the truncation.
+    """
+    d = len(labels)
+
+    def action(u):
+        coords = {lab: np.exp(u[:, k]) for k, lab in enumerate(labels)}
+        return _cone_action(family, n, coords, efac, np.zeros(u.shape[0]))
+
+    center = np.zeros(d)
+    for sweep in range(2):
+        for k in range(d):
+            trial = np.tile(center, (_PROBE.size, 1))
+            trial[:, k] = _PROBE
+            center[k] = _PROBE[np.argmin(action(trial))]
+    s_center = float(action(center[None, :])[0])
+    if d <= 4:
+        dirs = [v for v in itertools.product((-1.0, 0.0, 1.0), repeat=d) if any(v)]
+    else:
+        rng_dirs = np.random.default_rng(12345)
+        dirs = [tuple(v) for v in np.eye(d)] + [tuple(-v) for v in np.eye(d)]
+        dirs += [tuple(rng_dirs.choice((-1.0, 0.0, 1.0), size=d)) for _ in range(48)]
+        dirs = [v for v in dirs if any(c != 0 for c in v)]
+    dirs = np.array(dirs)
+    reach = np.full(len(dirs), _MARCH_REACH)
+    active = np.arange(len(dirs))
+    t = 0.0
+    while active.size and t < _MARCH_REACH:
+        t += _MARCH_STEP
+        hit = action(center + t * dirs[active]) - s_center >= lt
+        reach[active[hit]] = t
+        active = active[~hit]
+    ends = center + reach[:, None] * dirs
+    hi_b = np.maximum(center + 1.0, np.where(dirs > 0, ends + 1.0, -np.inf).max(axis=0))
+    lo_b = np.minimum(center - 1.0, np.where(dirs < 0, ends - 1.0, np.inf).min(axis=0))
+    return s_center, [(float(lo), float(hi)) for lo, hi in zip(lo_b, hi_b)]
+
+
+def _cone_trim(nodes, marginals, limit):
+    """Bounds of the grid box without its negligible end hyperplanes, and
+    the mass of those hyperplanes.
+
+    From each end of each axis, hyperplanes go while their cumulative mass
+    (marginals[k][i], as _cone_sum returns them) stays within `limit`; the
+    innermost hyperplane within the limit stays as the new face, so the
+    new face carries at most `limit` as well.
+    """
+    bounds, dropped = [], 0.0
+    for nd, marg in zip(nodes, marginals):
+        cuts = []
+        for cum in (np.cumsum(marg), np.cumsum(marg[::-1])):
+            cut = max(int(np.searchsorted(cum, limit, side="right")) - 1, 0)
+            if cut:
+                dropped += float(cum[cut - 1])
+            cuts.append(cut)
+        bounds.append((float(nd[cuts[0]]), float(nd[nd.size - 1 - cuts[1]])))
+    return bounds, dropped
+
+
 def _cone_sum(family, n, labels, efac, phase, nodes, s_shift):
-    """Trapezoid sum of exp(-(S - s_shift) - i phase) over the tensor grid;
-    also returns the absolute mass sitting on the boundary faces.
+    """Trapezoid sum of exp(-(S - s_shift) - i phase) over the tensor grid,
+    with the mass of the weight on every grid hyperplane.
 
     The phase is linear in u, so exp(-i phase) is a product of one vector
     per axis and |integrand| = exp(-(S - s_shift)).  Each slice of the
-    first axis holds only that real weight: the phase vectors contract it,
-    and the face masses are plain sums of it.
+    first axis holds only that real weight.  One matrix product with the
+    last axis' phase vector (real and imaginary parts) and a ones vector
+    contracts the slice over that axis and sums it there; the other phase
+    vectors finish the contraction, and a vector-matrix product with ones
+    sums the slice over all but the last axis.  Returns (total, face_mass,
+    n_evals, marginals): marginals[k][i] is the weight on the hyperplane
+    u_k = nodes[k][i] times the voxel, and face_mass the sum of the first
+    and last entry of every axis' marginals, the mass on the boundary
+    faces.
     """
     d = len(labels)
+    sizes = [nd.size for nd in nodes]
     hs = [float(nd[1] - nd[0]) if nd.size > 1 else 1.0 for nd in nodes]
     voxel = math.prod(hs)
     waves = [np.exp(-1j * phase[lab] * nd) for lab, nd in zip(labels, nodes)]
+    last = np.stack([waves[-1].real, waves[-1].imag, np.ones(sizes[-1])], axis=1)
+    marginals = [np.zeros(size) for size in sizes]
 
-    buf = np.empty([nd.size for nd in (nodes if d == 1 else nodes[1:])])
+    buf = np.empty(sizes if d == 1 else sizes[1:])
 
     def weight(coords):
         buf.fill(0.0)
@@ -693,28 +758,33 @@ def _cone_sum(family, n, labels, efac, phase, nodes, s_shift):
         np.subtract(s_shift, buf, out=buf)
         return np.exp(buf, out=buf)
 
-    def contract(w, vecs):
-        acc = w @ vecs[-1].real + 1j * (w @ vecs[-1].imag)
-        for vec in reversed(vecs[:-1]):
-            acc = acc @ vec
-        return complex(acc)
-
     if d == 1:
         w = weight({labels[0]: np.exp(nodes[0])})
-        return contract(w, waves) * voxel, float(w[0] + w[-1]) * voxel, w.size
-
-    total = 0j
+        re, im, _ = w @ last
+        total = complex(re, im)
+        marginals[0] += w
+    else:
+        total = 0j
+        inner = {lab: np.exp(_shaped(nodes[k], k - 1, d - 1)) for k, lab in enumerate(labels) if k}
+        ones = np.ones(math.prod(sizes[1:-1]))
+        for i0 in range(sizes[0]):
+            w = weight({labels[0]: math.exp(nodes[0][i0]), **inner})
+            flat = w.reshape(-1, sizes[-1])
+            part = flat @ last
+            marginals[-1] += ones @ flat
+            acc = (part[:, 0] + 1j * part[:, 1]).reshape(sizes[1:-1])
+            for vec in reversed(waves[1:-1]):
+                acc = acc @ vec
+            total += waves[0][i0] * complex(acc)
+            rest = part[:, 2].reshape(sizes[1:-1])  # the slice summed over the last axis
+            marginals[0][i0] = rest.sum()
+            for k in range(1, d - 1):
+                marginals[k] += rest.sum(axis=tuple(j for j in range(d - 2) if j != k - 1))
     face_mass = 0.0
-    n0 = nodes[0].size
-    inner = {lab: np.exp(_shaped(nodes[k], k - 1, d - 1)) for k, lab in enumerate(labels) if k}
-    for i0 in range(n0):
-        w = weight({labels[0]: math.exp(nodes[0][i0]), **inner})
-        total += waves[0][i0] * contract(w, waves[1:])
-        if i0 == 0 or i0 == n0 - 1:
-            face_mass += float(w.sum())
-        for k in range(d - 1):
-            face_mass += float(w.take(0, axis=k).sum()) + float(w.take(-1, axis=k).sum())
-    return total * voxel, face_mass * voxel, n0 * w.size
+    for marg in marginals:
+        marg *= voxel
+        face_mass += float(marg[0] + marg[-1])
+    return total * voxel, face_mass, math.prod(sizes), marginals
 
 
 def _cone_qmc(family, n, labels, efac, phase, bounds, pref, tol, seed, t0):

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 import zlib
@@ -12,8 +13,10 @@ from whittaker_mb.gammafn import PoleHit, abs_gamma_envelope, log_gamma_array
 from whittaker_mb.quadrature import (
     _cone_action,
     _cone_exponent,
+    _cone_box,
     _cone_phase_coeffs,
     _cone_sum,
+    _cone_trim,
     _contour_sum,
     DimensionTooLarge,
     Infeasible,
@@ -22,6 +25,7 @@ from whittaker_mb.quadrature import (
     bessel_k_imag_order,
     contour_base_point,
     constraint_slacks,
+    TRIM_SHARE,
     eval_cone,
     eval_mb,
     eval_mellin_transform,
@@ -298,7 +302,11 @@ def _dense_cone(family, n, labels, efac, phase, nodes, s_shift):
     arr = np.exp(-(s - s_shift) - 1j * ph)
     mod = np.abs(arr)
     face = sum(mod.take(0, axis=k).sum() + mod.take(-1, axis=k).sum() for k in range(len(labels)))
-    return complex(arr.sum()) * voxel, face * voxel, arr.size
+    marginals = [
+        mod.sum(axis=tuple(j for j in range(len(labels)) if j != k)) * voxel
+        for k in range(len(labels))
+    ]
+    return complex(arr.sum()) * voxel, face * voxel, arr.size, marginals
 
 
 class TestContractedKernels:
@@ -344,6 +352,152 @@ class TestContractedKernels:
         assert _close(got[0], ref[0])
         assert _close(got[1], ref[1])
         assert got[2] == ref[2]
+        assert len(got[3]) == len(labels)
+        for a, b in zip(got[3], ref[3]):
+            assert a.shape == b.shape
+            assert np.all(np.abs(a - b) <= 1e-13 * b)
+
+
+def _scalar_cone_box(family, n, labels, efac, lt):
+    """The box search of _cone_box, with one scalar action call per probe
+    value and per direction and step."""
+    d = len(labels)
+
+    def action(uvals):
+        coords = {lab: np.exp(uvals[k]) for k, lab in enumerate(labels)}
+        return float(_cone_action(family, n, coords, efac, np.zeros(())))
+
+    center = [0.0] * d
+    for sweep in range(2):
+        for k in range(d):
+            best, best_s = center[k], None
+            for val in np.linspace(-4.0, 3.0, 8):
+                trial = list(center)
+                trial[k] = float(val)
+                s = action(np.array(trial))
+                if best_s is None or s < best_s:
+                    best, best_s = float(val), s
+            center[k] = best
+    s_center = action(np.array(center))
+    if d <= 4:
+        dirs = [v for v in itertools.product((-1.0, 0.0, 1.0), repeat=d) if any(v)]
+    else:
+        rng_dirs = np.random.default_rng(12345)
+        dirs = [tuple(v) for v in np.eye(d)] + [tuple(-v) for v in np.eye(d)]
+        dirs += [tuple(rng_dirs.choice((-1.0, 0.0, 1.0), size=d)) for _ in range(48)]
+        dirs = [v for v in dirs if any(c != 0 for c in v)]
+    lo_b = [center[k] - 1.0 for k in range(d)]
+    hi_b = [center[k] + 1.0 for k in range(d)]
+    for v in dirs:
+        t = 0.0
+        while t < 80.0:
+            t += 0.5
+            trial = [center[k] + t * v[k] for k in range(d)]
+            if action(np.array(trial)) - s_center >= lt:
+                break
+        for k in range(d):
+            if v[k] > 0:
+                hi_b[k] = max(hi_b[k], center[k] + t * v[k] + 1.0)
+            elif v[k] < 0:
+                lo_b[k] = min(lo_b[k], center[k] - t * (-v[k]) - 1.0)
+    return s_center, list(zip(lo_b, hi_b))
+
+
+def _eval_d4_points(family, count):
+    """lambda in [-2, 2]^2 and x in [-1, 1]^2, as the eval_d4 benchmark draws them."""
+    rng = random.Random(zlib.crc32(repr(("eval_d4", family)).encode()))
+    return [
+        (tuple(rng.uniform(-2.0, 2.0) for _ in range(2)), tuple(rng.uniform(-1.0, 1.0) for _ in range(2)))
+        for _ in range(count)
+    ]
+
+
+class TestConeBox:
+    # eval_d4's tolerances: sp rank 2 at 2e-4, so_odd rank 2 at 2e-5
+    D4_TOL = {"sp": 2e-4, "so_odd": 2e-5}
+
+    @pytest.mark.parametrize(
+        "family,n",
+        [("gl", 2), ("so_odd", 1), ("gl", 3), ("so_even", 2), ("sp", 2), ("so_odd", 2), ("gl", 4)],
+    )
+    def test_box_search_matches_scalar_march(self, family, n):
+        rng = random.Random(zlib.crc32(repr(("box", family, n)).encode()))
+        x = tuple(rng.uniform(-1.0, 1.0) for _ in range(n))
+        labels = list(build_root_system(family, n).positive_roots)
+        efac = _cone_exponent(family, n, x)
+        lt = math.log(10.0 / 1e-5) + 6.0
+        assert _cone_box(family, n, labels, efac, lt) == _scalar_cone_box(family, n, labels, efac, lt)
+
+    @pytest.mark.parametrize("family", ["sp", "so_odd"])
+    def test_trimmed_box_sum_within_dropped_mass(self, family):
+        (lam, x), = _eval_d4_points(family, 1)
+        tol = self.D4_TOL[family]
+        labels = list(build_root_system(family, 2).positive_roots)
+        efac = _cone_exponent(family, 2, x)
+        phase = _cone_phase_coeffs(family, 2, lam)
+        s_center, bounds = _cone_box(family, 2, labels, efac, math.log(10.0 / tol) + 6.0)
+        h = 0.15
+        while True:  # widen as eval_cone does until the face check passes
+            nodes = [np.arange(lo, hi + h, h) for lo, hi in bounds]
+            total, face, evals, marginals = _cone_sum(family, 2, labels, efac, phase, nodes, s_center)
+            if face <= 0.1 * tol * abs(total):
+                break
+            bounds = [(lo - 1.5, hi + 1.5) for lo, hi in bounds]
+        limit = TRIM_SHARE * tol * abs(total) / (2 * len(labels))
+        kept, dropped = _cone_trim(nodes, marginals, limit)
+        trimmed = [nd[(nd >= lo) & (nd <= hi)] for nd, (lo, hi) in zip(nodes, kept)]
+        part, part_face, part_evals, part_marginals = _cone_sum(
+            family, 2, labels, efac, phase, trimmed, s_center
+        )
+        assert dropped > 0 and part_evals < 0.5 * evals
+        mass = sum(marginals[0])
+        assert abs(total - part) <= dropped + 1e-13 * mass
+        # a trimmed end keeps a face within the limit
+        for nd, part_nd, marg in zip(nodes, trimmed, part_marginals):
+            assert part_nd[0] == nd[0] or marg[0] <= limit
+            assert part_nd[-1] == nd[-1] or marg[-1] <= limit
+        assert part_face <= face + 2 * len(labels) * limit
+
+    def test_converged_grid_half_of_untrimmed(self, monkeypatch):
+        import whittaker_mb.quadrature as quad
+
+        grids = []
+        real = quad._cone_sum
+
+        def recording(*args):
+            grids.append(math.prod(nd.size for nd in args[5]))
+            return real(*args)
+
+        monkeypatch.setattr(quad, "_cone_sum", recording)
+        res = eval_cone("sp", 2, (0.7, -0.4), (0.3, -0.2), tol=2e-4)
+        assert res.converged
+        # the untrimmed box converges on a 63 x 49 x 51 x 49 grid
+        assert grids[-1] <= 0.5 * 63 * 49 * 51 * 49
+
+    def test_error_estimates_cover_route_deviation(self):
+        for family, tol in self.D4_TOL.items():
+            integrand = assemble_mb_integrand(family, 2)
+            for lam, x in _eval_d4_points(family, 8):
+                mb = eval_mb(integrand, x, lam, tol=tol / 10)
+                cone = eval_cone(family, 2, lam, x, tol=tol)
+                assert abs(cone.value - mb.value) <= cone.est_error + mb.est_error
+
+    def test_every_attempt_widening_is_not_converged(self, monkeypatch):
+        import whittaker_mb.quadrature as quad
+
+        real = quad._cone_sum
+
+        def heavy_faces(*args):
+            out = list(real(*args))
+            out[1] = 10.0 * abs(out[0])
+            return tuple(out)
+
+        monkeypatch.setattr(quad, "_cone_sum", heavy_faces)
+        with pytest.raises(NotConverged) as exc:
+            eval_cone("gl", 2, (0.3, -0.2), (0.1, 0.0), tol=1e-6)
+        res = exc.value.result
+        assert res is not None and not res.converged
+        assert math.isfinite(res.est_error) and res.est_error >= abs(res.value)
 
 
 class TestContractionBudget:
