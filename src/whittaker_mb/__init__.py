@@ -64,7 +64,6 @@ from .quadrature import (
     ContourSpec,
     NotConverged,
     QuadResult,
-    bessel_k_imag_order,
     contour_base_point,
     eval_cone,
     eval_mb,

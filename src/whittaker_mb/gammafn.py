@@ -80,13 +80,3 @@ def log_gamma_complex(z) -> complex:
     """
     return complex(log_gamma_array(complex(z)))
 
-
-def abs_gamma_envelope(x: float, y: float) -> float:
-    """Large-|y| envelope sqrt(2 pi) |y|^(x-1/2) exp(-pi |y| / 2).
-
-    Governs per-axis truncation of Mellin-Barnes contours.
-    """
-    ay = abs(y)
-    if ay == 0.0:
-        raise ValueError("envelope needs y != 0")
-    return math.sqrt(2.0 * math.pi) * ay ** (x - 0.5) * math.exp(-0.5 * math.pi * ay)

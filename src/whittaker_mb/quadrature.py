@@ -1,5 +1,5 @@
 """Numerical evaluation: contour feasibility, Mellin-Barnes quadrature,
-positive-cone quadrature, and the classical special-function oracles.
+positive-cone quadrature, and the first Barnes lemma check.
 
 One Mellin-Barnes engine (_integrate) integrates every Gamma-product
 integrand over the shifted imaginary plane with a tensor trapezoid
@@ -25,10 +25,12 @@ contracts their moduli.  Before any table is built, the plan's flop
 count and its largest table or intermediate are held against MAX_FLOPS
 and MAX_ENTRIES: a first attempt over budget raises DimensionTooLarge,
 and a refinement over budget ends the refinement with NotConverged and
-the last result.  The positive-cone sum likewise never forms the
-complex integrand: its phase is linear, so it contracts the real weight
-exp(-S) with one phase vector per axis, and it measures the mass on
-every grid hyperplane, to which the box of the next attempt is trimmed.
+the last result.  The positive-cone sum is a contraction as well: each
+image coordinate in its exponent S depends on a few log coordinates and
+its phase is linear, so exp(-S - i phase) is a product of small tables
+and per-axis vectors, contracted under the same budget.  The same tables
+give the mass on every grid hyperplane, to which the box of the next
+attempt is trimmed.
 Contractions follow a fixed plan, so results are reproducible bit for
 bit at fixed panel counts.
 """
@@ -62,7 +64,6 @@ __all__ = [
     "eval_mb",
     "eval_mellin_transform",
     "eval_cone",
-    "bessel_k_imag_order",
     "barnes_first_lemma_quad",
 ]
 
@@ -538,18 +539,14 @@ def _cone_exponent(family, n, x):
     return out
 
 
-def _cone_action(family, n, coords, efac, out):
-    """Add the re-exponent S(u) = sum of image coordinates + sum t_gamma E_gamma
-    into `out` (zeros of the broadcast shape) and return it.
-
-    In place, because a fresh full-size array per term and per grid slice
-    costs more than the additions themselves.
-    """
+def _cone_action(family, n, coords, efac):
+    """The re-exponent S(u) = sum of image coordinates + sum t_gamma E_gamma."""
+    s = 0.0
     for val in bz_map_coords(family, n, coords).values():
-        out += val
+        s = s + val
     for label, val in coords.items():
-        out += val * efac[label]
-    return out
+        s = s + val * efac[label]
+    return s
 
 
 # Box search of the cone's tensor rule: the probe values of each log
@@ -578,9 +575,9 @@ def eval_cone(
     exp(-S(u) - i phase(u)) with S the sum of image and rescaled chart
     coordinates and phase(u) linear.  _cone_box finds a box around the
     minimum of S outside which S has risen by log(10/tol) + 6.  For
-    d <= 4 a tensor trapezoid rule sums the integrand over that box slice
-    by slice (see _cone_sum); beyond that (d <= 8) it uses scrambled Sobol
-    sampling.
+    d <= 4 a tensor trapezoid rule sums the integrand over that box as a
+    contraction of small tables (see _cone_sum); beyond that (d <= 8) it
+    uses scrambled Sobol sampling.
 
     Each tensor attempt is checked first: if the mass on the boundary
     faces exceeds 0.1 tol |value|, the box widens by 1.5 per side and the
@@ -594,7 +591,10 @@ def eval_cone(
     mass trimmed off is added to every later error estimate.  When no
     attempt meets tol, NotConverged carries the last attempt, whose
     est_error is |value| plus the face and trimmed mass if it could not
-    be compared with a finer grid.
+    be compared with a finer grid.  The contraction budget is that of the
+    Mellin-Barnes engine: a first attempt over it raises
+    DimensionTooLarge, and a later one ends the attempts with
+    NotConverged and the last result.
     """
     t0 = time.perf_counter()
     rs = build_root_system(family, n)
@@ -624,9 +624,14 @@ def eval_cone(
             lo, hi = bounds[k]
             m = int(math.ceil((hi - lo) / h))
             nodes.append(np.linspace(lo, lo + m * h, m + 1))
-        total, face_mass, evals, marginals = _cone_sum(
-            family, n, labels, efac, phase, nodes, s_center
-        )
+        try:
+            total, face_mass, evals, marginals = _cone_sum(
+                family, n, labels, efac, phase, nodes, s_center
+            )
+        except DimensionTooLarge:
+            if attempt == 0:
+                raise
+            break  # keep the last result
         evals_total += evals
         value = pref * total * scale
         face = face_mass * scale
@@ -674,7 +679,7 @@ def _cone_box(family, n, labels, efac, lt):
 
     def action(u):
         coords = {lab: np.exp(u[:, k]) for k, lab in enumerate(labels)}
-        return _cone_action(family, n, coords, efac, np.zeros(u.shape[0]))
+        return _cone_action(family, n, coords, efac)
 
     center = np.zeros(d)
     for sweep in range(2):
@@ -728,63 +733,109 @@ def _cone_trim(nodes, marginals, limit):
 
 def _cone_sum(family, n, labels, efac, phase, nodes, s_shift):
     """Trapezoid sum of exp(-(S - s_shift) - i phase) over the tensor grid,
-    with the mass of the weight on every grid hyperplane.
+    with the mass of the weight on every grid hyperplane, contracted factor
+    by factor.
 
-    The phase is linear in u, so exp(-i phase) is a product of one vector
-    per axis and |integrand| = exp(-(S - s_shift)).  Each slice of the
-    first axis holds only that real weight.  One matrix product with the
-    last axis' phase vector (real and imaginary parts) and a ones vector
-    contracts the slice over that axis and sums it there; the other phase
-    vectors finish the contraction, and a vector-matrix product with ones
-    sums the slice over all but the last axis.  Returns (total, face_mass,
-    n_evals, marginals): marginals[k][i] is the weight on the hyperplane
-    u_k = nodes[k][i] times the voxel, and face_mass the sum of the first
-    and last entry of every axis' marginals, the mass on the boundary
-    faces.
+    Each image coordinate depends on a few log coordinates, and each
+    E_gamma t_gamma term and phase term on one, so the weight is a product
+    of small tables: the image coordinates sharing a support of two or
+    more axes are summed into one table, and the other terms into one
+    vector per axis.  Each table and vector is shifted by its minimum
+    before exp (the shifts make one scalar); then each vector is folded
+    into the first table over its axis, or is the table of its axis if
+    none is.  The sum contracts the tables with the per-axis phase
+    vectors, given as [Re, Im] columns so that no table is cast to
+    complex; the marginals contract the same tables with one axis kept.
+    Both follow _plan paths.  Returns (total, face_mass, n_evals,
+    marginals): marginals[k][i] is the weight on the hyperplane
+    u_k = nodes[k][i] times the voxel, face_mass the sum of the first and
+    last entry of every axis' marginals, the mass on the boundary faces,
+    and n_evals the node count of the dense grid.  Raises
+    DimensionTooLarge, before any table is built, when the plans exceed
+    the budget.
     """
     d = len(labels)
     sizes = [nd.size for nd in nodes]
-    hs = [float(nd[1] - nd[0]) if nd.size > 1 else 1.0 for nd in nodes]
-    voxel = math.prod(hs)
+    voxel = math.prod(float(nd[1] - nd[0]) if nd.size > 1 else 1.0 for nd in nodes)
+    # the axes each image coordinate runs over, from a grid of two nodes per axis
+    probe = {lab: _shaped(np.ones(2), k, d) for k, lab in enumerate(labels)}
+    supports = {
+        key: tuple(k for k, size in enumerate(np.shape(val)) if size == 2)
+        for key, val in bz_map_coords(family, n, probe).items()
+    }
+    shared = list(dict.fromkeys(s for s in supports.values() if len(s) > 1))
+    # the vector of an axis folds into the first table over it, or is the
+    # table of that axis; axis d + k picks the real or imaginary part of
+    # the phase vector of axis k
+    home = {}
+    for support in shared:
+        for k in support:
+            home.setdefault(k, support)
+    for k in range(d):
+        if k not in home:
+            home[k] = (k,)
+            shared.append((k,))
+    plans = []
+    if d > 1:  # one axis needs no plan: its sums are plain vector sums
+        phased = [(k, d + k) for k in range(d)]
+        plans.append(_plan(shared + phased, sizes + [2] * d, tuple(range(d, 2 * d))))
+        plans += [_plan(shared, sizes, (k,)) for k in range(d)]
+    flops = sum(p[2] for p in plans)
+    largest = max((p[3] for p in plans), default=sizes[0])
+    if flops > MAX_FLOPS or largest > MAX_ENTRIES:
+        raise DimensionTooLarge(
+            f"cone contraction of {flops:.2g} flops with {largest:.2g}-entry "
+            "tables exceeds the budget"
+        )
+
+    coords = {lab: np.exp(_shaped(nd, k, d)) for k, (lab, nd) in enumerate(zip(labels, nodes))}
+    vecs = [coords[lab].reshape(-1) * efac[lab] for lab in labels]
+    img = bz_map_coords(family, n, coords)
+    tables = {}
+    shift = -s_shift
+    # bz_map_coords may return an array under two keys or return an input,
+    # so the sums add only into arrays they own; each term is dropped once
+    # added, which keeps one term alive at a time
+    for key, support in supports.items():
+        if len(support) > 1:
+            shape = [sizes[a] for a in support]
+            if support in tables:
+                tables[support] += img.pop(key).reshape(shape)
+            else:
+                tables[support] = img.pop(key).reshape(shape).copy()
+        elif support:
+            vecs[support[0]] += img.pop(key).reshape(-1)
+        else:
+            shift += float(img.pop(key))
+    for t in [*tables.values(), *vecs]:
+        low = float(t.min())
+        shift += low
+        np.subtract(low, t, out=t)
+        np.exp(t, out=t)
+    for k, support in home.items():
+        if support == (k,):
+            tables[support] = vecs[k]
+        else:
+            tables[support] *= _shaped(vecs[k], support.index(k), len(support))
+    factors = [tables[s] for s in shared]
+    scale = math.exp(-shift) * voxel
+
     waves = [np.exp(-1j * phase[lab] * nd) for lab, nd in zip(labels, nodes)]
-    last = np.stack([waves[-1].real, waves[-1].imag, np.ones(sizes[-1])], axis=1)
-    marginals = [np.zeros(size) for size in sizes]
-
-    buf = np.empty(sizes if d == 1 else sizes[1:])
-
-    def weight(coords):
-        buf.fill(0.0)
-        _cone_action(family, n, coords, efac, buf)
-        np.subtract(s_shift, buf, out=buf)
-        return np.exp(buf, out=buf)
-
     if d == 1:
-        w = weight({labels[0]: np.exp(nodes[0])})
-        re, im, _ = w @ last
-        total = complex(re, im)
-        marginals[0] += w
+        total = complex((factors[0] * waves[0]).sum())
+        marginals = factors
     else:
-        total = 0j
-        inner = {lab: np.exp(_shaped(nodes[k], k - 1, d - 1)) for k, lab in enumerate(labels) if k}
-        ones = np.ones(math.prod(sizes[1:-1]))
-        for i0 in range(sizes[0]):
-            w = weight({labels[0]: math.exp(nodes[0][i0]), **inner})
-            flat = w.reshape(-1, sizes[-1])
-            part = flat @ last
-            marginals[-1] += ones @ flat
-            acc = (part[:, 0] + 1j * part[:, 1]).reshape(sizes[1:-1])
-            for vec in reversed(waves[1:-1]):
-                acc = acc @ vec
-            total += waves[0][i0] * complex(acc)
-            rest = part[:, 2].reshape(sizes[1:-1])  # the slice summed over the last axis
-            marginals[0][i0] = rest.sum()
-            for k in range(1, d - 1):
-                marginals[k] += rest.sum(axis=tuple(j for j in range(d - 2) if j != k - 1))
+        cols = [np.stack([w.real, w.imag], axis=1) for w in waves]
+        parts = np.einsum(plans[0][0], *factors, *cols, optimize=plans[0][1])
+        for _ in range(d):  # sum_w parts[w] * i^|w|
+            parts = parts @ np.array([1.0, 1j])
+        total = complex(parts)
+        marginals = [np.einsum(p[0], *factors, optimize=p[1]) for p in plans[1:]]
     face_mass = 0.0
     for marg in marginals:
-        marg *= voxel
+        marg *= scale
         face_mass += float(marg[0] + marg[-1])
-    return total * voxel, face_mass, math.prod(sizes), marginals
+    return total * scale, face_mass, math.prod(sizes), marginals
 
 
 def _cone_qmc(family, n, labels, efac, phase, bounds, pref, tol, seed, t0):
@@ -802,7 +853,7 @@ def _cone_qmc(family, n, labels, efac, phase, bounds, pref, tol, seed, t0):
         sob = qmc.Sobol(d, scramble=True, seed=seed + r)
         pts = lo + sob.random_base2(m) * (hi - lo)
         coords = {lab: np.exp(pts[:, k]) for k, lab in enumerate(labels)}
-        s = _cone_action(family, n, coords, efac, np.zeros(pts.shape[0]))
+        s = _cone_action(family, n, coords, efac)
         ph = np.zeros(pts.shape[0])
         for k, lab in enumerate(labels):
             ph = ph + phase[lab] * pts[:, k]
@@ -816,40 +867,7 @@ def _cone_qmc(family, n, labels, efac, phase, bounds, pref, tol, seed, t0):
 
 
 # ---------------------------------------------------------------------------
-# oracles
-
-
-def bessel_k_imag_order(nu: float, z: float) -> float:
-    """K_{i nu}(z) for real nu and z > 0, via the symmetric cosh integral.
-
-    The integrand is even and decays double-exponentially, so the
-    trapezoid rule on a symmetric grid converges geometrically.
-    """
-    if z <= 0:
-        raise ValueError("need z > 0")
-    lt = 42.0
-    u_max = math.acosh(max(lt / z, 1.5)) + 1.0
-    h = min(0.2, 2.0 * math.pi * 1.2 / (lt + 2.0 * abs(nu) + 10.0))
-    prev = None
-    mass = 1.0
-    for attempt in range(5):
-        m = int(math.ceil(u_max / h))
-        u = np.arange(-m, m + 1) * h
-        vals = np.exp(-z * np.cosh(u)) * np.cos(nu * u)
-        total = 0.5 * float(vals.sum()) * h
-        mass = 0.5 * float(np.abs(vals).sum()) * h
-        if prev is not None and abs(total - prev) <= 1e-13 * max(abs(total), 1e-280):
-            break
-        prev = total
-        h *= 0.5
-    if abs(total) > 1e-9 * mass:
-        return total
-    # heavy cancellation: redo the same integral in extended precision
-    import mpmath as mp
-
-    with mp.workdps(40):
-        val = mp.quad(lambda t: mp.exp(-z * mp.cosh(t)) * mp.cos(nu * t), [0, u_max])
-    return float(val)
+# first Barnes lemma
 
 
 def barnes_first_lemma_quad(a, b, c, d, tol: float = 1e-9) -> complex:

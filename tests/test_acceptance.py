@@ -38,7 +38,6 @@ from whittaker_mb.mellin import (
 )
 from whittaker_mb.quadrature import (
     barnes_first_lemma_quad,
-    bessel_k_imag_order,
     constraint_slacks,
     contour_base_point,
     eval_cone,
@@ -47,6 +46,8 @@ from whittaker_mb.quadrature import (
     log_gamma_complex,
 )
 from whittaker_mb.roots import build_root_system
+
+from bessel_oracle import bessel_k_imag_order
 
 BZ_RANKS = {
     "gl": (2, 3, 4, 5, 6),

@@ -242,3 +242,33 @@ class TestEvalCsv:
         lines = out.read_bytes().splitlines()
         assert lines[0] == b"method,re,im,abs,est_error,evaluations"
         assert lines[1].startswith(b"mb,0.227787745")
+
+
+class TestRuntimeDependencies:
+    def test_cross_eval_without_test_extras(self, tmp_path):
+        """The package runs on numpy and scipy alone: the test extras are
+        blocked from import in a fresh interpreter."""
+        import os
+        import subprocess
+        import sys
+
+        import whittaker_mb
+
+        out = tmp_path / "e.json"
+        script = (
+            "import sys\n"
+            "for name in ('mpmath', 'jsonschema', 'hypothesis'):\n"
+            "    sys.modules[name] = None\n"
+            "import whittaker_mb\n"
+            "from whittaker_mb import cli\n"
+            "sys.exit(cli.main(['eval', '--group', 'sp', '--rank', '2', '--lambda=0.9,-0.5',\n"
+            f"    '--x=0.3,-0.2', '--method', 'cross', '--output', {str(out)!r}]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(whittaker_mb.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        rec = json.loads(out.read_text())
+        assert rec["cross_rel_deviation"] <= 1e-3

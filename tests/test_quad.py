@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from whittaker_mb.mellin import AffineForm, assemble_mb_integrand, mellin_of_whittaker
-from whittaker_mb.gammafn import PoleHit, abs_gamma_envelope, log_gamma_array
+from whittaker_mb.gammafn import PoleHit, log_gamma_array
 from whittaker_mb.quadrature import (
     _cone_action,
     _cone_exponent,
@@ -22,7 +22,6 @@ from whittaker_mb.quadrature import (
     Infeasible,
     NotConverged,
     barnes_first_lemma_quad,
-    bessel_k_imag_order,
     contour_base_point,
     constraint_slacks,
     TRIM_SHARE,
@@ -33,6 +32,8 @@ from whittaker_mb.quadrature import (
     plan_contour,
 )
 from whittaker_mb.roots import build_root_system
+
+from bessel_oracle import bessel_k_imag_order
 
 
 def closed_gl2(lam, x):
@@ -86,14 +87,18 @@ class TestLogGamma:
             assert abs(ours - ref) <= 1e-13 * max(1.0, abs(ref))
 
     def test_true_asymptotic_envelope(self):
+        def envelope(x, y):  # sqrt(2 pi) |y|^(x - 1/2) exp(-pi |y| / 2)
+            ay = abs(y)
+            return math.sqrt(2.0 * math.pi) * ay ** (x - 0.5) * math.exp(-0.5 * math.pi * ay)
+
         # on the line Re z = 1/2 the decay envelope is exponentially exact
         for y in (10.0, 20.0, 40.0):
             direct = math.exp(log_gamma_complex(complex(0.5, y)).real)
-            assert direct == pytest.approx(abs_gamma_envelope(0.5, y), rel=1e-6)
-        # away from Re z = 1/2 it is a truncation guide, good to a few percent
+            assert direct == pytest.approx(envelope(0.5, y), rel=1e-6)
+        # away from Re z = 1/2 it is good to a few percent
         for y in (10.0, 20.0, 40.0):
             direct = math.exp(log_gamma_complex(complex(1.7, y)).real)
-            assert direct == pytest.approx(abs_gamma_envelope(1.7, y), rel=5e-2)
+            assert direct == pytest.approx(envelope(1.7, y), rel=5e-2)
 
 
 class TestBasePoint:
@@ -296,7 +301,7 @@ def _dense_cone(family, n, labels, efac, phase, nodes, s_shift):
     """The cone sum of _cone_sum, from the complex integrand on the whole grid."""
     grids = np.meshgrid(*nodes, indexing="ij")
     coords = {lab: np.exp(g) for lab, g in zip(labels, grids)}
-    s = _cone_action(family, n, coords, efac, np.zeros(grids[0].shape))
+    s = _cone_action(family, n, coords, efac)
     ph = sum(phase[lab] * g for lab, g in zip(labels, grids))
     voxel = math.prod(nd[1] - nd[0] for nd in nodes)
     arr = np.exp(-(s - s_shift) - 1j * ph)
@@ -339,7 +344,8 @@ class TestContractedKernels:
         assert _close(got[5], ref[5])
 
     @pytest.mark.parametrize(
-        "family,n", [("gl", 2), ("so_even", 2), ("gl", 3), ("sp", 2), ("so_odd", 2)]
+        "family,n",
+        [("gl", 2), ("so_odd", 1), ("sp", 1), ("so_even", 2), ("gl", 3), ("sp", 2), ("so_odd", 2)],
     )
     def test_cone_sum_matches_dense_grid(self, family, n):
         labels = list(build_root_system(family, n).positive_roots)
@@ -357,6 +363,48 @@ class TestContractedKernels:
             assert a.shape == b.shape
             assert np.all(np.abs(a - b) <= 1e-13 * b)
 
+    @pytest.mark.parametrize("family", ["sp", "so_odd"])
+    @pytest.mark.parametrize("box", [(-6.0, 6.0), (5.0, 6.5)])
+    def test_cone_sum_wide_box_below_min_s(self, family, box):
+        # S spans many orders of magnitude over the box and, on the far box,
+        # exceeds 700 everywhere; the weight sits far below 1 everywhere
+        labels = list(build_root_system(family, 2).positive_roots)
+        efac = _cone_exponent(family, 2, (0.4, -0.3))
+        phase = _cone_phase_coeffs(family, 2, (1.1, -0.6))
+        nodes = [np.linspace(*box, 2 * m + 1) for m in self.HALF]
+        grids = np.meshgrid(*nodes, indexing="ij")
+        coords = {lab: np.exp(g) for lab, g in zip(labels, grids)}
+        s_min = float(_cone_action(family, 2, coords, efac).min())
+        got = _cone_sum(family, 2, labels, efac, phase, nodes, s_min - 40.0)
+        ref = _dense_cone(family, 2, labels, efac, phase, nodes, s_min - 40.0)
+        mass = float(ref[3][0].sum())
+        assert 0.0 < mass < 1e-10
+        assert np.isfinite(got[0]) and math.isfinite(got[1])
+        assert abs(got[0] - ref[0]) <= 1e-13 * mass
+        assert _close(got[1], ref[1])
+        # where S - s_shift runs into the hundreds, the dense weight itself is
+        # off by more than 1e-13 relative, so the marginals compare to the mass
+        for a, b in zip(got[3], ref[3]):
+            assert np.all(np.isfinite(a))
+            assert np.all(np.abs(a - b) <= 1e-13 * mass)
+
+    def test_cone_sum_does_not_depend_on_call_history(self):
+        def cone_sum(family, n, half):
+            labels = list(build_root_system(family, n).positive_roots)
+            efac = _cone_exponent(family, n, (0.2, -0.1, 0.1)[:n])
+            phase = _cone_phase_coeffs(family, n, (0.5, -0.8, 0.3)[:n])
+            nodes = [np.linspace(-2.0, 1.0, 2 * m + 1) for m in half[: len(labels)]]
+            return _cone_sum(family, n, labels, efac, phase, nodes, 1.5)
+
+        first = cone_sum("sp", 2, self.HALF)
+        cone_sum("sp", 2, (4, 6, 3, 5))
+        cone_sum("so_odd", 2, (6, 3, 5, 4))
+        cone_sum("gl", 3, self.HALF)
+        again = cone_sum("sp", 2, self.HALF)
+        assert first[:3] == again[:3]
+        for a, b in zip(first[3], again[3]):
+            assert np.array_equal(a, b)
+
 
 def _scalar_cone_box(family, n, labels, efac, lt):
     """The box search of _cone_box, with one scalar action call per probe
@@ -365,7 +413,7 @@ def _scalar_cone_box(family, n, labels, efac, lt):
 
     def action(uvals):
         coords = {lab: np.exp(uvals[k]) for k, lab in enumerate(labels)}
-        return float(_cone_action(family, n, coords, efac, np.zeros(())))
+        return float(_cone_action(family, n, coords, efac))
 
     center = [0.0] * d
     for sweep in range(2):
@@ -517,6 +565,32 @@ class TestContractionBudget:
         monkeypatch.setattr(quad, "MAX_FLOPS", 10.0)
         with pytest.raises(DimensionTooLarge):
             evaluate()
+
+    def test_cone_over_budget(self, monkeypatch):
+        import whittaker_mb.quadrature as quad
+
+        args = ("sp", 2, (0.7, -0.4), (0.3, -0.2))
+        budget = quad.MAX_ENTRIES
+        monkeypatch.setattr(quad, "MAX_ENTRIES", 16)
+        with pytest.raises(DimensionTooLarge):
+            eval_cone(*args, tol=2e-4)
+
+        monkeypatch.setattr(quad, "MAX_ENTRIES", budget)
+        real, calls = quad._cone_sum, []
+
+        def second_over_budget(*a):
+            calls.append(a)
+            if len(calls) == 2:
+                monkeypatch.setattr(quad, "MAX_ENTRIES", 16)
+            return real(*a)
+
+        monkeypatch.setattr(quad, "_cone_sum", second_over_budget)
+        with pytest.raises(NotConverged) as exc:
+            eval_cone(*args, tol=2e-4)
+        res = exc.value.result
+        assert len(calls) == 2 and res is not None and not res.converged
+        assert np.isfinite(res.value) and res.value != 0
+        assert math.isfinite(res.est_error) and res.est_error >= abs(res.value)
 
     def test_so_even3_mellin_ends_typed_within_budget(self, tmp_path):
         import json
