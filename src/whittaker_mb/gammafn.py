@@ -1,17 +1,17 @@
-"""Complex log-gamma via Stirling's series with upward recursion.
+"""Complex log-gamma on numpy arrays, with PoleHit at the poles.
 
-The principal branch of log Gamma is computed from the Bernoulli-number
-asymptotic series (DLMF 5.11.1) after shifting the argument to
-Re z >= 10 with the recursion log Gamma(z) = log Gamma(z+1) - log z.
-For arguments off the real axis the recursion never crosses a branch
-cut, so the result is the standard analytic continuation.  The
-vectorized numpy path is what the contour quadratures use; the scalar
-entry point delegates to it, and both raise PoleHit at the poles.
+The principal branch of log Gamma comes from scipy.special.loggamma,
+which implements Hare's algorithm ("Computing the principal branch of
+log-Gamma", J. Algorithms 25, 1997): a Stirling series far from the
+origin, a Taylor series near z = 1 and 2, recurrence in between and
+reflection in the left half-plane, so its cost does not grow with |z|.
+Its result is the analytic continuation from the upper half-plane,
+with the branch cut on the negative real axis.  The vectorized entry
+point is what the contour quadratures use; the scalar entry point
+delegates to it, and both raise PoleHit at the poles.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -20,57 +20,25 @@ class PoleHit(ArithmeticError):
     pass
 
 
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-# B_{2k} / (2k (2k-1)) for k = 1..7
-_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-)
-
-_SHIFT_RE = 10.0
-
-
-def _stirling(z):
-    """Asymptotic series; valid for Re z >= ~10."""
-    out = (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI
-    zi = 1.0 / z
-    z2 = zi * zi
-    term = zi
-    for c in _STIRLING:
-        out = out + c * term
-        term = term * z2
-    return out
-
-
 def log_gamma_array(z):
     """Principal-branch log Gamma on a complex numpy array.
 
     Raises PoleHit when an entry is a pole (a nonpositive integer).  Only
     the entries on the real axis are looked at, so the check adds no
     full-size float temporary.  The work runs on a flat array whatever
-    the input shape (numpy's scalar arithmetic rounds differently), so a
-    value has the same bits on its own as inside a grid.
+    the input shape, so a value has the same bits on its own as inside a
+    grid.
     """
+    # imported here so that code which never evaluates a Gamma factor
+    # does not need scipy.special
+    from scipy.special import loggamma
+
     z = np.asarray(z, dtype=complex)
     axis = z[z.imag == 0.0].real
     poles = axis[(axis <= 0.0) & (axis == np.floor(axis))]
     if poles.size:
         raise PoleHit(f"log Gamma pole at {poles[0]:g}")
-    work = z.flatten()
-    acc = np.zeros_like(work)
-    while True:
-        mask = work.real < _SHIFT_RE
-        if not mask.any():
-            break
-        acc[mask] -= np.log(work[mask])
-        work[mask] += 1.0
-    return (_stirling(work) + acc).reshape(z.shape)
+    return loggamma(z.reshape(-1)).reshape(z.shape)
 
 
 def log_gamma_complex(z) -> complex:
@@ -79,4 +47,3 @@ def log_gamma_complex(z) -> complex:
     Raises PoleHit at the poles (nonpositive integers).
     """
     return complex(log_gamma_array(complex(z)))
-

@@ -19,24 +19,30 @@ The tensor sum is never formed as a dense grid.  Each Gamma factor
 depends on a few contour variables, so the factors sharing a support
 make one table, and the sum contracts these tables with one weight
 vector per axis along a greedy numpy.einsum_path plan (the greedy order
-of opt_einsum, Smith and Gray, JOSS 3, 2018).  The coarser grid
-levels contract the same tables sliced, and the boundary-shell mass
-contracts their moduli.  Before any table is built, the plan's flop
-count and its largest table or intermediate are held against MAX_FLOPS
-and MAX_ENTRIES: a first attempt over budget raises DimensionTooLarge,
-and a refinement over budget ends the refinement with NotConverged and
-the last result.  The positive-cone sum is a contraction as well: each
-image coordinate in its exponent S depends on a few log coordinates and
-its phase is linear, so exp(-S - i phase) is a product of small tables
-and per-axis vectors, contracted under the same budget.  The same tables
-give the mass on every grid hyperplane, to which the box of the next
-attempt is trimmed.
-Contractions follow a fixed plan, so results are reproducible bit for
-bit at fixed panel counts.
+of opt_einsum, Smith and Gray, JOSS 3, 2018).  Paths are planned once
+per support structure: the path of a contraction depends only on the
+supports of its operands and the axes it keeps, planned with a nominal
+length on every grid axis and cached.  The coarser grid levels contract
+the same tables sliced, and the boundary-shell mass contracts their
+moduli.  Before any table is built, the plan's flop count and its
+largest table or intermediate, counted with the true axis lengths, are
+held against MAX_FLOPS and MAX_ENTRIES; a cached path over budget is
+planned once more with the true lengths.  A first attempt still over
+budget raises DimensionTooLarge, and a refinement over budget ends the
+refinement with NotConverged and the last result.  The positive-cone
+sum is a contraction as well: each image coordinate in its exponent S
+depends on a few log coordinates and its phase is linear, so
+exp(-S - i phase) is a product of small tables and per-axis vectors,
+contracted under the same budget.  The same tables give the mass on
+every grid hyperplane, to which the box of the next attempt is trimmed.
+Contractions follow a path fixed by the structure and the panel counts,
+whatever ran before, so results are reproducible bit for bit at fixed
+panel counts.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -238,17 +244,37 @@ def _shaped(arr, axis, ndim):
     return arr.reshape(shape)
 
 
-def _plan(supports, sizes, output=()):
+# Contraction paths are planned with this length on every axis longer than
+# two, so one path serves every grid of a support structure; the cone's
+# [Re, Im] axes keep their length 2.
+_NOMINAL_SIZE = 32
+
+
+@functools.lru_cache(maxsize=256)
+def _greedy_path(subs, shapes, limit):
+    """numpy's greedy einsum_path for the einsum `subs` on operands of the
+    given `shapes`, with at most `limit` entries per intermediate."""
+    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return tuple(np.einsum_path(subs, *operands, optimize=("greedy", limit))[0])
+
+
+def _plan(supports, sizes, output=(), nominal=True):
     """Greedy pairwise order (numpy.einsum_path) for contracting operands
     that run over the axis tuples `supports`, keeping the axes `output`.
 
-    Returns the einsum subscripts, the path, its flop count and the entry
-    count of its largest operand or intermediate.
+    With `nominal`, the path is planned once per support structure, with
+    every axis longer than two at _NOMINAL_SIZE, and cached; otherwise it
+    is planned with the true `sizes` and not cached.  Either way the
+    flops and the largest entry are counted with the true sizes.  Returns
+    the einsum subscripts, the path, its flop count and the entry count
+    of its largest operand or intermediate.
     """
     subs = ",".join("".join(_LETTERS[a] for a in s) for s in supports)
     subs += "->" + "".join(_LETTERS[a] for a in output)
-    shapes = [np.broadcast_to(0.0, [sizes[a] for a in s]) for s in supports]
-    path = np.einsum_path(subs, *shapes, optimize=("greedy", MAX_ENTRIES))[0]
+    plan_sizes = [_NOMINAL_SIZE if nominal and n > 2 else n for n in sizes]
+    shapes = tuple(tuple(plan_sizes[a] for a in s) for s in supports)
+    find = _greedy_path if nominal else _greedy_path.__wrapped__
+    path = find(subs, shapes, MAX_ENTRIES)
     live = [set(s) for s in supports]
     flops = 0.0
     largest = max(math.prod(sizes[a] for a in s) for s in supports)
@@ -260,6 +286,26 @@ def _plan(supports, sizes, output=()):
         largest = max(largest, math.prod(sizes[a] for a in kept))
         live.append(kept)
     return subs, path, flops, largest
+
+
+def _budgeted_plans(what, jobs):
+    """_plan for each (supports, sizes, output) of `jobs`, within the budget.
+
+    The cached nominal paths are tried first; if their flops or largest
+    entry, counted with the true sizes, are over the budget, the paths
+    are planned once more with the true sizes.  Raises DimensionTooLarge
+    when those are over it too.
+    """
+    for nominal in (True, False):
+        plans = [_plan(*job, nominal=nominal) for job in jobs]
+        flops = sum(p[2] for p in plans)
+        largest = max(p[3] for p in plans)
+        if flops <= MAX_FLOPS and largest <= MAX_ENTRIES:
+            return plans
+    raise DimensionTooLarge(
+        f"{what} contraction of {flops:.2g} flops with {largest:.2g}-entry "
+        "tables exceeds the budget"
+    )
 
 
 def _contour_sum(num, den, variables, base, lam, hx, nodes, fixed=None):
@@ -292,14 +338,8 @@ def _contour_sum(num, den, variables, base, lam, hx, nodes, fixed=None):
 
     sizes = [nd.size for nd in nodes]
     supports = list(groups) + [(k,) for k in range(d)]
-    plans = [_plan(supports, sizes)] + [_plan(supports, sizes, (k,)) for k in range(d)]
-    flops = sum(p[2] for p in plans)
-    largest = max(p[3] for p in plans)
-    if flops > MAX_FLOPS or largest > MAX_ENTRIES:
-        raise DimensionTooLarge(
-            f"contour contraction of {flops:.2g} flops with {largest:.2g}-entry "
-            "tables exceeds the budget"
-        )
+    outputs = [()] + [(k,) for k in range(d)]
+    plans = _budgeted_plans("contour", [(supports, sizes, out) for out in outputs])
 
     zs = [base[v] + 1j * nodes[k] for k, v in enumerate(variables)]
     tables, moduli = [], []
@@ -775,18 +815,11 @@ def _cone_sum(family, n, labels, efac, phase, nodes, s_shift):
         if k not in home:
             home[k] = (k,)
             shared.append((k,))
-    plans = []
-    if d > 1:  # one axis needs no plan: its sums are plain vector sums
+    jobs = [(shared, sizes, (k,)) for k in range(d)]
+    if d > 1:  # with one axis the sums are plain vector sums, planned for the budget only
         phased = [(k, d + k) for k in range(d)]
-        plans.append(_plan(shared + phased, sizes + [2] * d, tuple(range(d, 2 * d))))
-        plans += [_plan(shared, sizes, (k,)) for k in range(d)]
-    flops = sum(p[2] for p in plans)
-    largest = max((p[3] for p in plans), default=sizes[0])
-    if flops > MAX_FLOPS or largest > MAX_ENTRIES:
-        raise DimensionTooLarge(
-            f"cone contraction of {flops:.2g} flops with {largest:.2g}-entry "
-            "tables exceeds the budget"
-        )
+        jobs.insert(0, (shared + phased, sizes + [2] * d, tuple(range(d, 2 * d))))
+    plans = _budgeted_plans("cone", jobs)
 
     coords = {lab: np.exp(_shaped(nd, k, d)) for k, (lab, nd) in enumerate(zip(labels, nodes))}
     vecs = [coords[lab].reshape(-1) * efac[lab] for lab in labels]

@@ -221,6 +221,25 @@ class TestMellinTable:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
 
+    def test_far_left_s_ends(self):
+        """M(s) at s = -1e6 underflows to zero within seconds; the log-Gamma
+        of its factors must not take time that grows with |s|."""
+        import os
+        import subprocess
+        import sys
+
+        import whittaker_mb
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(whittaker_mb.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "whittaker_mb.cli", "mellin-table", "--group", "gl",
+             "--rank", "2", "--lambda=1,0", "--s-grid=-1e6:-1e6:1", "--format", "json"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        (row,) = json.loads(proc.stdout)["rows"]
+        assert row["s"] == [-1e6] and row["abs"] == 0.0
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "t.json"
         assert run(

@@ -18,6 +18,9 @@ from whittaker_mb.quadrature import (
     _cone_sum,
     _cone_trim,
     _contour_sum,
+    _budgeted_plans,
+    _greedy_path,
+    _plan,
     DimensionTooLarge,
     Infeasible,
     NotConverged,
@@ -99,6 +102,28 @@ class TestLogGamma:
         for y in (10.0, 20.0, 40.0):
             direct = math.exp(log_gamma_complex(complex(1.7, y)).real)
             assert direct == pytest.approx(envelope(1.7, y), rel=5e-2)
+
+    def test_far_left_half_plane(self):
+        # 1.0 is absorbed by -1e17, so an upward recursion to Re z >= 10
+        # would never end; the reflection formula gives the value at once
+        for z in (-1e17 + 1j, -1e6 + 0.5j):
+            ours = complex(log_gamma_array(z))
+            ref = complex(mpmath.loggamma(z))
+            assert abs(ours - ref) <= 1e-15 * abs(ref)
+
+    def test_peak_memory_is_the_output(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        z = rng.uniform(-3, 3, (1000, 1000)) + 1j * rng.uniform(-40, 40, (1000, 1000))
+        log_gamma_array(z[:2, :2])  # first-use imports outside the trace
+        tracemalloc.start()
+        try:
+            out = log_gamma_array(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * out.nbytes
 
 
 class TestBasePoint:
@@ -404,6 +429,81 @@ class TestContractedKernels:
         assert first[:3] == again[:3]
         for a, b in zip(first[3], again[3]):
             assert np.array_equal(a, b)
+
+
+def _recount(subs, path, sizes):
+    """Flops and largest entry of an einsum path, counted from its
+    subscripts: each step costs its operand count times the size of the
+    union of their indices."""
+    size = dict(zip("abcdefgh", sizes))
+    inputs, output = subs.split("->")
+    live = inputs.split(",")
+    flops, largest = 0, max(math.prod(size[c] for c in op) for op in live)
+    for step in path[1:]:
+        picked = [live.pop(i) for i in sorted(step, reverse=True)]
+        union = set("".join(picked))
+        kept = "".join(c for c in sorted(union) if c in output or any(c in op for op in live))
+        flops += len(picked) * math.prod(size[c] for c in union)
+        largest = max(largest, math.prod(size[c] for c in kept))
+        live.append(kept)
+    return flops, largest
+
+
+class TestContractionPlans:
+    # the supports of the sp rank 2 contour sum
+    SUPPORTS = [(1, 3), (1, 2), (0,), (1,), (0, 1), (2, 3), (3,), (0,), (1,), (2,), (3,)]
+
+    def test_one_path_per_support_structure(self, monkeypatch):
+        real, calls = np.einsum_path, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        _greedy_path.cache_clear()
+        monkeypatch.setattr(np, "einsum_path", counting)
+        first = _plan(self.SUPPORTS, (73, 45, 73, 45), (0,))
+        second = _plan(self.SUPPORTS, (61, 33, 97, 41), (0,))
+        assert len(calls) == 1
+        assert first[:2] == second[:2]
+        for plan, sizes in ((first, (73, 45, 73, 45)), (second, (61, 33, 97, 41))):
+            assert plan[2:] == _recount(plan[0], plan[1], sizes)
+
+    def test_size_aware_plan_when_nominal_is_over_budget(self, monkeypatch):
+        import whittaker_mb.quadrature as quad
+
+        # with every axis at the nominal size the greedy order contracts
+        # axis c first, which costs 133 times the order for these sizes
+        job = ([(1, 2), (0, 2), (1,)], [200, 400, 3], ())
+        nominal = _plan(*job)
+        aware = _plan(*job, nominal=False)
+        assert nominal[1] != aware[1] and aware[2] < 1e4 < nominal[2]
+        _greedy_path.cache_clear()
+        monkeypatch.setattr(quad, "MAX_FLOPS", 1e4)
+        (plan,) = _budgeted_plans("test", [job])
+        assert plan == aware
+        # only the nominal path is kept
+        assert _greedy_path.cache_info().currsize == 1
+        monkeypatch.setattr(quad, "MAX_FLOPS", 1e3)
+        with pytest.raises(DimensionTooLarge):
+            _budgeted_plans("test", [job])
+
+    @pytest.mark.parametrize("family", ["sp", "so_odd"])
+    def test_cone_sum_matches_size_aware_plans(self, monkeypatch, family):
+        import whittaker_mb.quadrature as quad
+
+        labels = list(build_root_system(family, 2).positive_roots)
+        efac = _cone_exponent(family, 2, (0.2, -0.1))
+        phase = _cone_phase_coeffs(family, 2, (0.5, -0.8))
+        nodes = [np.linspace(-2.0, 1.0, m) for m in (61, 36, 41, 39)]
+        got = _cone_sum(family, 2, labels, efac, phase, nodes, 1.5)
+        real = quad._plan
+        monkeypatch.setattr(quad, "_plan", lambda *job, nominal: real(*job, nominal=False))
+        ref = _cone_sum(family, 2, labels, efac, phase, nodes, 1.5)
+        assert abs(got[0] - ref[0]) <= 1e-13 * abs(ref[0])
+        assert got[1:3] == pytest.approx(ref[1:3], rel=1e-13)
+        for a, b in zip(got[3], ref[3]):
+            assert np.all(np.abs(a - b) <= 1e-13 * b)
 
 
 def _scalar_cone_box(family, n, labels, efac, lt):
