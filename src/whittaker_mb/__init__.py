@@ -60,15 +60,28 @@ from .mellin import (
     mellin_of_whittaker,
     right_vector_mellin,
 )
-from .quadrature import (
-    ContourSpec,
-    NotConverged,
-    QuadResult,
-    contour_base_point,
-    eval_cone,
-    eval_mb,
-    eval_mellin_transform,
-    log_gamma_complex,
+
+# The numerical layer loads on first use of one of its names (PEP 562), so
+# that importing the package, or running the exact layer alone, does not
+# pay for scipy.
+_QUADRATURE = (
+    "ContourSpec",
+    "NotConverged",
+    "QuadResult",
+    "contour_base_point",
+    "eval_cone",
+    "eval_mb",
+    "eval_mellin_transform",
+    "log_gamma_complex",
 )
+
+
+def __getattr__(name):
+    if name in _QUADRATURE:
+        from . import quadrature
+
+        return getattr(quadrature, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

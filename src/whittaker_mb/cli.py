@@ -10,6 +10,7 @@ JSON keys, fixed float formatting.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -398,8 +399,10 @@ def cmd_mellin_table(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # no abbreviated options: _glue_negative_values matches full names only
+    # Built once per process: parse_args leaves the parser unchanged.
+    # No abbreviated options: _glue_negative_values matches full names only.
     p = argparse.ArgumentParser(
         prog="whittaker-mb",
         allow_abbrev=False,
@@ -415,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--format", choices=("json", "csv"), default="json")
     pv.add_argument("--output", default=None)
-    pv.set_defaults(func=cmd_verify)
 
     pe = sub.add_parser("eval", allow_abbrev=False, help="evaluate the wave function")
     pe.add_argument("--group", required=True, choices=sorted(GROUPS))
@@ -427,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--seed", type=int, default=0)
     pe.add_argument("--format", choices=("json", "csv"), default="json")
     pe.add_argument("--output", default=None)
-    pe.set_defaults(func=cmd_eval)
 
     pm = sub.add_parser("mellin-table", allow_abbrev=False, help="tabulate the Mellin transform")
     pm.add_argument("--group", required=True, choices=sorted(GROUPS))
@@ -437,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--tol", type=float, default=1e-7)
     pm.add_argument("--format", choices=("json", "csv"), default="csv")
     pm.add_argument("--output", default=None)
-    pm.set_defaults(func=cmd_mellin_table)
     return p
 
 
@@ -472,7 +472,10 @@ def main(argv=None) -> int:
     from .roots import UnsupportedRank
 
     try:
-        return args.func(args)
+        # looked up per call, not bound into the cached parser, so that a
+        # rebinding of a command function reaches every later call
+        command = {"verify": cmd_verify, "eval": cmd_eval, "mellin-table": cmd_mellin_table}
+        return command[args.command](args)
     except (UsageError, UnsupportedRank, DimensionTooLarge, Infeasible, PoleHit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,9 @@ The module builds, per family and rank:
 * the closed three-Gamma integral identity and the rank-three
   Gamma-product (Bump) formula that the split reduces to.
 
+The integrand and the split depend only on the family and rank: each is
+built once per process and handed out as a copy with new lists.
+
 Contour variables are keyed ('g', i, j), ('d', i, j) and ('g1', k),
 matching the t/s/t_k chart coordinates; outer Mellin variables are
 keyed ('s', j).
@@ -23,8 +26,9 @@ keyed ('s', j).
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .gammafn import log_gamma_complex
@@ -414,7 +418,24 @@ def assemble_mb_integrand(family: str, n: int) -> MBIntegrand:
     The wave function is  e^{-i(x,lambda)} (2 pi i)^{-d} times the
     integral of exp(H(x,gamma)) prod Gamma(num) / prod Gamma(den) over
     the shifted imaginary plane.
+
+    Built once per (family, n) and process; each call returns a copy
+    whose lists and exponent rows are new, so the caller may change
+    them.  The AffineForms inside are shared and must not be mutated.
     """
+    mb = _mb_integrand(family, n)
+    return replace(
+        mb,
+        variables=list(mb.variables),
+        num=list(mb.num),
+        den=list(mb.den),
+        exponent={v: list(row) for v, row in mb.exponent.items()},
+        constraints=list(mb.constraints),
+    )
+
+
+@functools.cache
+def _mb_integrand(family: str, n: int) -> MBIntegrand:
     rs = build_root_system(family, n)
     v = _VarTable(n, family in ("so_odd", "sp"))
     num, den = [], []
@@ -599,8 +620,28 @@ def _solve_exact(a_rows, rhs):
 
 def mellin_of_whittaker(family: str, n: int) -> MellinSplit:
     """Split the wave-function integrand into outer Mellin variables tied to
-    the torus directions and inner Barnes variables."""
-    mb = assemble_mb_integrand(family, n)
+    the torus directions and inner Barnes variables.
+
+    Built once per (family, n) and process, like assemble_mb_integrand;
+    each call returns a copy whose lists and rows are new.
+    """
+    split = _mellin_split(family, n)
+    return replace(
+        split,
+        outer_vars=list(split.outer_vars),
+        inner_vars=list(split.inner_vars),
+        num=list(split.num),
+        den=list(split.den),
+        shifts=list(split.shifts),
+        z_rows=[list(row) for row in split.z_rows],
+        residual_row=None if split.residual_row is None else list(split.residual_row),
+        residual_lam=None if split.residual_lam is None else list(split.residual_lam),
+    )
+
+
+@functools.cache
+def _mellin_split(family: str, n: int) -> MellinSplit:
+    mb = _mb_integrand(family, n)
     if family == "gl":
         z_rows = []
         for k in range(1, n):

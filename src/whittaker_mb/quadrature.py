@@ -15,6 +15,14 @@ so they add to the truncation), and the error estimate extrapolates
 three dyadic grid levels, never below the rounding level of the terms,
 and adds the boundary-shell mass.
 
+The contour's base point comes from two feasibility LPs (scipy's HiGHS,
+imported on first use).  They read only the constraint forms, the
+variables, the real parts of the fixed symbols, the margin and the cap,
+so contour_base_point caches its solution per process under exactly
+that key and returns a new dict on every call.  eval_mb's constraint
+set depends only on the family and rank, so its LPs are solved once per
+structure; a Mellin transform solves them once per real part of s.
+
 The tensor sum is never formed as a dense grid.  Each Gamma factor
 depends on a few contour variables, so the factors sharing a support
 make one table, and the sum contracts these tables with one weight
@@ -49,7 +57,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .bz import bz_map_coords
 from .gammafn import PoleHit, log_gamma_array, log_gamma_complex
@@ -136,6 +143,11 @@ def contour_base_point(constraints, variables=None, fixed=None, margin=0.125, ca
     point at that slack; both phases are deterministic given the
     constraint order.  Raises Infeasible when the best margin falls
     below the requested one.
+
+    The LPs read only the constraint forms, the variables, the real
+    parts of `fixed`, `margin` and `cap`, so their solution is cached
+    per process under exactly that key; every call returns a new dict,
+    and Infeasible is raised on every call, never cached.
     """
     if variables is None:
         seen = []
@@ -144,20 +156,33 @@ def contour_base_point(constraints, variables=None, fixed=None, margin=0.125, ca
                 if (fixed is None or v not in fixed) and v not in seen:
                     seen.append(v)
         variables = seen
+    fixed_re = tuple(sorted((v, complex(s).real) for v, s in (fixed or {}).items()))
+    point = _base_point(tuple(constraints), tuple(variables), fixed_re, margin, cap)
+    return dict(zip(variables, point))
+
+
+@functools.lru_cache(maxsize=256)
+def _base_point(constraints, variables, fixed_re, margin, cap):
+    """The two feasibility LPs of contour_base_point: the base point as a
+    tuple in the order of `variables`; `fixed_re` holds (symbol, real
+    part) pairs of the symbols that are not integrated."""
+    from scipy.optimize import linprog
+
+    fixed = dict(fixed_re)
     d = len(variables)
     idx = {v: k for k, v in enumerate(variables)}
     if d == 0:
         slacks = constraint_slacks(constraints, {}, fixed)
         if slacks and min(slacks) < margin:
             raise Infeasible("constant constraints violated")
-        return {}
+        return ()
     rows, rhs = [], []
     for f in constraints:
         row = [0.0] * d
         c = float(f.const)
         for v, a in f.gamma.items():
-            if fixed and v in fixed:
-                c += float(a) * complex(fixed[v]).real
+            if v in fixed:
+                c += float(a) * fixed[v]
             elif v in idx:
                 row[idx[v]] = -float(a)
         rows.append(row)
@@ -196,7 +221,7 @@ def contour_base_point(constraints, variables=None, fixed=None, margin=0.125, ca
         method="highs",
     )
     x = res2.x[:d] if res2.success else res.x[:d]
-    return {v: float(x[idx[v]]) for v in variables}
+    return tuple(float(x[idx[v]]) for v in variables)
 
 
 # ---------------------------------------------------------------------------

@@ -291,3 +291,73 @@ class TestRuntimeDependencies:
         assert proc.returncode == 0, proc.stderr.decode()
         rec = json.loads(out.read_text())
         assert rec["cross_rel_deviation"] <= 1e-3
+
+    def test_package_import_loads_no_scipy(self):
+        """scipy loads on the first numerical call, not with the package."""
+        import os
+        import subprocess
+        import sys
+
+        import whittaker_mb
+
+        script = (
+            "import sys\n"
+            "import whittaker_mb\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert whittaker_mb.eval_mb is whittaker_mb.quadrature.eval_mb\n"
+            "from whittaker_mb import eval_mb\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(whittaker_mb.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+
+
+class TestCallHistory:
+    def test_outputs_do_not_depend_on_earlier_calls(self, tmp_path):
+        """What one process keeps between calls (the parser, integrands,
+        splits and base points) never changes an output: each call of a
+        mixed sequence writes what a fresh process writes for its argv."""
+        import os
+        import subprocess
+        import sys
+
+        import whittaker_mb
+
+        eval_sp2 = ["eval", "--group", "sp", "--rank", "2", "--lambda=0.9,-0.5",
+                    "--x=0.3,-0.2", "--method", "cross"]
+        sequence = [
+            (eval_sp2, 0),
+            (["eval", "--group", "gl", "--rank", "2", "--lambda=1", "--x=0,0"], 2),
+            (["frobnicate", "--group", "gl"], 2),
+            (["mellin-table", "--group", "gl", "--rank", "3", "--lambda=0.4,-0.1,-0.3",
+              "--s-grid=0.8:1.2:2"], 0),
+            (["verify", "--group", "gl", "--rank", "2", "--trials", "2"], 0),
+            (eval_sp2, 0),
+        ]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(whittaker_mb.__file__)))
+
+        def written(path):
+            return path.read_bytes() if path.exists() else None
+
+        for k, (argv, code) in enumerate(sequence):
+            here, fresh = tmp_path / f"here{k}", tmp_path / f"fresh{k}"
+            assert run(argv + ["--output", str(here)]) == code
+            proc = subprocess.run(
+                [sys.executable, "-m", "whittaker_mb.cli", *argv, "--output", str(fresh)],
+                env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=300,
+            )
+            assert proc.returncode == code, proc.stderr.decode()
+            assert written(here) == written(fresh)
+            assert (written(here) is None) == (code == 2)
+
+    def test_rebound_command_reaches_later_calls(self, tmp_path, monkeypatch):
+        """The parser is built once per process, but the command function
+        is looked up at each call."""
+        argv = ["verify", "--group", "gl", "--rank", "2", "--trials", "1",
+                "--output", str(tmp_path / "v.json")]
+        assert run(argv) == 0
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: 7)
+        assert run(argv) == 7

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import random
@@ -272,6 +273,40 @@ class TestMellinSplit:
             got = eval_mellin_transform(split, (s1, s2), lam, tol=1e-7).value
             ref = bump_gl3(lam, s1, s2)
             assert abs(got - ref) / abs(ref) < 1e-7
+
+
+class TestBuildCache:
+    """Each (family, rank) is built once per process; what a call returns
+    is the caller's to change."""
+
+    @pytest.mark.parametrize("family,n", [("gl", 3), ("sp", 2), ("so_even", 3)])
+    def test_mutated_integrand_does_not_reach_the_next_call(self, family, n):
+        want = assemble_mb_integrand(family, n).to_json()
+        mb = assemble_mb_integrand(family, n)
+        mb.num = mb.num + [AffineForm(const=3)]
+        mb.den.append(AffineForm(const=2))
+        mb.constraints.append(AffineForm({mb.variables[0]: 1}, const=5))
+        mb.variables.append(("g", 9, 9))
+        row = next(r for r in mb.exponent.values() if any(r))
+        row[0] += 7
+        mb.exponent[mb.variables[0]][-1] -= 3
+        assert assemble_mb_integrand(family, n).to_json() == want
+
+    @pytest.mark.parametrize("family,n", [("gl", 3), ("sp", 2)])
+    def test_mutated_split_does_not_reach_the_next_call(self, family, n):
+        want = copy.deepcopy(mellin_of_whittaker(family, n))
+        split = mellin_of_whittaker(family, n)
+        split.num = split.num + [AffineForm(const=3)]
+        split.den.append(AffineForm(const=2))
+        split.inner_vars.append(("g", 9, 9))
+        split.outer_vars.append(("s", 9))
+        split.shifts.append(AffineForm(ilam={1: 1}))
+        split.z_rows[0][0] += 7
+        if split.residual_row is not None:
+            split.residual_row[0] += 1
+            split.residual_lam[0] += 1
+        assert mellin_of_whittaker(family, n) == want
+        assert mellin_of_whittaker(family, n) != split
 
 
 class TestClosedGammaValues:

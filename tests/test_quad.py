@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import zlib
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -18,6 +19,7 @@ from whittaker_mb.quadrature import (
     _cone_sum,
     _cone_trim,
     _contour_sum,
+    _base_point,
     _budgeted_plans,
     _greedy_path,
     _plan,
@@ -148,6 +150,81 @@ class TestBasePoint:
         assert len(spec.base_point) == 1
         assert spec.panels[0] % 2 == 1
         assert spec.total_nodes == spec.panels[0]
+
+
+# Every structure eval_mb integrates (MB dimension at most 4).
+MB_STRUCTURES = [
+    ("gl", 2), ("gl", 3), ("so_even", 2), ("so_odd", 1), ("so_odd", 2), ("sp", 1), ("sp", 2),
+]
+
+
+def _split_constraints(split):
+    """The inner constraint set eval_mellin_transform builds from a split."""
+    out = []
+    for f in split.num:
+        cf = AffineForm(f.gamma, const=f.const)
+        if any(v in split.inner_vars for v in f.gamma) and cf not in out:
+            out.append(cf)
+    return out
+
+
+class TestBasePointCache:
+    @pytest.mark.parametrize("family,n", MB_STRUCTURES)
+    def test_cached_equals_uncached_lp(self, family, n):
+        mb = assemble_mb_integrand(family, n)
+        assert mb.dimension <= 4
+        lp = _base_point.__wrapped__(tuple(mb.constraints), tuple(mb.variables), (), 0.125, 1.0)
+        want = dict(zip(mb.variables, lp))
+        for _ in range(2):
+            assert contour_base_point(mb.constraints, variables=mb.variables) == want
+
+    def test_gl3_split_equals_uncached_lp(self):
+        split = mellin_of_whittaker("gl", 3)
+        constraints = _split_constraints(split)
+        for s in ((0.8 + 0.3j, 1.1 - 0.2j), (1.4, 0.6)):
+            fixed = {("s", j + 1): complex(v) for j, v in enumerate(s)}
+            fixed_re = tuple(sorted((k, v.real) for k, v in fixed.items()))
+            lp = _base_point.__wrapped__(
+                tuple(constraints), tuple(split.inner_vars), fixed_re, 0.125, 1.0
+            )
+            got = contour_base_point(constraints, variables=split.inner_vars, fixed=fixed)
+            assert got == dict(zip(split.inner_vars, lp))
+
+    def test_returned_dict_is_fresh(self):
+        mb = assemble_mb_integrand("gl", 3)
+        first = contour_base_point(mb.constraints, variables=mb.variables)
+        want = dict(first)
+        first[mb.variables[0]] += 5.0
+        first[("g", 9, 9)] = 1.0
+        assert contour_base_point(mb.constraints, variables=mb.variables) == want
+
+    def test_infeasible_on_every_call(self):
+        forms = [AffineForm({("g", 1, 2): 1}), AffineForm({("g", 1, 2): -1}, const=Fraction(1, 8))]
+        for _ in range(2):
+            with pytest.raises(Infeasible):
+                contour_base_point(forms)
+        for _ in range(2):
+            with pytest.raises(Infeasible):
+                contour_base_point([AffineForm({("s", 1): 1})], fixed={("s", 1): -1.0})
+
+    def test_fixed_real_parts_are_the_key(self):
+        # a structure no other test uses, so the first call is a miss
+        forms = [
+            AffineForm({("g", 2, 3): 1, ("s", 1): 1}, const=Fraction(7, 3)),
+            AffineForm({("g", 2, 3): -1, ("s", 2): 1}),
+        ]
+        info = _base_point.cache_info
+        before = info()
+        a = contour_base_point(forms, fixed={("s", 1): 0.5 + 2j, ("s", 2): 1.5})
+        mid = info()
+        assert (mid.misses, mid.hits) == (before.misses + 1, before.hits)
+        b = contour_base_point(forms, fixed={("s", 2): 1.5 - 4j, ("s", 1): 0.5})
+        after = info()
+        assert (after.misses, after.hits) == (mid.misses, mid.hits + 1)
+        assert a == b
+        c = contour_base_point(forms, fixed={("s", 1): 0.5, ("s", 2): 0.75})
+        assert info().misses == after.misses + 1
+        assert c != a
 
 
 class TestEvalMB:
