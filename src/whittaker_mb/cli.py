@@ -272,7 +272,7 @@ def cmd_eval(args) -> int:
             r = eval_mb(mb, x, lam, tol=args.tol)
             results["mb"] = r
         if args.method in ("cone", "cross"):
-            r = eval_cone(family, args.rank, lam, x, tol=args.tol, seed=args.seed)
+            r = eval_cone(family, args.rank, lam, x, tol=args.tol)
             results["cone"] = r
     except NotConverged as exc:
         record["error"] = str(exc)
@@ -426,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--x", required=True)
     pe.add_argument("--method", choices=("mb", "cone", "cross"), default="cross")
     pe.add_argument("--tol", type=float, default=1e-6)
-    pe.add_argument("--seed", type=int, default=0)
     pe.add_argument("--format", choices=("json", "csv"), default="json")
     pe.add_argument("--output", default=None)
 

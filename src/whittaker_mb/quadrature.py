@@ -24,28 +24,36 @@ set depends only on the family and rank, so its LPs are solved once per
 structure; a Mellin transform solves them once per real part of s.
 
 The tensor sum is never formed as a dense grid.  Each Gamma factor
-depends on a few contour variables, so the factors sharing a support
-make one table, and the sum contracts these tables with one weight
-vector per axis along a greedy numpy.einsum_path plan (the greedy order
-of opt_einsum, Smith and Gray, JOSS 3, 2018).  Paths are planned once
-per support structure: the path of a contraction depends only on the
-supports of its operands and the axes it keeps, planned with a nominal
-length on every grid axis and cached.  The coarser grid levels contract
-the same tables sliced, and the boundary-shell mass contracts their
-moduli.  Before any table is built, the plan's flop count and its
-largest table or intermediate, counted with the true axis lengths, are
-held against MAX_FLOPS and MAX_ENTRIES; a cached path over budget is
-planned once more with the true lengths.  A first attempt still over
-budget raises DimensionTooLarge, and a refinement over budget ends the
-refinement with NotConverged and the last result.  The positive-cone
-sum is a contraction as well: each image coordinate in its exponent S
-depends on a few log coordinates and its phase is linear, so
-exp(-S - i phase) is a product of small tables and per-axis vectors,
-contracted under the same budget.  The same tables give the mass on
-every grid hyperplane, to which the box of the next attempt is trimmed.
-Contractions follow a path fixed by the structure and the panel counts,
-whatever ran before, so results are reproducible bit for bit at fixed
-panel counts.
+depends on a few contour variables, so the factors sharing a support of
+two or more axes make one table, those on one axis fold into that axis'
+weight vector, and the sum contracts the tables with the weight vectors
+along a greedy numpy.einsum_path plan (the greedy order of opt_einsum,
+Smith and Gray, JOSS 3, 2018).  Paths are planned once per support
+structure: the path of a contraction depends only on the supports of
+its operands and the axes it keeps, planned with a nominal length on
+every grid axis and cached.  The coarser grid levels contract the same
+tables sliced, and the boundary-shell mass contracts their moduli.
+Before any table is built, the plan's flop count and its largest table
+or intermediate, counted with the true axis lengths, are held against
+MAX_FLOPS and MAX_ENTRIES; a cached path over budget is planned once
+more with the true lengths.  A first attempt still over budget raises
+DimensionTooLarge, and a refinement over budget ends the refinement
+with NotConverged and the last result.
+
+Every axis of the contour grid has the same step, and the coefficients
+of the contour variables in a factor are small integers (or rationals),
+so the factor's argument on the grid takes only the values of one line
+of lattice points: log Gamma runs once on that line, and the table is
+gathered from it by an integer index table.
+
+The positive-cone sum is a contraction as well: each image coordinate
+in its exponent S depends on a few log coordinates and its phase is
+linear, so exp(-S - i phase) is a product of small tables and per-axis
+vectors, contracted under the same budget.  The same tables give the
+mass on every grid hyperplane, to which the box of the next attempt is
+trimmed.  The cone route is limited to dimension 4.  Contractions
+follow a path fixed by the structure and the panel counts, whatever ran
+before, so results are reproducible bit for bit at fixed panel counts.
 """
 
 from __future__ import annotations
@@ -97,9 +105,15 @@ class NotConverged(ArithmeticError):
 
 @dataclass
 class ContourSpec:
+    """Contour grid of a Mellin-Barnes sum: axis k runs over the nodes
+    base_point[k] + i step j, |j| <= (panels[k] - 1) / 2, whose reach
+    covers the half-width truncation[k].  One step serves every axis, so
+    the argument of each Gamma factor runs over one line of points."""
+
     base_point: list  # real shift per axis
     truncation: list  # per-axis half-width T_j
     panels: list  # per-axis node counts
+    step: float  # grid step shared by every axis
 
     @property
     def total_nodes(self) -> int:
@@ -333,18 +347,73 @@ def _budgeted_plans(what, jobs):
     )
 
 
-def _contour_sum(num, den, variables, base, lam, hx, nodes, fixed=None):
-    """Trapezoid sum of prod Gamma(num)/prod Gamma(den) * exp(sum z_v hx_v)
-    over the tensor grid, contracted factor by factor.
+def _support_log_table(forms, support, variables, base, lam, fixed, halves, step):
+    """Sum of sign * log Gamma(f) over the (sign, f) in `forms`, all on the
+    axes `support`, on their grid, gathered from one line per direction.
 
-    Factors that share a support are summed in log space into one table;
-    the per-axis weights are vectors.  The sums on the grids of every
-    second and every fourth node contract the same tables sliced, and the
-    mass on each pair of boundary faces contracts the moduli with that axis
-    kept.  Returns (fine, coarse, coarse4, face_abs, n_evals, mass),
-    n_evals being the node count of the dense grid and mass the sum of
-    the moduli of all terms.  Raises DimensionTooLarge, before any table
-    is built, when the plans exceed the budget.
+    On the grid z_k = base_k + i step j_k, |j_k| <= halves[k], the argument
+    of f is c0 + i step q m: the coefficients of f are the rational q
+    times a primitive integer vector p whose first entry is positive, and
+    m = sum_k p_k j_k is an integer.  So log Gamma runs once per factor on
+    the line of every m between the extremes, the lines of the factors
+    with the same p are summed, and each sum is gathered by one integer
+    index table.  PoleHit is raised when the argument at a node is a
+    pole, never for a line point that no node reaches.
+    """
+    lines, indices = {}, {}
+
+    def index(p):
+        # position m + reach on the line of each node, summed axis by axis
+        if p not in indices:
+            idx = 0
+            for pos, (b, k) in enumerate(zip(p, support)):
+                j = np.arange(-halves[k], halves[k] + 1)
+                idx = idx + _shaped(b * j + abs(b) * halves[k], pos, len(support))
+            indices[p] = idx
+        return indices[p]
+
+    for sign, f in forms:
+        coefs = [f.gamma[variables[k]] for k in support]
+        lcm = math.lcm(*(a.denominator for a in coefs))
+        ints = [int(a * lcm) for a in coefs]
+        g = math.gcd(*ints) if ints[0] > 0 else -math.gcd(*ints)
+        p = tuple(b // g for b in ints)
+        c0 = _form_offset(f, lam, fixed)
+        for a, k in zip(coefs, support):
+            c0 += float(a) * base[variables[k]]
+        reach = sum(abs(b) * halves[k] for b, k in zip(p, support))
+        line = c0 + 1j * (step * g / lcm) * np.arange(-reach, reach + 1)
+        try:
+            values = log_gamma_array(line)
+        except PoleHit:
+            reached = np.zeros(line.size, dtype=bool)
+            reached[index(p)] = True
+            values = np.zeros(line.size, dtype=complex)
+            values[reached] = log_gamma_array(line[reached])
+        lines[p] = lines.get(p, 0.0) + sign * values
+    table = None
+    for p, values in lines.items():
+        part = values[index(p)]
+        table = part if table is None else table + part
+    return table
+
+
+def _contour_sum(num, den, variables, base, lam, hx, nodes, fixed=None, *, step):
+    """Trapezoid sum of prod Gamma(num)/prod Gamma(den) * exp(sum z_v hx_v)
+    over the tensor grid z_k = base_k + i nodes[k], contracted factor by
+    factor; nodes[k] is (-m_k, ..., m_k) times the common `step`.
+
+    Each factor's table is gathered from its log Gamma on one line
+    (_support_log_table).  Factors that share a support of two or more
+    axes are summed in log space into one table; those on one axis are
+    added to the log of that axis' weight vector exp(z_k hx_k) before exp.
+    The sums on the grids of every second and every fourth node contract
+    the same tables sliced, and the mass on each pair of boundary faces
+    contracts the moduli with that axis kept.  Returns (fine, coarse,
+    coarse4, face_abs, n_evals, mass), n_evals being the node count of the
+    dense grid and mass the sum of the moduli of all terms.  Raises
+    DimensionTooLarge, before any table is built, when the plans exceed
+    the budget.
     """
     d = len(variables)
     axes = {v: k for k, v in enumerate(variables)}
@@ -362,32 +431,27 @@ def _contour_sum(num, den, variables, base, lam, hx, nodes, fixed=None):
         return val, val, val, [0.0], 1, abs(val)
 
     sizes = [nd.size for nd in nodes]
-    supports = list(groups) + [(k,) for k in range(d)]
+    shared = [s for s in groups if len(s) > 1]
+    supports = shared + [(k,) for k in range(d)]
     outputs = [()] + [(k,) for k in range(d)]
     plans = _budgeted_plans("contour", [(supports, sizes, out) for out in outputs])
 
-    zs = [base[v] + 1j * nodes[k] for k, v in enumerate(variables)]
-    tables, moduli = [], []
-    for support, forms in groups.items():
-        logt = 0j
-        for sign, f in forms:
-            arg = _form_offset(f, lam, fixed)
-            for pos, k in enumerate(support):
-                arg = arg + float(f.gamma[variables[k]]) * _shaped(zs[k], pos, len(support))
-            logt = logt + sign * log_gamma_array(arg)
-        tables.append(np.exp(logt))
-        moduli.append(np.exp(logt.real))
+    grid = (variables, base, lam, fixed, [(n - 1) // 2 for n in sizes], step)
+    logs = [_support_log_table(groups[s], s, *grid) for s in shared]
     for k, v in enumerate(variables):
-        w = np.exp(zs[k] * hx.get(v, 0.0)) * (nodes[k][1] - nodes[k][0] if sizes[k] > 1 else 1.0)
-        tables.append(w)
-        moduli.append(np.abs(w))
+        weight = (base[v] + 1j * nodes[k]) * hx.get(v, 0.0)
+        if (k,) in groups:
+            weight = weight + _support_log_table(groups[(k,)], (k,), *grid)
+        logs.append(weight)
+    tables = [np.exp(t) for t in logs]
+    moduli = [np.exp(t.real) for t in logs]
 
-    scale = complex(np.exp(const))
+    scale = complex(np.exp(const)) * step**d
     subs, path = plans[0][:2]
 
-    def contract(step):
-        sliced = [t[(slice(None, None, step),) * t.ndim] for t in tables]
-        return complex(np.einsum(subs, *sliced, optimize=path)) * step**d * scale
+    def contract(stride):
+        sliced = [t[(slice(None, None, stride),) * t.ndim] for t in tables]
+        return complex(np.einsum(subs, *sliced, optimize=path)) * stride**d * scale
 
     face_abs = []
     for k in range(d):
@@ -410,11 +474,16 @@ def _torus_slopes(integrand: MBIntegrand, x):
 
 
 def plan_contour(integrand: MBIntegrand, lam, tol, x=None, base=None, fixed=None) -> ContourSpec:
-    """Choose shifts, truncations and panel counts for the integrand.
+    """Choose shifts, truncations, the common step and panel counts for
+    the integrand.
 
-    `fixed` holds the complex values of symbols that are not integrated;
-    their imaginary parts shift the decay profile like the spectral
-    parameters do.
+    The step comes from the strip width and the torus phase; each axis
+    would take ceil(T_k / h) nodes a side at it, rounded up to even, and
+    the finest of the resulting per-axis steps is the one step of every
+    axis (_common_step), so that every Gamma factor's argument runs over
+    one line.  `fixed` holds the complex values of symbols that are not
+    integrated; their imaginary parts shift the decay profile like the
+    spectral parameters do.
     """
     variables = integrand.variables
     if base is None:
@@ -438,12 +507,30 @@ def plan_contour(integrand: MBIntegrand, lam, tol, x=None, base=None, fixed=None
     lbud = 11.0 + 0.8 * max(0.0, math.log10(1.0 / tol) - 6.0)
     h = 2.0 * math.pi * strip / (lbud + strip * hx_mag)
     h = min(0.3, max(0.02, h))
-    panels = []
-    for t in ts:
-        m = int(math.ceil(t / h))
-        m += m % 2
-        panels.append(2 * m + 1)
-    return ContourSpec([base[v] for v in variables], ts, panels)
+    step, panels = _common_step(h, ts)
+    return ContourSpec([base[v] for v in variables], ts, panels, step)
+
+
+def _half_panels(t, h):
+    """Nodes on each side of the centre for half-width t at step h: ceil(t / h),
+    rounded up to even so that the grids of every second and fourth node
+    end on the faces."""
+    m = int(math.ceil(t / h))
+    return m + m % 2
+
+
+def _common_step(h, truncation):
+    """The grid step shared by every axis, and each axis' panel count.
+
+    With its own step, axis k would take m_k = _half_panels(T_k, h) nodes
+    a side, at step T_k / m_k; the common step is the smallest of these,
+    so no axis is coarser, and each axis then takes enough nodes to reach
+    T_k at that step, so none is shorter.  Where every axis had the same
+    step, nothing changes.
+    """
+    step = min((t / _half_panels(t, h) for t in truncation), default=h)
+    # the slack keeps the rounding of t / (t / m) from adding two nodes
+    return step, [2 * _half_panels(t, step * (1.0 + 1e-12)) + 1 for t in truncation]
 
 
 def _integrate(
@@ -466,13 +553,11 @@ def _integrate(
     value = err = None
     evals_total = 0
     for attempt in range(attempts):
-        nodes = []
-        for t, p in zip(spec.truncation, spec.panels):
-            m = (p - 1) // 2
-            nodes.append(np.arange(-m, m + 1) * (t / m if m else 1.0))
+        h = spec.step
+        nodes = [np.arange(-(p // 2), p // 2 + 1) * h for p in spec.panels]
         try:
             fine, coarse, coarse4, face_abs, evals, mass = _contour_sum(
-                integrand.num, integrand.den, variables, base, lam, hx, nodes, fixed
+                integrand.num, integrand.den, variables, base, lam, hx, nodes, fixed, step=h
             )
         except DimensionTooLarge:
             if attempt == 0:
@@ -480,8 +565,7 @@ def _integrate(
             break  # keep the best value computed so far
         tail = 0.0
         for k in range(len(variables)):
-            h_k = nodes[k][1] - nodes[k][0] if nodes[k].size > 1 else 1.0
-            tail += 3.0 * face_abs[k] / max(rates[k] * h_k, 1e-9) * h_k
+            tail += 3.0 * face_abs[k] / max(rates[k] * h, 1e-9) * h
         # geometric-convergence extrapolation from three dyadic levels:
         # err(h) ~ err(2h) * [err(2h)/err(4h)], capped by the raw difference
         # and never below the rounding level of the terms
@@ -501,15 +585,10 @@ def _integrate(
 
 
 def _refine_spec(spec: ContourSpec) -> ContourSpec:
-    """Push the truncation out and shrink the step by 0.7."""
+    """Push the truncation out by 2 and shrink the step by 0.7 (_common_step)."""
     trunc = [t + 2.0 for t in spec.truncation]
-    panels = []
-    for t_old, t_new, p in zip(spec.truncation, trunc, spec.panels):
-        h_new = 0.7 * t_old / ((p - 1) // 2)
-        m = int(math.ceil(t_new / h_new))
-        m += m % 2
-        panels.append(2 * m + 1)
-    return ContourSpec(spec.base_point, trunc, panels)
+    step, panels = _common_step(0.7 * spec.step, trunc)
+    return ContourSpec(spec.base_point, trunc, panels, step)
 
 
 def eval_mb(
@@ -631,18 +710,16 @@ def eval_cone(
     lam,
     x,
     tol: float = 1e-6,
-    seed: int = 0,
-    force_qmc: bool = False,
 ) -> QuadResult:
     """Wave-function value as the positive-cone pairing of the two vectors.
 
     In logarithmic coordinates u = log t the integrand is
     exp(-S(u) - i phase(u)) with S the sum of image and rescaled chart
     coordinates and phase(u) linear.  _cone_box finds a box around the
-    minimum of S outside which S has risen by log(10/tol) + 6.  For
-    d <= 4 a tensor trapezoid rule sums the integrand over that box as a
-    contraction of small tables (see _cone_sum); beyond that (d <= 8) it
-    uses scrambled Sobol sampling.
+    minimum of S outside which S has risen by log(10/tol) + 6, and a
+    tensor trapezoid rule sums the integrand over that box as a
+    contraction of small tables (see _cone_sum).  The route is limited to
+    d <= 4: beyond that DimensionTooLarge is raised before any work.
 
     Each tensor attempt is checked first: if the mass on the boundary
     faces exceeds 0.1 tol |value|, the box widens by 1.5 per side and the
@@ -665,18 +742,14 @@ def eval_cone(
     rs = build_root_system(family, n)
     labels = list(rs.positive_roots)
     d = len(labels)
-    if d > 8:
-        raise DimensionTooLarge(f"cone quadrature limited to d <= 8, got {d}")
+    if d > 4:
+        raise DimensionTooLarge(f"cone quadrature limited to d <= 4, got {d}")
     efac = _cone_exponent(family, n, x)
     phase = _cone_phase_coeffs(family, n, lam)
     lt = math.log(10.0 / tol) + 6.0
     s_center, bounds = _cone_box(family, n, labels, efac, lt)
 
     pref = complex(math.cos(-_dotf(lam, x)), math.sin(-_dotf(lam, x)))
-
-    if d > 4 or force_qmc:
-        return _cone_qmc(family, n, labels, efac, phase, bounds, pref, tol, seed, t0)
-
     nu_mag = max((abs(v) for v in phase.values()), default=0.0)
     h = min(0.34, 2.0 * math.pi / (12.0 + 2.0 * nu_mag))
     scale = math.exp(-s_center)
@@ -894,34 +967,6 @@ def _cone_sum(family, n, labels, efac, phase, nodes, s_shift):
         marg *= scale
         face_mass += float(marg[0] + marg[-1])
     return total * scale, face_mass, math.prod(sizes), marginals
-
-
-def _cone_qmc(family, n, labels, efac, phase, bounds, pref, tol, seed, t0):
-    from scipy.stats import qmc
-
-    d = len(labels)
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    vol = float(np.prod(hi - lo))
-    reps = 8
-    m = 13  # 8192 points per replicate
-    vals = []
-    evals = 0
-    for r in range(reps):
-        sob = qmc.Sobol(d, scramble=True, seed=seed + r)
-        pts = lo + sob.random_base2(m) * (hi - lo)
-        coords = {lab: np.exp(pts[:, k]) for k, lab in enumerate(labels)}
-        s = _cone_action(family, n, coords, efac)
-        ph = np.zeros(pts.shape[0])
-        for k, lab in enumerate(labels):
-            ph = ph + phase[lab] * pts[:, k]
-        arr = np.exp(-s - 1j * ph)
-        vals.append(complex(arr.mean()) * vol)
-        evals += pts.shape[0]
-    vals = np.array(vals)
-    value = pref * complex(vals.mean())
-    err = float(np.abs(vals - vals.mean()).std()) * 3.0 / math.sqrt(reps)
-    return QuadResult(value, err, evals, time.perf_counter() - t0, converged=True)
 
 
 # ---------------------------------------------------------------------------

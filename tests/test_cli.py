@@ -166,6 +166,18 @@ class TestEval:
         )
         assert code == 2
 
+    def test_cone_dimension_guard_is_usage_error(self, capsys):
+        # gl rank 4 has 6 positive roots; the cone route stops at d = 4
+        code = run(["eval", "--group", "gl", "--rank", "4", "--lambda=0.5,-0.3,0.2,0.1",
+                    "--x=0.1,-0.2,0.05,0.3", "--method", "cone", "--tol", "1e-6"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+    def test_eval_has_no_seed_option(self):
+        assert run(["eval", "--group", "gl", "--rank", "2", "--lambda=1,-1", "--x=0,0",
+                    "--method", "mb", "--seed", "3"]) == 2
+
 
 class TestMellinTable:
     def test_gl3_table_has_oracle_column(self, tmp_path):

@@ -307,17 +307,6 @@ class TestEvalCone:
         b = eval_cone(family, n, lam, x, tol=tol).value
         assert abs(a - b) / abs(b) < 100 * tol
 
-    def test_qmc_agrees_with_tensor_grid(self):
-        lam, x = (0.6, -0.4), (0.2, -0.1)
-        a = eval_cone("so_odd", 2, lam, x, tol=1e-6).value
-        b = eval_cone("so_odd", 2, lam, x, tol=1e-2, seed=4, force_qmc=True)
-        assert abs(a - b.value) <= max(5e-2 * abs(a), 4 * b.est_error)
-
-    def test_qmc_deterministic_given_seed(self):
-        a = eval_cone("so_odd", 2, (0.5, -0.5), (0.1, 0.0), force_qmc=True, seed=7)
-        b = eval_cone("so_odd", 2, (0.5, -0.5), (0.1, 0.0), force_qmc=True, seed=7)
-        assert a.value == b.value
-
     def test_decay_into_positive_chamber(self):
         # |Psi| falls along a ray into the dominant chamber
         vals = []
@@ -435,7 +424,7 @@ class TestContractedKernels:
         hx = {g[0]: 0.3, g[d - 1]: -0.2}
         fixed = {s1: 0.7 + 0.2j}
         nodes = [np.arange(-m, m + 1) * 0.3 for m in self.HALF[:d]]
-        got = _contour_sum(num, den, g, base, lam, hx, nodes, fixed)
+        got = _contour_sum(num, den, g, base, lam, hx, nodes, fixed, step=0.3)
         ref = _dense_contour(num, den, g, base, lam, hx, nodes, fixed)
         for a, b in zip(got[:3], ref[:3]):
             assert _close(a, b)
@@ -508,6 +497,132 @@ class TestContractedKernels:
             assert np.array_equal(a, b)
 
 
+def _half_panels_per_axis(t, h):
+    """Nodes a side on one axis with its own step: ceil(t / h), rounded up to even."""
+    m = math.ceil(t / h)
+    return m + m % 2
+
+
+class TestCommonStepLattice:
+    HALF = (3, 5, 4)
+
+    def _sum(self, num, den, half, step, fixed, hx=None, dense=True):
+        """_contour_sum on the grid of `half` nodes a side at `step`, and
+        with `dense` the dense-grid reference."""
+        g = [("g", k + 1, k + 2) for k in range(len(half))]
+        base = {v: 0.25 + 0.125 * k for k, v in enumerate(g)}  # exact in binary
+        nodes = [np.arange(-m, m + 1) * step for m in half]
+        args = (num, den, g, base, (0.4, -0.7), hx or {}, nodes, fixed)
+        got = _contour_sum(*args, step=step)
+        return (got, _dense_contour(*args)) if dense else got
+
+    def test_integer_and_rational_coefficients_match_dense_grid(self):
+        g = [("g", k + 1, k + 2) for k in range(3)]
+        s1 = ("s", 1)
+        num = [
+            AffineForm({g[0]: 2, g[1]: -2}, const=3),  # p = (1, -1), q = 2
+            AffineForm({g[0]: 2, g[1]: 1}, {1: 0.5}, const=2),  # p = (2, 1)
+            AffineForm({g[0]: 1, g[1]: -2, g[2]: 1}, const=3),  # three axes
+            AffineForm({g[0]: Fraction(1, 2), g[2]: Fraction(-3, 2)}, const=2),  # q = 1/2
+            AffineForm({g[2]: -2, s1: 1}, const=3),  # fixed outer variable
+            AffineForm({g[1]: Fraction(1, 3)}, const=1),  # folds into a weight
+        ]
+        den = [AffineForm({g[1]: 2, g[2]: -1}, {2: 1}, const=2), AffineForm({g[0]: -2}, const=1)]
+        got, ref = self._sum(num, den, self.HALF, 0.3, {s1: 0.7 + 0.2j}, {g[0]: 0.3, g[2]: -0.2})
+        for a, b in zip(got[:3], ref[:3]):
+            assert _close(a, b)
+        for a, b in zip(got[3], ref[3]):
+            assert _close(a, b)
+        assert got[4] == ref[4]
+        assert _close(got[5], ref[5])
+
+    def test_pole_at_a_node_raises(self):
+        # g = 1/4 + i j / 4, so 2 g + s = -1 at the node j = 2
+        s1 = ("s", 1)
+        g = ("g", 1, 2)
+        num = [AffineForm({g: 2, s1: 1})]
+        with pytest.raises(PoleHit):
+            self._sum(num, [], (5,), 0.25, {s1: -1.5 - 1.0j}, dense=False)
+        # 2 g + 3 g' + s with g' = 3/8 + i j' / 4 is -1 where 2 j + 3 j' = top - 2
+        num = [AffineForm({g: 2, ("g", 2, 3): 3, s1: 1})]
+        top = 2 * 3 + 3 * 5  # the largest lattice index 2 j + 3 j'
+        with pytest.raises(PoleHit):
+            self._sum(num, [], (3, 5), 0.25, {s1: -2.625 - 0.25j * (top - 2)}, dense=False)
+
+    def test_pole_only_on_unreached_lattice_points(self):
+        s1 = ("s", 1)
+        g = ("g", 1, 2)
+        # 2 g + s is -1 halfway between the nodes j = 1 and j = 2
+        got, ref = self._sum([AffineForm({g: 2, s1: 1})], [], (5,), 0.25, {s1: -1.5 - 0.75j})
+        assert _close(got[0], ref[0])
+        # 2 j + 3 j' never takes the value top - 1, but the line through it does
+        num = [AffineForm({g: 2, ("g", 2, 3): 3, s1: 1})]
+        top = 2 * 3 + 3 * 5
+        got, ref = self._sum(num, [], (3, 5), 0.25, {s1: -2.625 - 0.25j * (top - 1)})
+        assert _close(got[0], ref[0])
+
+    @pytest.mark.parametrize("family,n", MB_STRUCTURES)
+    def test_common_step_never_coarser(self, monkeypatch, family, n):
+        import whittaker_mb.quadrature as quad
+
+        seen = []
+        real = quad._common_step
+        monkeypatch.setattr(quad, "_common_step", lambda h, ts: seen.append(h) or real(h, ts))
+        mb = assemble_mb_integrand(family, n)
+        lam, x = (0.9, -0.4, 0.3)[:n], (0.3, -0.2, 0.1)[:n]
+        spec = plan_contour(mb, lam, 1e-6, x=x)
+        for _ in range(3):
+            h = seen[-1]
+            for t, p in zip(spec.truncation, spec.panels):
+                # no coarser than the axis' own step, no shorter than its truncation
+                assert spec.step <= t / _half_panels_per_axis(t, h)
+                assert p % 2 == 1 and (p // 2) % 2 == 0
+                assert (p // 2) * spec.step >= t * (1 - 1e-12)
+            if len(spec.panels) == 1:  # one axis: the grid of its own step
+                m = _half_panels_per_axis(spec.truncation[0], h)
+                assert spec.panels == [2 * m + 1] and spec.step == spec.truncation[0] / m
+            old = spec
+            spec = quad._refine_spec(old)
+            assert seen[-1] == 0.7 * old.step
+            assert spec.truncation == [t + 2.0 for t in old.truncation]
+
+    def test_sp2_log_gamma_runs_on_lines(self, monkeypatch):
+        import whittaker_mb.quadrature as quad
+
+        mb = assemble_mb_integrand("sp", 2)
+        calls, bounds, subs = [], [], []
+        real_lg, real_sum = quad.log_gamma_array, quad._contour_sum
+        real_plans = quad._budgeted_plans
+
+        def contour_sum(num, den, variables, base, lam, hx, nodes, fixed=None, *, step):
+            calls.append([])
+            sizes = {v: nd.size for v, nd in zip(variables, nodes)}
+            bounds.append(sum(
+                sum(abs(a) * (sizes[v] - 1) for v, a in f.gamma.items()) + 1 for f in num + den
+            ))
+            return real_sum(num, den, variables, base, lam, hx, nodes, fixed, step=step)
+
+        def plans(what, jobs):
+            out = real_plans(what, jobs)
+            subs.append(out[0][0])
+            return out
+
+        def log_gamma(z):
+            calls[-1].append(np.shape(z))
+            return real_lg(z)
+
+        monkeypatch.setattr(quad, "_contour_sum", contour_sum)
+        monkeypatch.setattr(quad, "_budgeted_plans", plans)
+        monkeypatch.setattr(quad, "log_gamma_array", log_gamma)
+        eval_mb(mb, (0.3, -0.2), (0.9, -0.5), tol=1e-4)
+        assert calls
+        for shapes, bound in zip(calls, bounds):
+            assert all(len(shape) == 1 for shape in shapes)
+            assert sum(shape[0] for shape in shapes) <= bound
+        # one-axis Gamma factors fold into the weight vectors: 8 operands, not 11
+        assert subs and all(s == "bd,bc,ab,cd,a,b,c,d->" for s in subs)
+
+
 def _recount(subs, path, sizes):
     """Flops and largest entry of an einsum path, counted from its
     subscripts: each step costs its operand count times the size of the
@@ -527,7 +642,8 @@ def _recount(subs, path, sizes):
 
 
 class TestContractionPlans:
-    # the supports of the sp rank 2 contour sum
+    # the supports of the sp rank 2 contour sum with every Gamma support
+    # its own operand, one-axis ones included
     SUPPORTS = [(1, 3), (1, 2), (0,), (1,), (0, 1), (2, 3), (3,), (0,), (1,), (2,), (3,)]
 
     def test_one_path_per_support_structure(self, monkeypatch):
