@@ -32,28 +32,36 @@ Smith and Gray, JOSS 3, 2018).  Paths are planned once per support
 structure: the path of a contraction depends only on the supports of
 its operands and the axes it keeps, planned with a nominal length on
 every grid axis and cached.  The coarser grid levels contract the same
-tables sliced, and the boundary-shell mass contracts their moduli.
-Before any table is built, the plan's flop count and its largest table
-or intermediate, counted with the true axis lengths, are held against
-MAX_FLOPS and MAX_ENTRIES; a cached path over budget is planned once
-more with the true lengths.  A first attempt still over budget raises
-DimensionTooLarge, and a refinement over budget ends the refinement
-with NotConverged and the last result.
+tables sliced.  One selector contraction of the moduli, with each
+axis' weight as [w, w * ends] columns, gives the mass and the
+boundary-shell mass of every axis at once.  Before any table is built,
+the plan's flop count and its largest table or intermediate, counted
+with the true axis lengths, are held against MAX_FLOPS and MAX_ENTRIES;
+a cached path over budget is planned once more with the true lengths.
+A first attempt still over budget raises DimensionTooLarge, and a
+refinement over budget ends the refinement with NotConverged and the
+last result.
 
 Every axis of the contour grid has the same step, and the coefficients
 of the contour variables in a factor are small integers (or rationals),
 so the factor's argument on the grid takes only the values of one line
 of lattice points: log Gamma runs once on that line, and the table is
-gathered from it by an integer index table.
+gathered from it by an integer index table.  When all the factors of a
+table share one lattice direction, exp runs on the line too.
 
 The positive-cone sum is a contraction as well: each image coordinate
 in its exponent S depends on a few log coordinates and its phase is
 linear, so exp(-S - i phase) is a product of small tables and per-axis
-vectors, contracted under the same budget.  The same tables give the
-mass on every grid hyperplane, to which the box of the next attempt is
-trimmed.  The cone route is limited to dimension 4.  Contractions
-follow a path fixed by the structure and the panel counts, whatever ran
-before, so results are reproducible bit for bit at fixed panel counts.
+vectors, contracted under the same budget.  Each attempt sums on its
+grid and on the grids of every second and fourth node, and estimates
+its error by the rule of the contour engine; a selector contraction
+gives its mass and face masses.  Its first box already reaches beyond
+the box where S has risen by log(10/tol) + 6, and only an attempt that
+misses tol contracts the mass on every grid hyperplane, to which the
+box of the next attempt is trimmed.  The cone route is limited to
+dimension 4.  Contractions follow a path fixed by the structure and the
+panel counts, whatever ran before, so results are reproducible bit for
+bit at fixed panel counts.
 """
 
 from __future__ import annotations
@@ -347,18 +355,19 @@ def _budgeted_plans(what, jobs):
     )
 
 
-def _support_log_table(forms, support, variables, base, lam, fixed, halves, step):
-    """Sum of sign * log Gamma(f) over the (sign, f) in `forms`, all on the
-    axes `support`, on their grid, gathered from one line per direction.
+def _support_lines(forms, support, variables, base, lam, fixed, halves, step):
+    """log Gamma of the (sign, f) in `forms`, all on the axes `support`, on
+    their grid: one (line, index) pair per direction, the grid table of a
+    direction being line[index] and the support's log table their sum.
 
     On the grid z_k = base_k + i step j_k, |j_k| <= halves[k], the argument
     of f is c0 + i step q m: the coefficients of f are the rational q
     times a primitive integer vector p whose first entry is positive, and
     m = sum_k p_k j_k is an integer.  So log Gamma runs once per factor on
     the line of every m between the extremes, the lines of the factors
-    with the same p are summed, and each sum is gathered by one integer
-    index table.  PoleHit is raised when the argument at a node is a
-    pole, never for a line point that no node reaches.
+    with the same p are summed, and each sum is placed on the grid by one
+    integer index table.  PoleHit is raised when the argument at a node is
+    a pole, never for a line point that no node reaches.
     """
     lines, indices = {}, {}
 
@@ -391,11 +400,53 @@ def _support_log_table(forms, support, variables, base, lam, fixed, halves, step
             values = np.zeros(line.size, dtype=complex)
             values[reached] = log_gamma_array(line[reached])
         lines[p] = lines.get(p, 0.0) + sign * values
-    table = None
-    for p, values in lines.items():
-        part = values[index(p)]
-        table = part if table is None else table + part
-    return table
+    return [(values, index(p)) for p, values in lines.items()]
+
+
+def _support_tables(lines):
+    """The table exp(log) and its moduli exp(Re log) of a support whose log
+    table is the sum of line[index] over the (line, index) pairs `lines`.
+    With one direction, exp runs on the line and both are gathered from
+    it, which gives the same bits as exp of the gathered table."""
+    if len(lines) == 1:
+        ((line, idx),) = lines
+        return np.exp(line)[idx], np.exp(line.real)[idx]
+    log = lines[0][0][lines[0][1]]
+    for line, idx in lines[1:]:
+        log = log + line[idx]
+    return np.exp(log), np.exp(log.real)
+
+
+def _face_columns(weight):
+    """The [w, w * ends] columns of the axis weight w: contracted in place
+    of w, column 0 keeps the whole axis and column 1 only its two end
+    nodes."""
+    cols = np.zeros((weight.size, 2))
+    cols[:, 0] = weight
+    cols[0, 1], cols[-1, 1] = weight[0], weight[-1]
+    return cols
+
+
+def _selected_masses(selected):
+    """The mass and the per-axis face masses in the (2,) * d output of a
+    [w, w * ends] selector contraction (_face_columns)."""
+    d = selected.ndim
+    faces = [float(selected[tuple(int(j == k) for j in range(d))]) for k in range(d)]
+    return float(selected[(0,) * d]), faces
+
+
+def _extrapolated(fine, coarse, coarse4, mass):
+    """Discretization error of the sum `fine` on a grid of step h, from the
+    sums `coarse` and `coarse4` on its grids of every second and fourth
+    node: geometric-convergence extrapolation from the three dyadic
+    levels, err(h) ~ err(2h) * [err(2h)/err(4h)], capped by the raw
+    difference and never below the rounding level of the terms,
+    _ROUNDING times `mass`, the sum of their moduli."""
+    disc2 = abs(fine - coarse)
+    disc4 = abs(fine - coarse4)
+    if disc4 > disc2 > 0:
+        return max(min(disc2, 4.0 * disc2 * disc2 / disc4), _ROUNDING * mass)
+    return disc2
 
 
 def _contour_sum(num, den, variables, base, lam, hx, nodes, fixed=None, *, step):
@@ -404,16 +455,18 @@ def _contour_sum(num, den, variables, base, lam, hx, nodes, fixed=None, *, step)
     factor; nodes[k] is (-m_k, ..., m_k) times the common `step`.
 
     Each factor's table is gathered from its log Gamma on one line
-    (_support_log_table).  Factors that share a support of two or more
-    axes are summed in log space into one table; those on one axis are
-    added to the log of that axis' weight vector exp(z_k hx_k) before exp.
-    The sums on the grids of every second and every fourth node contract
-    the same tables sliced, and the mass on each pair of boundary faces
-    contracts the moduli with that axis kept.  Returns (fine, coarse,
-    coarse4, face_abs, n_evals, mass), n_evals being the node count of the
-    dense grid and mass the sum of the moduli of all terms.  Raises
-    DimensionTooLarge, before any table is built, when the plans exceed
-    the budget.
+    (_support_lines).  Factors that share a support of two or more axes
+    make one table, exp'd on the line when they all share one direction
+    and on the gathered log table otherwise; those on one axis are added
+    to the log of that axis' weight vector exp(z_k hx_k) before exp.  The
+    sums on the grids of every second and every fourth node contract the
+    same tables sliced.  One more contraction takes the moduli with each
+    weight vector's moduli w as [w, w * ends] columns (_face_columns):
+    it gives the mass and the mass on each axis' pair of boundary faces.
+    Returns (fine, coarse, coarse4, face_abs, n_evals, mass), n_evals
+    being the node count of the dense grid and mass the sum of the
+    moduli of all terms.  Raises DimensionTooLarge, before any table is
+    built, when the plans exceed the budget.
     """
     d = len(variables)
     axes = {v: k for k, v in enumerate(variables)}
@@ -432,33 +485,39 @@ def _contour_sum(num, den, variables, base, lam, hx, nodes, fixed=None, *, step)
 
     sizes = [nd.size for nd in nodes]
     shared = [s for s in groups if len(s) > 1]
-    supports = shared + [(k,) for k in range(d)]
-    outputs = [()] + [(k,) for k in range(d)]
-    plans = _budgeted_plans("contour", [(supports, sizes, out) for out in outputs])
+    selected = [(k, d + k) for k in range(d)]
+    (subs, path, *_), (sel_subs, sel_path, *_) = _budgeted_plans(
+        "contour",
+        [
+            (shared + [(k,) for k in range(d)], sizes, ()),
+            (shared + selected, sizes + [2] * d, tuple(range(d, 2 * d))),
+        ],
+    )
 
     grid = (variables, base, lam, fixed, [(n - 1) // 2 for n in sizes], step)
-    logs = [_support_log_table(groups[s], s, *grid) for s in shared]
+    tables, moduli = [], []
+    for s in shared:
+        table, modulus = _support_tables(_support_lines(groups[s], s, *grid))
+        tables.append(table)
+        moduli.append(modulus)
+    selectors = []
     for k, v in enumerate(variables):
         weight = (base[v] + 1j * nodes[k]) * hx.get(v, 0.0)
         if (k,) in groups:
-            weight = weight + _support_log_table(groups[(k,)], (k,), *grid)
-        logs.append(weight)
-    tables = [np.exp(t) for t in logs]
-    moduli = [np.exp(t.real) for t in logs]
+            ((line, idx),) = _support_lines(groups[(k,)], (k,), *grid)
+            weight = weight + line[idx]
+        tables.append(np.exp(weight))
+        selectors.append(_face_columns(np.exp(weight.real)))
 
     scale = complex(np.exp(const)) * step**d
-    subs, path = plans[0][:2]
 
     def contract(stride):
         sliced = [t[(slice(None, None, stride),) * t.ndim] for t in tables]
         return complex(np.einsum(subs, *sliced, optimize=path)) * stride**d * scale
 
-    face_abs = []
-    for k in range(d):
-        edges = np.einsum(plans[k + 1][0], *moduli, optimize=plans[k + 1][1])
-        face_abs.append(float(edges[0] + edges[-1]) * abs(scale))
-    mass = float(edges.sum()) * abs(scale)
-    return contract(1), contract(2), contract(4), face_abs, math.prod(sizes), mass
+    mass, faces = _selected_masses(np.einsum(sel_subs, *moduli, *selectors, optimize=sel_path))
+    face_abs = [face * abs(scale) for face in faces]
+    return contract(1), contract(2), contract(4), face_abs, math.prod(sizes), mass * abs(scale)
 
 
 def _torus_slopes(integrand: MBIntegrand, x):
@@ -566,17 +625,9 @@ def _integrate(
         tail = 0.0
         for k in range(len(variables)):
             tail += 3.0 * face_abs[k] / max(rates[k] * h, 1e-9) * h
-        # geometric-convergence extrapolation from three dyadic levels:
-        # err(h) ~ err(2h) * [err(2h)/err(4h)], capped by the raw difference
-        # and never below the rounding level of the terms
-        disc2 = abs(fine - coarse)
-        disc4 = abs(fine - coarse4)
-        disc = disc2
-        if disc4 > disc2 > 0:
-            disc = max(min(disc2, 4.0 * disc2 * disc2 / disc4), _ROUNDING * mass)
         evals_total += evals
         value = phase * scale * fine
-        err = scale * (disc + tail)
+        err = scale * (_extrapolated(fine, coarse, coarse4, mass) + tail)
         if err <= tol * max(abs(value), 1e-300) or abs(value) == 0.0:
             return QuadResult(value, err, evals_total, time.perf_counter() - t0)
         spec = _refine_spec(spec)
@@ -695,12 +746,15 @@ def _cone_action(family, n, coords, efac):
 
 # Box search of the cone's tensor rule: the probe values of each log
 # coordinate around the minimum of S, and the step and reach of the march
-# out of it.  Trimming: after an attempt passes the face check, each end of
-# each axis may drop hyperplanes carrying up to TRIM_SHARE * tol * |value|
-# / (2 d) of mass before the next, finer attempt.
+# out of it.  Each attempt's box reaches _WIDEN beyond the march box per
+# side, and widens by _WIDEN more when its faces carry mass.  Trimming:
+# after an attempt passes the face check but misses tol, each end of each
+# axis may drop hyperplanes carrying up to TRIM_SHARE * tol * |value| /
+# (2 d) of mass before the next, finer attempt.
 _PROBE = np.linspace(-4.0, 3.0, 8)
 _MARCH_STEP = 0.5
 _MARCH_REACH = 80.0
+_WIDEN = 1.5
 TRIM_SHARE = 0.01
 
 
@@ -716,27 +770,31 @@ def eval_cone(
     In logarithmic coordinates u = log t the integrand is
     exp(-S(u) - i phase(u)) with S the sum of image and rescaled chart
     coordinates and phase(u) linear.  _cone_box finds a box around the
-    minimum of S outside which S has risen by log(10/tol) + 6, and a
-    tensor trapezoid rule sums the integrand over that box as a
-    contraction of small tables (see _cone_sum).  The route is limited to
-    d <= 4: beyond that DimensionTooLarge is raised before any work.
+    minimum of S outside which S has risen by log(10/tol) + 6 along
+    every sign-pattern direction; the first attempt runs on that box
+    widened by _WIDEN per side.  A tensor trapezoid rule sums the
+    integrand over the box as a contraction of small tables (see
+    _cone_sum), whose axes take a multiple of 4 panels, so that the sums
+    on the grids of every second and fourth node, from the same tables,
+    cover the same box.  The route is limited to d <= 4: beyond that
+    DimensionTooLarge is raised before any work.
 
-    Each tensor attempt is checked first: if the mass on the boundary
-    faces exceeds 0.1 tol |value|, the box widens by 1.5 per side and the
-    attempt repeats at the same step.  An attempt that passes is compared
-    with the previous one (geometric extrapolation of the difference),
-    and the estimate adds the face mass.  Before the next attempt, whose
-    step is 0.65 times shorter, the box is trimmed to the mass this
-    attempt measured: from each end of each axis, hyperplanes go while
-    their cumulative mass stays within TRIM_SHARE tol |value| / (2 d),
-    and the innermost of them stays as the new face (_cone_trim).  The
-    mass trimmed off is added to every later error estimate.  When no
-    attempt meets tol, NotConverged carries the last attempt, whose
-    est_error is |value| plus the face and trimmed mass if it could not
-    be compared with a finer grid.  The contraction budget is that of the
-    Mellin-Barnes engine: a first attempt over it raises
-    DimensionTooLarge, and a later one ends the attempts with
-    NotConverged and the last result.
+    Each attempt is checked first: if the mass on the boundary faces
+    exceeds 0.1 tol |value|, the box widens by _WIDEN per side and the
+    attempt repeats at the same step; such an attempt's est_error is
+    |value| plus the face and trimmed mass.  An attempt that passes is
+    estimated on its own, by the rule of the Mellin-Barnes engine
+    (_extrapolated on the sums at strides 1, 2 and 4), plus the face mass
+    and the mass trimmed off so far.  If that misses tol, the box is
+    trimmed to the mass this attempt measured before the next attempt,
+    whose step is 0.65 times shorter: from each end of each axis,
+    hyperplanes go while their cumulative mass stays within TRIM_SHARE
+    tol |value| / (2 d), and the innermost of them stays as the new face
+    (_cone_trim).  When no attempt meets tol, NotConverged carries the
+    last attempt.  The contraction budget is that of the Mellin-Barnes
+    engine: a first attempt over it raises DimensionTooLarge, and a later
+    one (or the marginals of a trim) ends the attempts with NotConverged
+    and the last result.
     """
     t0 = time.perf_counter()
     rs = build_root_system(family, n)
@@ -748,22 +806,22 @@ def eval_cone(
     phase = _cone_phase_coeffs(family, n, lam)
     lt = math.log(10.0 / tol) + 6.0
     s_center, bounds = _cone_box(family, n, labels, efac, lt)
+    bounds = [(lo - _WIDEN, hi + _WIDEN) for lo, hi in bounds]
 
     pref = complex(math.cos(-_dotf(lam, x)), math.sin(-_dotf(lam, x)))
     nu_mag = max((abs(v) for v in phase.values()), default=0.0)
     h = min(0.34, 2.0 * math.pi / (12.0 + 2.0 * nu_mag))
     scale = math.exp(-s_center)
     evals_total = 0
-    prev = diff_prev = None
     dropped = 0.0
     for attempt in range(5):
         nodes = []
-        for k in range(d):
-            lo, hi = bounds[k]
+        for lo, hi in bounds:
             m = int(math.ceil((hi - lo) / h))
+            m += -m % 4  # the grids of every 2nd and 4th node end on both faces
             nodes.append(np.linspace(lo, lo + m * h, m + 1))
         try:
-            total, face_mass, evals, marginals = _cone_sum(
+            fine, coarse, coarse4, faces, evals, mass, marginals = _cone_sum(
                 family, n, labels, efac, phase, nodes, s_center
             )
         except DimensionTooLarge:
@@ -771,29 +829,21 @@ def eval_cone(
                 raise
             break  # keep the last result
         evals_total += evals
-        value = pref * total * scale
-        face = face_mass * scale
-        widen = face > 0.1 * tol * abs(value)
-        if widen or prev is None:
-            # nothing finer to compare with: the value itself is the bound
-            err = abs(value)
-        else:
-            diff = abs(value - prev)
-            err = diff
-            if diff_prev is not None and diff_prev > diff > 0:
-                err = min(diff, 4.0 * diff * diff / diff_prev)
-        err += face + dropped
-        if widen:
-            # boundary carries mass: widen the box and retry
-            bounds = [(lo - 1.5, hi + 1.5) for lo, hi in bounds]
-            prev = diff_prev = None
+        value = pref * fine * scale
+        face = sum(faces) * scale
+        if face > 0.1 * tol * abs(value):
+            # boundary carries mass: the value itself is the bound; widen
+            # the box and retry
+            err = abs(value) + face + dropped
+            bounds = [(lo - _WIDEN, hi + _WIDEN) for lo, hi in bounds]
             continue
-        if prev is not None:
-            if err <= tol * max(abs(value), 1e-300):
-                return QuadResult(value, err, evals_total, time.perf_counter() - t0)
-            diff_prev = diff
-        prev = value
-        bounds, cut = _cone_trim(nodes, marginals, TRIM_SHARE * tol * abs(total) / (2 * d))
+        err = _extrapolated(fine, coarse, coarse4, mass) * scale + face + dropped
+        if err <= tol * max(abs(value), 1e-300):
+            return QuadResult(value, err, evals_total, time.perf_counter() - t0)
+        try:
+            bounds, cut = _cone_trim(nodes, marginals(), TRIM_SHARE * tol * abs(fine) / (2 * d))
+        except DimensionTooLarge:
+            break
         dropped += cut * scale
         h *= 0.65
     result = QuadResult(value, err, evals_total, time.perf_counter() - t0, converged=False)
@@ -806,12 +856,11 @@ def _cone_box(family, n, labels, efac, lt):
 
     Two sweeps over the axes move each coordinate of the centre to the
     first minimum of S over the _PROBE values, evaluated as one (8, d)
-    array per axis.  Then every direction of a set (all nonzero sign
-    patterns for d <= 4, axes and random patterns beyond) marches out of
-    the centre in _MARCH_STEP steps until S has risen by `lt`, or up to
-    _MARCH_REACH; all directions still marching at a step are one array.
-    The reach of every direction, plus 1, widens the box, so slow
-    cross-directions cannot hide beyond the truncation.
+    array per axis.  Then every nonzero sign pattern in {-1, 0, 1}^d
+    marches out of the centre in _MARCH_STEP steps until S has risen by
+    `lt`, or up to _MARCH_REACH; all directions still marching at a step
+    are one array.  The reach of every direction, plus 1, widens the box,
+    so slow cross-directions cannot hide beyond the truncation.
     """
     d = len(labels)
 
@@ -826,14 +875,7 @@ def _cone_box(family, n, labels, efac, lt):
             trial[:, k] = _PROBE
             center[k] = _PROBE[np.argmin(action(trial))]
     s_center = float(action(center[None, :])[0])
-    if d <= 4:
-        dirs = [v for v in itertools.product((-1.0, 0.0, 1.0), repeat=d) if any(v)]
-    else:
-        rng_dirs = np.random.default_rng(12345)
-        dirs = [tuple(v) for v in np.eye(d)] + [tuple(-v) for v in np.eye(d)]
-        dirs += [tuple(rng_dirs.choice((-1.0, 0.0, 1.0), size=d)) for _ in range(48)]
-        dirs = [v for v in dirs if any(c != 0 for c in v)]
-    dirs = np.array(dirs)
+    dirs = np.array([v for v in itertools.product((-1.0, 0.0, 1.0), repeat=d) if any(v)])
     reach = np.full(len(dirs), _MARCH_REACH)
     active = np.arange(len(dirs))
     t = 0.0
@@ -853,9 +895,9 @@ def _cone_trim(nodes, marginals, limit):
     the mass of those hyperplanes.
 
     From each end of each axis, hyperplanes go while their cumulative mass
-    (marginals[k][i], as _cone_sum returns them) stays within `limit`; the
-    innermost hyperplane within the limit stays as the new face, so the
-    new face carries at most `limit` as well.
+    (marginals[k][i], as the marginals of _cone_sum give them) stays
+    within `limit`; the innermost hyperplane within the limit stays as the
+    new face, so the new face carries at most `limit` as well.
     """
     bounds, dropped = [], 0.0
     for nd, marg in zip(nodes, marginals):
@@ -870,9 +912,10 @@ def _cone_trim(nodes, marginals, limit):
 
 
 def _cone_sum(family, n, labels, efac, phase, nodes, s_shift):
-    """Trapezoid sum of exp(-(S - s_shift) - i phase) over the tensor grid,
-    with the mass of the weight on every grid hyperplane, contracted factor
-    by factor.
+    """Trapezoid sums of exp(-(S - s_shift) - i phase) over the tensor grid
+    and over its grids of every second and fourth node, with the mass of
+    the weight and its mass on the boundary faces, contracted factor by
+    factor.
 
     Each image coordinate depends on a few log coordinates, and each
     E_gamma t_gamma term and phase term on one, so the weight is a product
@@ -881,16 +924,21 @@ def _cone_sum(family, n, labels, efac, phase, nodes, s_shift):
     vector per axis.  Each table and vector is shifted by its minimum
     before exp (the shifts make one scalar); then each vector is folded
     into the first table over its axis, or is the table of its axis if
-    none is.  The sum contracts the tables with the per-axis phase
+    none is.  The sums contract the tables with the per-axis phase
     vectors, given as [Re, Im] columns so that no table is cast to
-    complex; the marginals contract the same tables with one axis kept.
-    Both follow _plan paths.  Returns (total, face_mass, n_evals,
-    marginals): marginals[k][i] is the weight on the hyperplane
-    u_k = nodes[k][i] times the voxel, face_mass the sum of the first and
-    last entry of every axis' marginals, the mass on the boundary faces,
-    and n_evals the node count of the dense grid.  Raises
-    DimensionTooLarge, before any table is built, when the plans exceed
-    the budget.
+    complex; the coarser grids contract the same tables and columns
+    sliced.  One more contraction, with the same subscripts and path,
+    takes per-axis [1, ends] columns (_face_columns) in place of the
+    phase columns: it gives the mass and the face mass of every axis.
+    Returns (fine, coarse, coarse4, faces, n_evals, mass, marginals):
+    the sums at strides 1, 2 and 4, each times its voxel, faces[k] the
+    weight on the first and last hyperplane of axis k times the voxel,
+    n_evals the node count of the dense grid, and marginals a function
+    that contracts the same tables once per axis, with that axis kept:
+    marginals()[k][i] is the weight on the hyperplane u_k = nodes[k][i]
+    times the voxel.  Its plans are held against the budget when it is
+    called.  Raises DimensionTooLarge, before any table is built, when
+    the plans of the sums exceed the budget.
     """
     d = len(labels)
     sizes = [nd.size for nd in nodes]
@@ -903,8 +951,7 @@ def _cone_sum(family, n, labels, efac, phase, nodes, s_shift):
     }
     shared = list(dict.fromkeys(s for s in supports.values() if len(s) > 1))
     # the vector of an axis folds into the first table over it, or is the
-    # table of that axis; axis d + k picks the real or imaginary part of
-    # the phase vector of axis k
+    # table of that axis; axis d + k picks a column of axis k
     home = {}
     for support in shared:
         for k in support:
@@ -913,11 +960,10 @@ def _cone_sum(family, n, labels, efac, phase, nodes, s_shift):
         if k not in home:
             home[k] = (k,)
             shared.append((k,))
-    jobs = [(shared, sizes, (k,)) for k in range(d)]
-    if d > 1:  # with one axis the sums are plain vector sums, planned for the budget only
-        phased = [(k, d + k) for k in range(d)]
-        jobs.insert(0, (shared + phased, sizes + [2] * d, tuple(range(d, 2 * d))))
-    plans = _budgeted_plans("cone", jobs)
+    column_axes = [(k, d + k) for k in range(d)]
+    ((subs, path, *_),) = _budgeted_plans(
+        "cone", [(shared + column_axes, sizes + [2] * d, tuple(range(d, 2 * d)))]
+    )
 
     coords = {lab: np.exp(_shaped(nd, k, d)) for k, (lab, nd) in enumerate(zip(labels, nodes))}
     vecs = [coords[lab].reshape(-1) * efac[lab] for lab in labels]
@@ -951,22 +997,28 @@ def _cone_sum(family, n, labels, efac, phase, nodes, s_shift):
     factors = [tables[s] for s in shared]
     scale = math.exp(-shift) * voxel
 
+    def contract(cols, stride):
+        sliced = [t[(slice(None, None, stride),) * t.ndim] for t in factors]
+        cols = [c[::stride] for c in cols]
+        if d == 1:  # one vector against one pair of columns, no path to parse
+            return sliced[0] @ cols[0]
+        return np.einsum(subs, *sliced, *cols, optimize=path)
+
     waves = [np.exp(-1j * phase[lab] * nd) for lab, nd in zip(labels, nodes)]
-    if d == 1:
-        total = complex((factors[0] * waves[0]).sum())
-        marginals = factors
-    else:
-        cols = [np.stack([w.real, w.imag], axis=1) for w in waves]
-        parts = np.einsum(plans[0][0], *factors, *cols, optimize=plans[0][1])
+    phased = [np.stack([w.real, w.imag], axis=1) for w in waves]
+    sums = []
+    for stride in (1, 2, 4):
+        parts = contract(phased, stride)
         for _ in range(d):  # sum_w parts[w] * i^|w|
             parts = parts @ np.array([1.0, 1j])
-        total = complex(parts)
-        marginals = [np.einsum(p[0], *factors, optimize=p[1]) for p in plans[1:]]
-    face_mass = 0.0
-    for marg in marginals:
-        marg *= scale
-        face_mass += float(marg[0] + marg[-1])
-    return total * scale, face_mass, math.prod(sizes), marginals
+        sums.append(complex(parts) * stride**d * scale)
+    mass, faces = _selected_masses(contract([_face_columns(np.ones(size)) for size in sizes], 1))
+
+    def marginals():
+        plans = _budgeted_plans("cone", [(shared, sizes, (k,)) for k in range(d)])
+        return [np.einsum(p[0], *factors, optimize=p[1]) * scale for p in plans]
+
+    return (*sums, [face * scale for face in faces], math.prod(sizes), mass * scale, marginals)
 
 
 # ---------------------------------------------------------------------------

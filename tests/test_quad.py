@@ -23,6 +23,7 @@ from whittaker_mb.quadrature import (
     _budgeted_plans,
     _greedy_path,
     _plan,
+    _support_tables,
     DimensionTooLarge,
     Infeasible,
     NotConverged,
@@ -389,20 +390,20 @@ def _dense_contour(num, den, variables, base, lam, hx, nodes, fixed):
 
 
 def _dense_cone(family, n, labels, efac, phase, nodes, s_shift):
-    """The cone sum of _cone_sum, from the complex integrand on the whole grid."""
+    """The cone sums of _cone_sum, from the complex integrand on the whole
+    grid, with the marginals as a list in place of _cone_sum's function."""
+    d = len(labels)
     grids = np.meshgrid(*nodes, indexing="ij")
     coords = {lab: np.exp(g) for lab, g in zip(labels, grids)}
     s = _cone_action(family, n, coords, efac)
     ph = sum(phase[lab] * g for lab, g in zip(labels, grids))
     voxel = math.prod(nd[1] - nd[0] for nd in nodes)
-    arr = np.exp(-(s - s_shift) - 1j * ph)
+    arr = np.exp(-(s - s_shift) - 1j * ph) * voxel
+    sums = [complex(arr[(slice(None, None, step),) * d].sum()) * step**d for step in (1, 2, 4)]
     mod = np.abs(arr)
-    face = sum(mod.take(0, axis=k).sum() + mod.take(-1, axis=k).sum() for k in range(len(labels)))
-    marginals = [
-        mod.sum(axis=tuple(j for j in range(len(labels)) if j != k)) * voxel
-        for k in range(len(labels))
-    ]
-    return complex(arr.sum()) * voxel, face * voxel, arr.size, marginals
+    faces = [mod.take(0, axis=k).sum() + mod.take(-1, axis=k).sum() for k in range(d)]
+    marginals = [mod.sum(axis=tuple(j for j in range(d) if j != k)) for k in range(d)]
+    return (*sums, faces, arr.size, mod.sum(), marginals)
 
 
 class TestContractedKernels:
@@ -446,13 +447,21 @@ class TestContractedKernels:
         nodes = [np.linspace(-2.0, 1.0, 2 * m + 1) for m in self.HALF[: len(labels)]]
         got = _cone_sum(family, n, labels, efac, phase, nodes, 1.5)
         ref = _dense_cone(family, n, labels, efac, phase, nodes, 1.5)
-        assert _close(got[0], ref[0])
-        assert _close(got[1], ref[1])
-        assert got[2] == ref[2]
+        for a, b in zip(got[:3], ref[:3]):  # strides 1, 2 and 4
+            assert _close(a, b)
         assert len(got[3]) == len(labels)
-        for a, b in zip(got[3], ref[3]):
+        for a, b in zip(got[3], ref[3]):  # face masses
+            assert _close(a, b)
+        assert got[4] == ref[4]
+        assert _close(got[5], ref[5])
+        marginals = got[6]()
+        assert len(marginals) == len(labels)
+        for face, a, b in zip(got[3], marginals, ref[6]):
             assert a.shape == b.shape
             assert np.all(np.abs(a - b) <= 1e-13 * b)
+            # the selector's masses against the per-axis contractions
+            assert _close(face, a[0] + a[-1])
+            assert _close(got[5], a.sum())
 
     @pytest.mark.parametrize("family", ["sp", "so_odd"])
     @pytest.mark.parametrize("box", [(-6.0, 6.0), (5.0, 6.5)])
@@ -468,14 +477,19 @@ class TestContractedKernels:
         s_min = float(_cone_action(family, 2, coords, efac).min())
         got = _cone_sum(family, 2, labels, efac, phase, nodes, s_min - 40.0)
         ref = _dense_cone(family, 2, labels, efac, phase, nodes, s_min - 40.0)
-        mass = float(ref[3][0].sum())
+        mass = float(ref[5])
         assert 0.0 < mass < 1e-10
-        assert np.isfinite(got[0]) and math.isfinite(got[1])
-        assert abs(got[0] - ref[0]) <= 1e-13 * mass
-        assert _close(got[1], ref[1])
+        assert all(np.isfinite(a) for a in got[:3]) and all(map(math.isfinite, got[3]))
+        # each stride's sum compares to the mass of its own grid
+        for stride, a, b in zip((1, 2, 4), got[:3], ref[:3]):
+            part = [nd[::stride] for nd in nodes]
+            assert abs(a - b) <= 1e-13 * _dense_cone(family, 2, labels, efac, phase, part, s_min - 40.0)[5]
+        for a, b in zip(got[3], ref[3]):
+            assert _close(a, b)
+        assert _close(got[5], mass)
         # where S - s_shift runs into the hundreds, the dense weight itself is
         # off by more than 1e-13 relative, so the marginals compare to the mass
-        for a, b in zip(got[3], ref[3]):
+        for a, b in zip(got[6](), ref[6]):
             assert np.all(np.isfinite(a))
             assert np.all(np.abs(a - b) <= 1e-13 * mass)
 
@@ -488,12 +502,13 @@ class TestContractedKernels:
             return _cone_sum(family, n, labels, efac, phase, nodes, 1.5)
 
         first = cone_sum("sp", 2, self.HALF)
-        cone_sum("sp", 2, (4, 6, 3, 5))
-        cone_sum("so_odd", 2, (6, 3, 5, 4))
-        cone_sum("gl", 3, self.HALF)
+        first_marginals = first[6]()
+        cone_sum("sp", 2, (4, 6, 3, 5))[6]()
+        cone_sum("so_odd", 2, (6, 3, 5, 4))[6]()
+        cone_sum("gl", 3, self.HALF)[6]()
         again = cone_sum("sp", 2, self.HALF)
-        assert first[:3] == again[:3]
-        for a, b in zip(first[3], again[3]):
+        assert first[:6] == again[:6]
+        for a, b in zip(first_marginals, again[6]()):
             assert np.array_equal(a, b)
 
 
@@ -585,6 +600,19 @@ class TestCommonStepLattice:
             spec = quad._refine_spec(old)
             assert seen[-1] == 0.7 * old.step
             assert spec.truncation == [t + 2.0 for t in old.truncation]
+
+    def test_one_direction_tables_exp_the_line(self):
+        rng = np.random.default_rng(5)
+        line = rng.normal(size=41) * 30 + 1j * rng.normal(size=41) * 30
+        idx = np.add.outer(np.arange(7), 2 * np.arange(13))  # p = (1, 2)
+        table, modulus = _support_tables([(line, idx)])
+        assert np.array_equal(table, np.exp(line[idx]))
+        assert np.array_equal(modulus, np.exp(line[idx].real))
+        # two directions: exp of the summed gathered tables
+        other = line[::-1].copy()
+        table, modulus = _support_tables([(line, idx), (other, idx[::-1])])
+        log = line[idx] + other[idx[::-1]]
+        assert np.array_equal(table, np.exp(log)) and np.array_equal(modulus, np.exp(log.real))
 
     def test_sp2_log_gamma_runs_on_lines(self, monkeypatch):
         import whittaker_mb.quadrature as quad
@@ -690,12 +718,15 @@ class TestContractionPlans:
         phase = _cone_phase_coeffs(family, 2, (0.5, -0.8))
         nodes = [np.linspace(-2.0, 1.0, m) for m in (61, 36, 41, 39)]
         got = _cone_sum(family, 2, labels, efac, phase, nodes, 1.5)
+        got_marginals = got[6]()
         real = quad._plan
         monkeypatch.setattr(quad, "_plan", lambda *job, nominal: real(*job, nominal=False))
         ref = _cone_sum(family, 2, labels, efac, phase, nodes, 1.5)
-        assert abs(got[0] - ref[0]) <= 1e-13 * abs(ref[0])
-        assert got[1:3] == pytest.approx(ref[1:3], rel=1e-13)
-        for a, b in zip(got[3], ref[3]):
+        for a, b in zip(got[:3], ref[:3]):
+            assert abs(a - b) <= 1e-13 * abs(b)
+        assert got[3] == pytest.approx(ref[3], rel=1e-13)
+        assert got[4:6] == pytest.approx(ref[4:6], rel=1e-13)
+        for a, b in zip(got_marginals, ref[6]()):
             assert np.all(np.abs(a - b) <= 1e-13 * b)
 
 
@@ -720,13 +751,7 @@ def _scalar_cone_box(family, n, labels, efac, lt):
                     best, best_s = float(val), s
             center[k] = best
     s_center = action(np.array(center))
-    if d <= 4:
-        dirs = [v for v in itertools.product((-1.0, 0.0, 1.0), repeat=d) if any(v)]
-    else:
-        rng_dirs = np.random.default_rng(12345)
-        dirs = [tuple(v) for v in np.eye(d)] + [tuple(-v) for v in np.eye(d)]
-        dirs += [tuple(rng_dirs.choice((-1.0, 0.0, 1.0), size=d)) for _ in range(48)]
-        dirs = [v for v in dirs if any(c != 0 for c in v)]
+    dirs = [v for v in itertools.product((-1.0, 0.0, 1.0), repeat=d) if any(v)]
     lo_b = [center[k] - 1.0 for k in range(d)]
     hi_b = [center[k] + 1.0 for k in range(d)]
     for v in dirs:
@@ -759,7 +784,7 @@ class TestConeBox:
 
     @pytest.mark.parametrize(
         "family,n",
-        [("gl", 2), ("so_odd", 1), ("gl", 3), ("so_even", 2), ("sp", 2), ("so_odd", 2), ("gl", 4)],
+        [("gl", 2), ("so_odd", 1), ("gl", 3), ("so_even", 2), ("sp", 2), ("so_odd", 2)],
     )
     def test_box_search_matches_scalar_march(self, family, n):
         rng = random.Random(zlib.crc32(repr(("box", family, n)).encode()))
@@ -780,16 +805,21 @@ class TestConeBox:
         h = 0.15
         while True:  # widen as eval_cone does until the face check passes
             nodes = [np.arange(lo, hi + h, h) for lo, hi in bounds]
-            total, face, evals, marginals = _cone_sum(family, 2, labels, efac, phase, nodes, s_center)
+            total, _, _, faces, evals, _, marginals = _cone_sum(
+                family, 2, labels, efac, phase, nodes, s_center
+            )
+            face = sum(faces)
             if face <= 0.1 * tol * abs(total):
                 break
             bounds = [(lo - 1.5, hi + 1.5) for lo, hi in bounds]
         limit = TRIM_SHARE * tol * abs(total) / (2 * len(labels))
+        marginals = marginals()
         kept, dropped = _cone_trim(nodes, marginals, limit)
         trimmed = [nd[(nd >= lo) & (nd <= hi)] for nd, (lo, hi) in zip(nodes, kept)]
-        part, part_face, part_evals, part_marginals = _cone_sum(
+        part, _, _, part_faces, part_evals, _, part_marginals = _cone_sum(
             family, 2, labels, efac, phase, trimmed, s_center
         )
+        part_face, part_marginals = sum(part_faces), part_marginals()
         assert dropped > 0 and part_evals < 0.5 * evals
         mass = sum(marginals[0])
         assert abs(total - part) <= dropped + 1e-13 * mass
@@ -815,6 +845,24 @@ class TestConeBox:
         # the untrimmed box converges on a 63 x 49 x 51 x 49 grid
         assert grids[-1] <= 0.5 * 63 * 49 * 51 * 49
 
+    def test_coarse_grids_end_on_both_faces(self, monkeypatch):
+        import whittaker_mb.quadrature as quad
+
+        grids = []
+        real = quad._cone_sum
+
+        def recording(*args):
+            grids.append(args[5])
+            return real(*args)
+
+        monkeypatch.setattr(quad, "_cone_sum", recording)
+        eval_cone("sp", 2, (0.7, -0.4), (0.3, -0.2), tol=1e-8)  # widens and trims
+        assert len(grids) > 2
+        for nodes in grids:
+            for nd in nodes:
+                assert (nd.size - 1) % 4 == 0
+                assert nd[::4][-1] == nd[::2][-1] == nd[-1]
+
     def test_error_estimates_cover_route_deviation(self):
         for family, tol in self.D4_TOL.items():
             integrand = assemble_mb_integrand(family, 2)
@@ -823,6 +871,33 @@ class TestConeBox:
                 cone = eval_cone(family, 2, lam, x, tol=tol)
                 assert abs(cone.value - mb.value) <= cone.est_error + mb.est_error
 
+    @pytest.mark.parametrize(
+        "route",
+        [
+            "cone",
+            pytest.param(
+                "mb",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the 4h grid (step 1.16) is pre-asymptotic: disc2 3.7e-8 and disc4 "
+                    "6.0e-4 extrapolate to 9.2e-12 against a 5.9e-11 deviation",
+                ),
+            ),
+        ],
+    )
+    def test_sp1_estimate_covers_tight_consensus(self, route):
+        lam, x = (1.962,), (0.671,)
+        integrand = assemble_mb_integrand("sp", 1)
+        tight_mb = eval_mb(integrand, x, lam, tol=1e-11)
+        tight_cone = eval_cone("sp", 1, lam, x, tol=1e-11)
+        assert abs(tight_mb.value - tight_cone.value) <= tight_mb.est_error + tight_cone.est_error
+        if route == "mb":
+            res = eval_mb(integrand, x, lam, tol=1e-6)
+        else:
+            res = eval_cone("sp", 1, lam, x, tol=1e-6)
+        assert res.converged
+        assert abs(res.value - tight_mb.value) <= res.est_error
+
     def test_every_attempt_widening_is_not_converged(self, monkeypatch):
         import whittaker_mb.quadrature as quad
 
@@ -830,7 +905,7 @@ class TestConeBox:
 
         def heavy_faces(*args):
             out = list(real(*args))
-            out[1] = 10.0 * abs(out[0])
+            out[3] = [10.0 * abs(out[0])]
             return tuple(out)
 
         monkeypatch.setattr(quad, "_cone_sum", heavy_faces)
@@ -869,21 +944,75 @@ class TestContractionBudget:
             eval_cone(*args, tol=2e-4)
 
         monkeypatch.setattr(quad, "MAX_ENTRIES", budget)
-        real, calls = quad._cone_sum, []
+        real_sum, real_trim, calls, trims = quad._cone_sum, quad._cone_trim, [], []
 
-        def second_over_budget(*a):
+        def heavy_faces_then_over_budget(*a):
             calls.append(a)
             if len(calls) == 2:
                 monkeypatch.setattr(quad, "MAX_ENTRIES", 16)
-            return real(*a)
+            out = list(real_sum(*a))
+            out[3] = [10.0 * abs(out[0])]
+            return tuple(out)
 
-        monkeypatch.setattr(quad, "_cone_sum", second_over_budget)
+        # the first attempt widens, the second is over budget: the first
+        # attempt's value is its own bound
+        monkeypatch.setattr(quad, "_cone_sum", heavy_faces_then_over_budget)
         with pytest.raises(NotConverged) as exc:
             eval_cone(*args, tol=2e-4)
         res = exc.value.result
         assert len(calls) == 2 and res is not None and not res.converged
         assert np.isfinite(res.value) and res.value != 0
         assert math.isfinite(res.est_error) and res.est_error >= abs(res.value)
+
+        def trim_then_over_budget(*a):
+            trims.append(a)
+            monkeypatch.setattr(quad, "MAX_ENTRIES", 16)
+            return real_trim(*a)
+
+        # an attempt misses a tight tol and is trimmed, the next is over
+        # budget: the trimmed attempt's estimate stays above tol
+        monkeypatch.setattr(quad, "MAX_ENTRIES", budget)
+        monkeypatch.setattr(quad, "_cone_sum", real_sum)
+        monkeypatch.setattr(quad, "_cone_trim", trim_then_over_budget)
+        with pytest.raises(NotConverged) as exc:
+            eval_cone(*args, tol=1e-8)
+        res = exc.value.result
+        assert len(trims) == 1 and res is not None and not res.converged
+        assert np.isfinite(res.value) and res.value != 0
+        assert math.isfinite(res.est_error) and 1e-8 * abs(res.value) < res.est_error < abs(res.value)
+
+    def test_cone_marginals_planned_only_before_a_trim(self, monkeypatch):
+        import whittaker_mb.quadrature as quad
+
+        args = ("sp", 2, (0.7, -0.4), (0.3, -0.2))
+        real_plans, real_trim, outputs, trims = quad._budgeted_plans, quad._cone_trim, [], []
+
+        def plans(what, jobs):
+            outputs.append([job[2] for job in jobs])
+            return real_plans(what, jobs)
+
+        monkeypatch.setattr(quad, "_budgeted_plans", plans)
+        monkeypatch.setattr(quad, "_cone_trim", lambda *a: trims.append(a) or real_trim(*a))
+        assert eval_cone(*args, tol=2e-4).converged
+        assert not trims and all(out == [(4, 5, 6, 7)] for out in outputs)
+
+        outputs.clear()
+        assert eval_cone(*args, tol=1e-8).converged
+        marginal_jobs = [out for out in outputs if out != [(4, 5, 6, 7)]]
+        assert trims and marginal_jobs == [[(0,), (1,), (2,), (3,)]] * len(trims)
+
+        # marginals over budget end the attempts with the last result
+        def marginals_over_budget(what, jobs):
+            if len(jobs) > 1:
+                raise DimensionTooLarge("marginals")
+            return real_plans(what, jobs)
+
+        monkeypatch.setattr(quad, "_budgeted_plans", marginals_over_budget)
+        with pytest.raises(NotConverged) as exc:
+            eval_cone(*args, tol=1e-8)
+        res = exc.value.result
+        assert res is not None and not res.converged
+        assert math.isfinite(res.est_error) and 1e-8 * abs(res.value) < res.est_error < abs(res.value)
 
     def test_so_even3_mellin_ends_typed_within_budget(self, tmp_path):
         import json
