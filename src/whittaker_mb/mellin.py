@@ -642,35 +642,21 @@ def mellin_of_whittaker(family: str, n: int) -> MellinSplit:
 @functools.cache
 def _mellin_split(family: str, n: int) -> MellinSplit:
     mb = _mb_integrand(family, n)
-    if family == "gl":
-        z_rows = []
-        for k in range(1, n):
-            row = [Fraction(0)] * n
-            row[k - 1], row[k] = Fraction(1), Fraction(-1)
-            z_rows.append(row)
-        extra = [Fraction(1)] * n  # determinant direction
-        basis = z_rows + [extra]
-    elif family == "so_even":
-        z_rows = []
-        for k in range(1, n):
-            row = [Fraction(0)] * n
-            row[k - 1], row[k] = Fraction(1), Fraction(-1)
-            z_rows.append(row)
+    z_rows = []
+    for k in range(1, n):
         row = [Fraction(0)] * n
-        row[n - 2], row[n - 1] = Fraction(1), Fraction(1)
+        row[k - 1], row[k] = Fraction(1), Fraction(-1)
         z_rows.append(row)
-        basis = z_rows
+    if family == "gl":
+        basis = z_rows + [[Fraction(1)] * n]  # determinant direction
     else:
-        z_rows = []
-        for k in range(1, n):
-            row = [Fraction(0)] * n
-            row[k - 1], row[k] = Fraction(1), Fraction(-1)
-            z_rows.append(row)
         row = [Fraction(0)] * n
+        if family == "so_even":
+            row[n - 2] = Fraction(1)
         row[n - 1] = Fraction(1)
         z_rows.append(row)
         basis = z_rows
-    nb = len(basis)
+    nb, n_outer = len(basis), len(z_rows)
     bt = [[basis[j][k] for j in range(nb)] for k in range(nb)]
 
     # outer combinations G_j: H = sum_j G_j (z_row_j . x)
@@ -684,27 +670,19 @@ def _mellin_split(family: str, n: int) -> MellinSplit:
                 outer_combo[j] = outer_combo[j] + AffineForm({var: q[j]})
 
     # lambda shifts: lambda . x = sum_j c_j(lambda) (z_row_j . x) (+ residual)
-    shifts = []
+    shifts = [AffineForm() for _ in z_rows]
     residual_lam = None
-    for j in range(nb):
-        shifts.append(AffineForm())
     for k in range(1, n + 1):
         rhs = [Fraction(1) if m == k - 1 else Fraction(0) for m in range(nb)]
         sol = _solve_exact(bt, rhs)
-        for j in range(len(z_rows)):
+        for j in range(n_outer):
             if sol[j] != 0:
                 shifts[j] = shifts[j] + AffineForm(ilam={k: sol[j]})
         if family == "gl" and sol[nb - 1] != 0:
             if residual_lam is None:
                 residual_lam = [Fraction(0)] * n
             residual_lam[k - 1] = sol[nb - 1]
-    n_outer = len(z_rows)
-    shifts = shifts[:n_outer]
-    if family == "gl":
-        residual_row = [Fraction(1)] * n
-    else:
-        residual_row = None
-        assert outer_combo[-1:] == outer_combo[-1:]
+    residual_row = [Fraction(1)] * n if family == "gl" else None
     outer_combo = outer_combo[:n_outer]
 
     # pivots: solve each G_j for one contour variable in terms of s_j

@@ -7,8 +7,10 @@ rule: the wave function (eval_mb), its Mellin transform at fixed outer
 variables (eval_mellin_transform) and the first Barnes lemma check
 (barnes_first_lemma_quad) are thin front ends that each hand it an
 MBIntegrand.  It plans the contour (plan_contour), contracts the sum,
-estimates the error and refines.  Gamma decay makes the trapezoid rule
-converge geometrically (Trefethen and Weideman, SIAM Rev. 56, 2014);
+estimates the error and refines, in the one attempt loop (_attempts)
+that serves the cone route too: the budget, the tol test and
+NotConverged are the same for both.  Gamma decay makes the trapezoid
+rule converge geometrically (Trefethen and Weideman, SIAM Rev. 56, 2014);
 per-axis truncation comes from the Gamma-decay envelope (spectral
 shifts and the imaginary parts of fixed symbols translate the profile,
 so they add to the truncation), and the error estimate extrapolates
@@ -38,9 +40,6 @@ boundary-shell mass of every axis at once.  Before any table is built,
 the plan's flop count and its largest table or intermediate, counted
 with the true axis lengths, are held against MAX_FLOPS and MAX_ENTRIES;
 a cached path over budget is planned once more with the true lengths.
-A first attempt still over budget raises DimensionTooLarge, and a
-refinement over budget ends the refinement with NotConverged and the
-last result.
 
 Every axis of the contour grid has the same step, and the coefficients
 of the contour variables in a factor are small integers (or rationals),
@@ -596,43 +595,59 @@ def _integrate(
     integrand: MBIntegrand, lam, tol, scale, attempts, x=None, fixed=None, base=None, phase=1.0
 ):
     """phase * scale * Int prod Gamma(num)/prod Gamma(den) exp(sum z_v hx_v) dy
-    over the shifted imaginary plane: plan, contract, estimate, refine.
-
-    The real `scale` multiplies the error estimate too, the unit-modulus
-    `phase` only the value.  At most `attempts` grids are tried.  A first
-    attempt over the contraction budget raises DimensionTooLarge; a later
-    one ends the refinement; NotConverged carries the last result.
-    """
+    over the shifted imaginary plane, on up to `attempts` grids (_attempts),
+    each the _refine_spec of the last.  The real `scale` multiplies the
+    error estimate too, the unit-modulus `phase` only the value."""
     t0 = time.perf_counter()
     variables = integrand.variables
     spec = plan_contour(integrand, lam, tol, x=x, base=base, fixed=fixed)
     base = dict(zip(variables, spec.base_point))
     rates = _axis_rates(integrand.num, integrand.den, variables)
     hx = _torus_slopes(integrand, x)
-    value = err = None
-    evals_total = 0
-    for attempt in range(attempts):
+
+    def attempt(spec):
         h = spec.step
         nodes = [np.arange(-(p // 2), p // 2 + 1) * h for p in spec.panels]
-        try:
-            fine, coarse, coarse4, face_abs, evals, mass = _contour_sum(
-                integrand.num, integrand.den, variables, base, lam, hx, nodes, fixed, step=h
-            )
-        except DimensionTooLarge:
-            if attempt == 0:
-                raise
-            break  # keep the best value computed so far
+        fine, coarse, coarse4, face_abs, evals, mass = _contour_sum(
+            integrand.num, integrand.den, variables, base, lam, hx, nodes, fixed, step=h
+        )
         tail = 0.0
         for k in range(len(variables)):
             tail += 3.0 * face_abs[k] / max(rates[k] * h, 1e-9) * h
-        evals_total += evals
-        value = phase * scale * fine
         err = scale * (_extrapolated(fine, coarse, coarse4, mass) + tail)
-        if err <= tol * max(abs(value), 1e-300) or abs(value) == 0.0:
+        return phase * scale * fine, err, evals, lambda: _refine_spec(spec)
+
+    return _attempts(attempt, spec, attempts, tol, t0, "estimated error {err:.3g} above tolerance")
+
+
+def _attempts(attempt, grid, tries, tol, t0, message):
+    """Up to `tries` attempts of a tensor trapezoid route (_integrate,
+    eval_cone), the first on `grid`: the loop of both routes.
+
+    attempt(grid) sums on one grid and returns (value, err, evals,
+    refine); refine() gives the next grid and is called only when another
+    attempt follows.  The first attempt with err <= tol |value|, or with
+    value exactly 0, is the result.  A first attempt over the contraction
+    budget raises DimensionTooLarge; a later one, or a refine() over it,
+    ends the attempts.  If none meets tol, NotConverged carries the last
+    result and `message` formatted with its err.  evaluations sums over
+    the attempts, and wall_time runs from t0.
+    """
+    evals_total = 0
+    for k in range(tries):
+        try:
+            if k:
+                grid = refine()
+            value, err, evals, refine = attempt(grid)
+        except DimensionTooLarge:
+            if k == 0:
+                raise
+            break  # keep the last result
+        evals_total += evals
+        if err <= tol * max(abs(value), 1e-300) or value == 0:
             return QuadResult(value, err, evals_total, time.perf_counter() - t0)
-        spec = _refine_spec(spec)
     result = QuadResult(value, err, evals_total, time.perf_counter() - t0, converged=False)
-    raise NotConverged(f"estimated error {err:.3g} above tolerance", result)
+    raise NotConverged(message.format(err=err), result)
 
 
 def _refine_spec(spec: ContourSpec) -> ContourSpec:
@@ -655,9 +670,7 @@ def eval_mb(
     Includes the e^{-i(lambda, x)} prefactor and the (2 pi i)^{-d}
     normalization.  `base_point` overrides the feasibility shift (used by
     the contour-independence checks); must satisfy the constraint set.
-    Raises DimensionTooLarge for d > 4 or when the first attempt's
-    contraction is over budget; a refinement over budget ends the
-    refinement (NotConverged with the last result).
+    Raises DimensionTooLarge for d > 4; the budget rules are _attempts'.
     """
     d = integrand.dimension
     if d > 4:
@@ -688,9 +701,7 @@ def eval_mellin_transform(split: MellinSplit, s_values, lam, tol: float = 1e-7) 
     The inner integral runs through the eval_mb engine with the outer
     symbols held fixed: Infeasible when no inner contour separates the
     poles at this s, PoleHit when a Gamma factor free of inner variables
-    sits on a pole, and the same contraction budget (DimensionTooLarge
-    when the first attempt is over it, NotConverged with the last result
-    when a refinement is).
+    sits on a pole, and the contraction budget of _attempts.
     """
     fixed = {("s", j + 1): complex(s_values[j]) for j in range(len(split.outer_vars))}
     variables = split.inner_vars
@@ -780,21 +791,18 @@ def eval_cone(
     DimensionTooLarge is raised before any work.
 
     Each attempt is checked first: if the mass on the boundary faces
-    exceeds 0.1 tol |value|, the box widens by _WIDEN per side and the
-    attempt repeats at the same step; such an attempt's est_error is
+    exceeds 0.1 tol |value|, the next attempt runs on the box widened by
+    _WIDEN per side at the same step, and this attempt's est_error is
     |value| plus the face and trimmed mass.  An attempt that passes is
     estimated on its own, by the rule of the Mellin-Barnes engine
     (_extrapolated on the sums at strides 1, 2 and 4), plus the face mass
-    and the mass trimmed off so far.  If that misses tol, the box is
-    trimmed to the mass this attempt measured before the next attempt,
-    whose step is 0.65 times shorter: from each end of each axis,
+    and the mass trimmed off so far.  If that misses tol, the next
+    attempt, whose step is 0.65 times shorter, runs on the box trimmed to
+    the mass this attempt measured: from each end of each axis,
     hyperplanes go while their cumulative mass stays within TRIM_SHARE
     tol |value| / (2 d), and the innermost of them stays as the new face
-    (_cone_trim).  When no attempt meets tol, NotConverged carries the
-    last attempt.  The contraction budget is that of the Mellin-Barnes
-    engine: a first attempt over it raises DimensionTooLarge, and a later
-    one (or the marginals of a trim) ends the attempts with NotConverged
-    and the last result.
+    (_cone_trim).  At most five attempts run, in the loop and under the
+    budget of the Mellin-Barnes engine (_attempts).
     """
     t0 = time.perf_counter()
     rs = build_root_system(family, n)
@@ -812,42 +820,33 @@ def eval_cone(
     nu_mag = max((abs(v) for v in phase.values()), default=0.0)
     h = min(0.34, 2.0 * math.pi / (12.0 + 2.0 * nu_mag))
     scale = math.exp(-s_center)
-    evals_total = 0
-    dropped = 0.0
-    for attempt in range(5):
+
+    def attempt(grid):
+        bounds, h, dropped = grid
+        # a multiple of 4 panels: the grids of every 2nd and 4th node end on both faces
         nodes = []
         for lo, hi in bounds:
-            m = int(math.ceil((hi - lo) / h))
-            m += -m % 4  # the grids of every 2nd and 4th node end on both faces
+            m = 2 * _half_panels((hi - lo) / 2, h)
             nodes.append(np.linspace(lo, lo + m * h, m + 1))
-        try:
-            fine, coarse, coarse4, faces, evals, mass, marginals = _cone_sum(
-                family, n, labels, efac, phase, nodes, s_center
-            )
-        except DimensionTooLarge:
-            if attempt == 0:
-                raise
-            break  # keep the last result
-        evals_total += evals
+        fine, coarse, coarse4, faces, evals, mass, marginals = _cone_sum(
+            family, n, labels, efac, phase, nodes, s_center
+        )
         value = pref * fine * scale
         face = sum(faces) * scale
         if face > 0.1 * tol * abs(value):
-            # boundary carries mass: the value itself is the bound; widen
-            # the box and retry
-            err = abs(value) + face + dropped
-            bounds = [(lo - _WIDEN, hi + _WIDEN) for lo, hi in bounds]
-            continue
+            # boundary carries mass: the value itself is the bound; widen the box
+            widened = [(lo - _WIDEN, hi + _WIDEN) for lo, hi in bounds]
+            return value, abs(value) + face + dropped, evals, lambda: (widened, h, dropped)
+
+        def trim():
+            kept, cut = _cone_trim(nodes, marginals(), TRIM_SHARE * tol * abs(fine) / (2 * d))
+            return kept, h * 0.65, dropped + cut * scale
+
         err = _extrapolated(fine, coarse, coarse4, mass) * scale + face + dropped
-        if err <= tol * max(abs(value), 1e-300):
-            return QuadResult(value, err, evals_total, time.perf_counter() - t0)
-        try:
-            bounds, cut = _cone_trim(nodes, marginals(), TRIM_SHARE * tol * abs(fine) / (2 * d))
-        except DimensionTooLarge:
-            break
-        dropped += cut * scale
-        h *= 0.65
-    result = QuadResult(value, err, evals_total, time.perf_counter() - t0, converged=False)
-    raise NotConverged(f"cone quadrature not converged (err {err:.3g})", result)
+        return value, err, evals, trim
+
+    message = "cone quadrature not converged (err {err:.3g})"
+    return _attempts(attempt, (bounds, h, 0.0), 5, tol, t0, message)
 
 
 def _cone_box(family, n, labels, efac, lt):

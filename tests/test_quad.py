@@ -915,6 +915,19 @@ class TestConeBox:
         assert res is not None and not res.converged
         assert math.isfinite(res.est_error) and res.est_error >= abs(res.value)
 
+    def test_no_trim_after_the_last_attempt(self, monkeypatch):
+        import whittaker_mb.quadrature as quad
+
+        real_sum, real_trim, sums, trims = quad._cone_sum, quad._cone_trim, [], []
+        monkeypatch.setattr(quad, "_cone_sum", lambda *a: sums.append(a) or real_sum(*a))
+        monkeypatch.setattr(quad, "_cone_trim", lambda *a: trims.append(a) or real_trim(*a))
+        # every attempt misses tol, so each is trimmed unless none follows it
+        monkeypatch.setattr(quad, "_extrapolated", lambda fine, *rest: abs(fine))
+        with pytest.raises(NotConverged) as exc:
+            eval_cone("gl", 2, (0.3, -0.2), (0.1, 0.0), tol=1e-6)
+        assert not exc.value.result.converged
+        assert len(sums) == 5 and len(trims) == 4
+
 
 class TestContractionBudget:
     @pytest.mark.parametrize(
@@ -933,6 +946,31 @@ class TestContractionBudget:
         monkeypatch.setattr(quad, "MAX_FLOPS", 10.0)
         with pytest.raises(DimensionTooLarge):
             evaluate()
+
+    def test_later_mb_attempt_over_budget_keeps_the_last_result(self, monkeypatch):
+        import whittaker_mb.quadrature as quad
+
+        mb = assemble_mb_integrand("gl", 2)
+        args = (mb, (0.0, 0.0), (0.0, 0.0))
+        with pytest.raises(NotConverged) as exc:
+            eval_mb(*args, tol=1e-15, max_refine=0)
+        first = exc.value.result
+
+        real = quad._contour_sum
+
+        def over_budget_after_the_first(*a, **kw):
+            out = real(*a, **kw)
+            monkeypatch.setattr(quad, "MAX_FLOPS", 10.0)
+            return out
+
+        monkeypatch.setattr(quad, "_contour_sum", over_budget_after_the_first)
+        with pytest.raises(NotConverged) as exc:
+            eval_mb(*args, tol=1e-15)
+        res = exc.value.result
+        assert not res.converged
+        assert (res.value, res.est_error, res.evaluations) == (
+            first.value, first.est_error, first.evaluations
+        )
 
     def test_cone_over_budget(self, monkeypatch):
         import whittaker_mb.quadrature as quad
