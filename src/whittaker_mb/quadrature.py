@@ -15,15 +15,25 @@ per-axis truncation comes from the Gamma-decay envelope (spectral
 shifts and the imaginary parts of fixed symbols translate the profile,
 so they add to the truncation), and the error estimate extrapolates
 three dyadic grid levels, never below the rounding level of the terms,
-and adds the boundary-shell mass.
+and adds the boundary-shell mass.  Without a torus weight, an attempt
+that meets tol must meet the strip bound of the same theorem as well
+(_strip_bound).
 
-The contour's base point comes from two feasibility LPs (scipy's HiGHS,
-imported on first use).  They read only the constraint forms, the
-variables, the real parts of the fixed symbols, the margin and the cap,
-so contour_base_point caches its solution per process under exactly
-that key and returns a new dict on every call.  eval_mb's constraint
-set depends only on the family and rank, so its LPs are solved once per
-structure; a Mellin transform solves them once per real part of s.
+The contour's base point comes from two feasibility LPs.  Their rows
+depend only on the constraint forms, the variables, the names of the
+fixed symbols, the margin and the cap, so they are built once per
+process for each such structure, and a call computes only the
+right-hand side from the real parts of the fixed symbols.  An active set
+that was optimal with positive multipliers stays optimal wherever its
+vertex is feasible, so each LP tries the structure's stored sets and
+calls scipy's HiGHS (imported on first use) only when none is feasible:
+200 gl 3, sp 2 or so_odd 2 Mellin transforms at s in [0.4, 2]^n need
+three HiGHS solves in all.  Where the phase-one optimum is not unique
+(gl 4 at every such s, so_even 3 at some) no set is stored and HiGHS
+runs on every call.  Every point is solved again from a canonical
+choice of its tight rows, so the base point depends only on the
+structure and the real parts of s, whatever ran before.  A Mellin
+transform builds its inner integrand once per split (_inner_integrand).
 
 The tensor sum is never formed as a dense grid.  Each Gamma factor
 depends on a few contour variables, so the factors sharing a support of
@@ -161,14 +171,21 @@ def contour_base_point(constraints, variables=None, fixed=None, margin=0.125, ca
 
     Phase one maximizes the minimum slack (capped, since large real
     shifts inflate the Gamma factors), phase two picks the minimum-norm
-    point at that slack; both phases are deterministic given the
-    constraint order.  Raises Infeasible when the best margin falls
+    point at that slack.  Raises Infeasible when the best margin falls
     below the requested one.
 
-    The LPs read only the constraint forms, the variables, the real
-    parts of `fixed`, `margin` and `cap`, so their solution is cached
-    per process under exactly that key; every call returns a new dict,
-    and Infeasible is raised on every call, never cached.
+    The rows of both LPs depend only on the constraint forms, the
+    variables, the names of the fixed symbols, `margin` and `cap`, so they
+    are built once per process for each such structure (_lp_model); a
+    call only computes the right-hand side from the real parts of
+    `fixed`.  Each phase reuses the structure's optimal active sets
+    (_LPPhase) and calls HiGHS only when none of them is feasible, and
+    every point is solved again from a canonical choice of its tight
+    rows, so the base point depends only on the structure and the real
+    parts of `fixed`, never on the calls before it.  A structure keeps
+    the point of its last right-hand side, so one without fixed symbols
+    (eval_mb's) solves its LPs once.  Every call returns a new dict, and
+    Infeasible is raised on every call.
     """
     if variables is None:
         seen = []
@@ -177,72 +194,184 @@ def contour_base_point(constraints, variables=None, fixed=None, margin=0.125, ca
                 if (fixed is None or v not in fixed) and v not in seen:
                     seen.append(v)
         variables = seen
-    fixed_re = tuple(sorted((v, complex(s).real) for v, s in (fixed or {}).items()))
-    point = _base_point(tuple(constraints), tuple(variables), fixed_re, margin, cap)
+    names = tuple(sorted(fixed or ()))
+    model = _lp_model(tuple(constraints), tuple(variables), names, margin, cap)
+    point = model([complex(fixed[v]).real for v in names])
     return dict(zip(variables, point))
 
 
-@functools.lru_cache(maxsize=256)
-def _base_point(constraints, variables, fixed_re, margin, cap):
-    """The two feasibility LPs of contour_base_point: the base point as a
-    tuple in the order of `variables`; `fixed_re` holds (symbol, real
-    part) pairs of the symbols that are not integrated."""
-    from scipy.optimize import linprog
+# Active-set reuse: a stored set's vertex is accepted when no row is violated
+# by more than _FEASIBLE (1 + |h_i|), a row is tight where its slack is at
+# most _TIGHT (1 + |h_i|), and a set is stored when all its multipliers
+# exceed _TIGHT.
+_FEASIBLE = 1e-12
+_TIGHT = 1e-9
 
-    fixed = dict(fixed_re)
-    d = len(variables)
-    idx = {v: k for k, v in enumerate(variables)}
-    if d == 0:
-        slacks = constraint_slacks(constraints, {}, fixed)
-        if slacks and min(slacks) < margin:
-            raise Infeasible("constant constraints violated")
-        return ()
-    rows, rhs = [], []
-    for f in constraints:
-        row = [0.0] * d
-        c = float(f.const)
-        for v, a in f.gamma.items():
-            if v in fixed:
-                c += float(a) * fixed[v]
-            elif v in idx:
-                row[idx[v]] = -float(a)
-        rows.append(row)
-        rhs.append(c)
-    bound = max(10.0, 4.0 * d)
-    res = linprog(
-        [0.0] * d + [-1.0],
-        A_ub=[row + [1.0] for row in rows],
-        b_ub=rhs,
-        bounds=[(-bound, bound)] * d + [(None, cap)],
-        method="highs",
-    )
-    if not res.success:
-        raise Infeasible(f"feasibility LP failed: {res.message}")
-    delta = res.x[d]
-    if delta < margin:
-        raise Infeasible(f"best margin {delta:.4g} below requested {margin:.4g}")
-    # phase two: smallest L1-norm point achieving slack delta
-    target = 0.999 * delta
-    rows2 = [row + [0.0] * d for row in rows]
-    rhs2 = [c - target for c in rhs]
-    for k in range(d):
-        pos = [0.0] * (2 * d)
-        pos[k], pos[d + k] = 1.0, -1.0
-        rows2.append(pos)
-        rhs2.append(0.0)
-        neg = [0.0] * (2 * d)
-        neg[k], neg[d + k] = -1.0, -1.0
-        rows2.append(neg)
-        rhs2.append(0.0)
-    res2 = linprog(
-        [0.0] * d + [1.0] * d,
-        A_ub=rows2,
-        b_ub=rhs2,
-        bounds=[(-bound, bound)] * d + [(0.0, bound)] * d,
-        method="highs",
-    )
-    x = res2.x[:d] if res2.success else res.x[:d]
-    return tuple(float(x[idx[v]]) for v in variables)
+
+class _LPPhase:
+    """One LP, min cost . z over A_ub z <= b_ub and per-variable bounds,
+    whose rows are fixed and whose b_ub comes with each solve.
+
+    The bounds are rows too: G z <= h stacks A_ub and the finite bounds.
+    An active set S (as many independent rows of G as variables) whose
+    multipliers -G_S^-T cost are all positive was optimal once, and its
+    vertex G_S^-1 h_S is then the unique optimum for every h that makes
+    it feasible (Bertsimas and Tsitsiklis, Introduction to Linear
+    Optimization, 1997, section 5.1).  solve() tries the stored sets
+    first and calls HiGHS only when none is feasible; either way it
+    returns the vertex of the canonical active set of the point's tight
+    rows (the first independent ones in row order), so the bits of the
+    result do not depend on which sets were stored before.
+    """
+
+    def __init__(self, a_ub, cost, bounds):
+        n = len(cost)
+        rows, h_bounds = [list(r) for r in a_ub], []
+        for k, (lo, hi) in enumerate(bounds):
+            for sign, value in ((1.0, hi), (-1.0, lo)):
+                if value is not None:
+                    row = [0.0] * n
+                    row[k] = sign
+                    rows.append(row)
+                    h_bounds.append(sign * value)
+        self.a_ub = a_ub
+        self.cost = cost
+        self.bounds = bounds
+        self.g = np.array(rows)
+        self.h_bounds = np.array(h_bounds)
+        self.stored = []  # (rows, G_S^-1) of optimal sets with positive multipliers
+        self.bases = {}  # tight rows -> (rows, G_S^-1, positive) or None
+
+    def solve(self, b_ub):
+        h = np.concatenate((b_ub, self.h_bounds))
+        scale = 1.0 + np.abs(h)
+        for rows, inv in self.stored:
+            z = inv @ h[rows]
+            slack = h - self.g @ z
+            if (slack >= -_FEASIBLE * scale).all():
+                found = False
+                break
+        else:
+            from scipy.optimize import linprog
+
+            res = linprog(self.cost, A_ub=self.a_ub, b_ub=b_ub, bounds=self.bounds, method="highs")
+            if not res.success:
+                raise Infeasible(f"feasibility LP failed: {res.message}")
+            z, found = res.x, True
+            slack = h - self.g @ z
+        tight = tuple(np.flatnonzero(slack <= _TIGHT * scale).tolist())
+        if tight not in self.bases:
+            self.bases[tight] = self._basis(tight)
+        basis = self.bases[tight]
+        if basis is None:  # fewer independent tight rows than variables
+            return z
+        rows, inv, positive = basis
+        if found and positive and not any(np.array_equal(rows, r) for r, _ in self.stored):
+            self.stored.append((rows, inv))
+        return inv @ h[rows]
+
+    def _basis(self, tight):
+        n = len(self.cost)
+        rows = []
+        for i in tight:
+            if np.linalg.matrix_rank(self.g[rows + [i]]) > len(rows):
+                rows.append(i)
+                if len(rows) == n:
+                    break
+        if len(rows) < n:
+            return None
+        rows = np.array(rows)
+        inv = np.linalg.inv(self.g[rows])
+        return rows, inv, bool((inv.T @ self.cost < -_TIGHT).all())
+
+
+class _BasePointLP:
+    """The two LPs of contour_base_point for one constraint structure;
+    calling it with the real parts of the fixed symbols (in the order of
+    `fixed_names`) gives the base point as a tuple in the order of
+    `variables`."""
+
+    def __init__(self, constraints, variables, fixed_names, margin, cap):
+        d = len(variables)
+        idx = {v: k for k, v in enumerate(variables)}
+        pos = {v: k for k, v in enumerate(fixed_names)}
+        self.d, self.margin = d, margin
+        # per constraint: its constant and its (position, coefficient) on fixed symbols
+        self.rhs_terms = []
+        rows = []
+        for f in constraints:
+            row = [0.0] * d
+            terms = []
+            for v, a in f.gamma.items():
+                if v in pos:
+                    terms.append((pos[v], float(a)))
+                elif v in idx:
+                    row[idx[v]] = -float(a)
+            rows.append(row)
+            self.rhs_terms.append((float(f.const), terms))
+        self.last = None
+        bound = max(10.0, 4.0 * d)
+        # phase one in (x, delta): a_i . x + c_i >= delta, delta <= cap
+        self.phase1 = _LPPhase(
+            [row + [1.0] for row in rows],
+            [0.0] * d + [-1.0],
+            [(-bound, bound)] * d + [(None, cap)],
+        )
+        # phase two in (x, t): slack >= target and |x_k| <= t_k, min sum t
+        rows2 = [row + [0.0] * d for row in rows]
+        for k in range(d):
+            pos_row = [0.0] * (2 * d)
+            pos_row[k], pos_row[d + k] = 1.0, -1.0
+            neg_row = [0.0] * (2 * d)
+            neg_row[k], neg_row[d + k] = -1.0, -1.0
+            rows2 += [pos_row, neg_row]
+        self.phase2 = _LPPhase(
+            rows2, [0.0] * d + [1.0] * d, [(-bound, bound)] * d + [(0.0, bound)] * d
+        )
+
+    def __call__(self, fixed_re):
+        # The point (or the Infeasible message) of the last real parts: a
+        # structure without fixed symbols has one right-hand side, so its
+        # LPs run once, even where their optimum is not unique.
+        key = tuple(fixed_re)
+        if self.last is None or self.last[0] != key:
+            try:
+                self.last = (key, self._point(key), None)
+            except Infeasible as exc:
+                self.last = (key, None, str(exc))
+        _, point, error = self.last
+        if error is not None:
+            raise Infeasible(error)
+        return point
+
+    def _point(self, fixed_re):
+        rhs = []
+        for c, terms in self.rhs_terms:
+            for k, a in terms:
+                c += a * fixed_re[k]
+            rhs.append(c)
+        d = self.d
+        if d == 0:
+            if rhs and min(rhs) < self.margin:
+                raise Infeasible("constant constraints violated")
+            return ()
+        z = self.phase1.solve(np.array(rhs))
+        delta = float(z[d])
+        if delta < self.margin:
+            raise Infeasible(f"best margin {delta:.4g} below requested {self.margin:.4g}")
+        # phase two: smallest L1-norm point achieving slack delta
+        target = 0.999 * delta
+        try:
+            z = self.phase2.solve(np.array([c - target for c in rhs] + [0.0] * (2 * d)))
+        except Infeasible:
+            pass  # keep the phase-one point
+        return tuple(float(v) for v in z[:d])
+
+
+@functools.lru_cache(maxsize=64)
+def _lp_model(constraints, variables, fixed_names, margin, cap):
+    """The LP model of one constraint structure, built once per process."""
+    return _BasePointLP(constraints, variables, fixed_names, margin, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +726,19 @@ def _integrate(
     """phase * scale * Int prod Gamma(num)/prod Gamma(den) exp(sum z_v hx_v) dy
     over the shifted imaginary plane, on up to `attempts` grids (_attempts),
     each the _refine_spec of the last.  The real `scale` multiplies the
-    error estimate too, the unit-modulus `phase` only the value."""
+    error estimate too, the unit-modulus `phase` only the value.
+
+    Without a torus weight (x None: a Mellin transform, the Barnes lemma)
+    an attempt whose estimate meets tol is held to the strip bound as
+    well (_strip_bound).  The three-level estimate can miss there: the
+    base point sits about as far from the pole lines on either side,
+    whose aliases can cancel on the grid of every second node and not on
+    the grid itself, and the extrapolation then trusts the cancelled
+    level.
+    With a torus weight the bound is loose and not used: on sp 2 evals it
+    reads 20 to 400 times the tolerance their honest estimates met, and
+    eval_mb is checked against the cone route.
+    """
     t0 = time.perf_counter()
     variables = integrand.variables
     spec = plan_contour(integrand, lam, tol, x=x, base=base, fixed=fixed)
@@ -615,9 +756,51 @@ def _integrate(
         for k in range(len(variables)):
             tail += 3.0 * face_abs[k] / max(rates[k] * h, 1e-9) * h
         err = scale * (_extrapolated(fine, coarse, coarse4, mass) + tail)
+        if x is None and err <= tol * abs(scale * fine):
+            err = max(err, abs(scale) * _strip_bound(integrand, base, lam, nodes, fixed, h))
         return phase * scale * fine, err, evals, lambda: _refine_spec(spec)
 
     return _attempts(attempt, spec, attempts, tol, t0, "estimated error {err:.3g} above tolerance")
+
+
+# Share of the distance to the nearest pole line by which _strip_bound
+# shifts the contour, and the shift on a side without one.
+_STRIP_SHARE = 0.9
+_STRIP_FREE = 2.0
+
+
+def _strip_bound(integrand: MBIntegrand, base, lam, nodes, fixed, step):
+    """Bound on the discretization error of the trapezoid sum at `step`
+    of a Gamma-product integrand without torus weight (Trefethen and
+    Weideman, SIAM Rev. 56, 2014, Thm 5.1, one side at a time).
+
+    On each axis and side, the contour may move by the distance a to the
+    nearest pole line with the other axes held (_STRIP_FREE where no
+    constraint limits that side); moved by _STRIP_SHARE a, the integrand
+    has the mass M, and the aliases from that side are at most
+    M / (exp(2 pi a / step) - 1).  M is summed on the grid of every
+    second node, which the estimate already uses, so a bound costs 2^-d
+    of an attempt's table per axis and side.
+    """
+    variables = integrand.variables
+    slacks = constraint_slacks(integrand.constraints, base, fixed)
+    coarse = [n[::2] for n in nodes]
+    total = 0.0
+    for v in variables:
+        for side in (1.0, -1.0):
+            reach = _STRIP_FREE
+            for f, slack in zip(integrand.constraints, slacks):
+                c = side * float(f.gamma.get(v, 0))
+                if c < 0:
+                    reach = min(reach, slack / -c)
+            a = _STRIP_SHARE * reach
+            moved = dict(base)
+            moved[v] += side * a
+            mass = _contour_sum(
+                integrand.num, integrand.den, variables, moved, lam, {}, coarse, fixed, step=2 * step
+            )[5]
+            total += mass / math.expm1(2.0 * math.pi * a / step)
+    return total
 
 
 def _attempts(attempt, grid, tries, tol, t0, message):
@@ -704,15 +887,36 @@ def eval_mellin_transform(split: MellinSplit, s_values, lam, tol: float = 1e-7) 
     sits on a pole, and the contraction budget of _attempts.
     """
     fixed = {("s", j + 1): complex(s_values[j]) for j in range(len(split.outer_vars))}
-    variables = split.inner_vars
-    constraints = []
-    for f in split.num:
-        cf = AffineForm(f.gamma, const=f.const)
-        if any(v in variables for v in f.gamma) and cf not in constraints:
-            constraints.append(cf)
-    inner = MBIntegrand(split.family, split.n, variables, split.num, split.den, {}, constraints)
-    scale = (2.0 * math.pi) ** (-len(variables)) * float(split.jacobian)
+    inner = _inner_integrand(split)
+    scale = (2.0 * math.pi) ** (-len(inner.variables)) * float(split.jacobian)
     return _integrate(inner, lam, tol, scale, 4, fixed=fixed)
+
+
+# (family, n, inner variables) -> ((num, den), inner integrand) of the last split seen
+_INNER = {}
+
+
+def _inner_integrand(split: MellinSplit) -> MBIntegrand:
+    """The integrand over the inner variables of `split`, with one
+    constraint per distinct inner Gamma argument of the numerator (its
+    lambda part dropped), built once per split: the copies that
+    mellin_of_whittaker returns share their forms, so the check that the
+    forms are the ones it was built from is an identity test per form."""
+    key = (split.family, split.n, tuple(split.inner_vars))
+    forms = (tuple(split.num), tuple(split.den))
+    hit = _INNER.get(key)
+    if hit is None or hit[0] != forms:
+        variables = list(split.inner_vars)
+        constraints = []
+        for f in split.num:
+            cf = AffineForm(f.gamma, const=f.const)
+            if any(v in variables for v in f.gamma) and cf not in constraints:
+                constraints.append(cf)
+        inner = MBIntegrand(
+            split.family, split.n, variables, list(split.num), list(split.den), {}, constraints
+        )
+        hit = _INNER[key] = (forms, inner)
+    return hit[1]
 
 
 # ---------------------------------------------------------------------------

@@ -330,25 +330,33 @@ class TestRuntimeDependencies:
 class TestCallHistory:
     def test_outputs_do_not_depend_on_earlier_calls(self, tmp_path):
         """What one process keeps between calls (the parser, integrands,
-        splits and base points) never changes an output: each call of a
-        mixed sequence writes what a fresh process writes for its argv."""
+        splits and the base-point LP models with their active sets) never
+        changes an output: each call of a mixed sequence writes what a
+        fresh process writes for its argv.  The gl 3 grid has rows with
+        s1 < s2, s1 = s2 and s1 > s2, and runs after a row with s1 > s2,
+        so its first row meets a model that holds only the other side's
+        active sets."""
         import os
         import subprocess
         import sys
 
         import whittaker_mb
+        from whittaker_mb.quadrature import _lp_model
 
         eval_sp2 = ["eval", "--group", "sp", "--rank", "2", "--lambda=0.9,-0.5",
                     "--x=0.3,-0.2", "--method", "cross"]
+        gl3 = ["mellin-table", "--group", "gl", "--rank", "3", "--lambda=0.4,-0.1,-0.3"]
         sequence = [
             (eval_sp2, 0),
             (["eval", "--group", "gl", "--rank", "2", "--lambda=1", "--x=0,0"], 2),
             (["frobnicate", "--group", "gl"], 2),
-            (["mellin-table", "--group", "gl", "--rank", "3", "--lambda=0.4,-0.1,-0.3",
-              "--s-grid=0.8:1.2:2"], 0),
+            (gl3 + ["--s-grid=0.8:1.2:2"], 0),
             (["verify", "--group", "gl", "--rank", "2", "--trials", "2"], 0),
             (eval_sp2, 0),
+            (gl3 + ["--s-grid=1.3:1.3:1;0.7:0.7:1"], 0),
+            (gl3 + ["--s-grid=0.6:1.4:3"], 0),
         ]
+        _lp_model.cache_clear()
         src = os.path.dirname(os.path.dirname(os.path.abspath(whittaker_mb.__file__)))
 
         def written(path):

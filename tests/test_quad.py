@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from whittaker_mb.mellin import AffineForm, assemble_mb_integrand, mellin_of_whittaker
+from whittaker_mb.mellin import AffineForm, assemble_mb_integrand, bump_gl3, mellin_of_whittaker
 from whittaker_mb.gammafn import PoleHit, log_gamma_array
 from whittaker_mb.quadrature import (
     _cone_action,
@@ -19,10 +19,12 @@ from whittaker_mb.quadrature import (
     _cone_sum,
     _cone_trim,
     _contour_sum,
-    _base_point,
+    _inner_integrand,
+    _lp_model,
     _budgeted_plans,
     _greedy_path,
     _plan,
+    _strip_bound,
     _support_tables,
     DimensionTooLarge,
     Infeasible,
@@ -169,27 +171,97 @@ def _split_constraints(split):
     return out
 
 
+def _highs_base_point(constraints, variables, fixed=None, margin=0.125, cap=1.0):
+    """contour_base_point's two LPs straight from scipy's HiGHS, with no
+    reuse of anything between calls: the point as a tuple in the order of
+    `variables`, or None where the best margin is below `margin`."""
+    from scipy.optimize import linprog
+
+    fixed = {v: complex(s).real for v, s in (fixed or {}).items()}
+    d = len(variables)
+    idx = {v: k for k, v in enumerate(variables)}
+    rows, rhs = [], []
+    for f in constraints:
+        row, c = [0.0] * d, float(f.const)
+        for v, a in f.gamma.items():
+            if v in fixed:
+                c += float(a) * fixed[v]
+            elif v in idx:
+                row[idx[v]] = -float(a)
+        rows.append(row)
+        rhs.append(c)
+    bound = max(10.0, 4.0 * d)
+    res = linprog(
+        [0.0] * d + [-1.0], A_ub=[row + [1.0] for row in rows], b_ub=rhs,
+        bounds=[(-bound, bound)] * d + [(None, cap)], method="highs",
+    )
+    assert res.success
+    if res.x[d] < margin:
+        return None
+    target = 0.999 * res.x[d]
+    rows2 = [row + [0.0] * d for row in rows]
+    rhs2 = [c - target for c in rhs]
+    for k in range(d):
+        for sign in (1.0, -1.0):
+            row = [0.0] * (2 * d)
+            row[k], row[d + k] = sign, -1.0
+            rows2.append(row)
+            rhs2.append(0.0)
+    res2 = linprog(
+        [0.0] * d + [1.0] * d, A_ub=rows2, b_ub=rhs2,
+        bounds=[(-bound, bound)] * d + [(0.0, bound)] * d, method="highs",
+    )
+    assert res2.success
+    return tuple(float(v) for v in res2.x[:d])
+
+
+def _counting_linprog(monkeypatch):
+    """Count scipy.optimize.linprog calls from here on (a one-item list)."""
+    import scipy.optimize
+
+    calls = [0]
+    real = scipy.optimize.linprog
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
+    return calls
+
+
+def _base_point_or_none(constraints, variables, fixed):
+    try:
+        got = contour_base_point(constraints, variables=variables, fixed=fixed)
+    except Infeasible:
+        return None
+    return tuple(got[v] for v in variables)
+
+
 class TestBasePointCache:
     @pytest.mark.parametrize("family,n", MB_STRUCTURES)
-    def test_cached_equals_uncached_lp(self, family, n):
+    def test_cached_equals_uncached_lp(self, family, n, monkeypatch):
+        # eval_mb's LPs run once per structure, also where the phase-one
+        # optimum is not unique and no active set is stored
         mb = assemble_mb_integrand(family, n)
         assert mb.dimension <= 4
-        lp = _base_point.__wrapped__(tuple(mb.constraints), tuple(mb.variables), (), 0.125, 1.0)
-        want = dict(zip(mb.variables, lp))
+        want = _highs_base_point(mb.constraints, mb.variables)
+        _lp_model.cache_clear()
+        cold = contour_base_point(mb.constraints, variables=mb.variables)
+        calls = _counting_linprog(monkeypatch)
         for _ in range(2):
-            assert contour_base_point(mb.constraints, variables=mb.variables) == want
+            assert contour_base_point(mb.constraints, variables=mb.variables) == cold
+        assert calls[0] == 0
+        assert max(abs(cold[v] - w) for v, w in zip(mb.variables, want)) <= 1e-9
 
     def test_gl3_split_equals_uncached_lp(self):
         split = mellin_of_whittaker("gl", 3)
         constraints = _split_constraints(split)
         for s in ((0.8 + 0.3j, 1.1 - 0.2j), (1.4, 0.6)):
             fixed = {("s", j + 1): complex(v) for j, v in enumerate(s)}
-            fixed_re = tuple(sorted((k, v.real) for k, v in fixed.items()))
-            lp = _base_point.__wrapped__(
-                tuple(constraints), tuple(split.inner_vars), fixed_re, 0.125, 1.0
-            )
+            want = _highs_base_point(constraints, split.inner_vars, fixed)
             got = contour_base_point(constraints, variables=split.inner_vars, fixed=fixed)
-            assert got == dict(zip(split.inner_vars, lp))
+            assert max(abs(got[v] - w) for v, w in zip(split.inner_vars, want)) <= 1e-9
 
     def test_returned_dict_is_fresh(self):
         mb = assemble_mb_integrand("gl", 3)
@@ -208,24 +280,148 @@ class TestBasePointCache:
             with pytest.raises(Infeasible):
                 contour_base_point([AffineForm({("s", 1): 1})], fixed={("s", 1): -1.0})
 
-    def test_fixed_real_parts_are_the_key(self):
-        # a structure no other test uses, so the first call is a miss
+    def test_fixed_real_parts_are_the_key(self, monkeypatch):
+        # only the real parts of the fixed values, not their order or their
+        # imaginary parts, reach the point; the second call reuses the
+        # structure's LP model and its active sets, so HiGHS is not called
         forms = [
             AffineForm({("g", 2, 3): 1, ("s", 1): 1}, const=Fraction(7, 3)),
             AffineForm({("g", 2, 3): -1, ("s", 2): 1}),
         ]
-        info = _base_point.cache_info
-        before = info()
-        a = contour_base_point(forms, fixed={("s", 1): 0.5 + 2j, ("s", 2): 1.5})
-        mid = info()
-        assert (mid.misses, mid.hits) == (before.misses + 1, before.hits)
-        b = contour_base_point(forms, fixed={("s", 2): 1.5 - 4j, ("s", 1): 0.5})
-        after = info()
-        assert (after.misses, after.hits) == (mid.misses, mid.hits + 1)
+        _lp_model.cache_clear()
+        calls = _counting_linprog(monkeypatch)
+        a = contour_base_point(forms, fixed={("s", 1): -2.5 + 2j, ("s", 2): 1.5})
+        assert calls[0] == 2
+        b = contour_base_point(forms, fixed={("s", 2): 1.5 - 4j, ("s", 1): -2.5})
+        assert calls[0] == 2
         assert a == b
-        c = contour_base_point(forms, fixed={("s", 1): 0.5, ("s", 2): 0.75})
-        assert info().misses == after.misses + 1
+        fixed = {("s", 1): -2.5, ("s", 2): 1.25}
+        c = contour_base_point(forms, fixed=fixed)
+        assert calls[0] == 2  # the same active sets at another Re s
         assert c != a
+        want = _highs_base_point(forms, [("g", 2, 3)], fixed)
+        assert abs(c[("g", 2, 3)] - want[0]) <= 1e-9
+
+
+class TestLPModel:
+    @pytest.mark.parametrize("family,n", [("gl", 3), ("sp", 2), ("so_even", 3), ("gl", 4)])
+    def test_cold_and_warm_models_agree(self, family, n):
+        """The base point of a split depends on the structure and Re s
+        only: a fresh model per call, one model over the points in order
+        and one over them in reverse give the same bits, within 1e-9 of
+        HiGHS, with Infeasible on the same points."""
+        split = mellin_of_whittaker(family, n)
+        constraints = _split_constraints(split)
+        variables = split.inner_vars
+        rng = random.Random(zlib.crc32(repr(("lp model", family, n)).encode()))
+        points = []
+        for k in range(100):
+            s = [rng.uniform(-0.3, 2.5) for _ in split.outer_vars]
+            if k % 4 == 0:
+                s[1] = s[0]  # ties s_1 = s_2
+            points.append({("s", j + 1): complex(v, rng.uniform(-1, 1)) for j, v in enumerate(s)})
+        cold = []
+        for fixed in points:
+            _lp_model.cache_clear()
+            cold.append(_base_point_or_none(constraints, variables, fixed))
+        _lp_model.cache_clear()
+        forward = [_base_point_or_none(constraints, variables, fixed) for fixed in points]
+        _lp_model.cache_clear()
+        backward = [_base_point_or_none(constraints, variables, f) for f in reversed(points)]
+        assert forward == cold
+        assert backward[::-1] == cold
+        feasible = 0
+        for got, fixed in zip(cold, points):
+            want = _highs_base_point(constraints, variables, fixed)
+            assert (got is None) == (want is None)
+            if got is not None:
+                feasible += 1
+                assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9
+        assert 10 <= feasible <= 90
+
+    def test_gl3_rows_reuse_active_sets(self, monkeypatch):
+        """200 gl 3 Mellin rows at s in [0.4, 2]^2 need at most 3 HiGHS
+        solves: one phase-one set for each side of s_1 = s_2 and one
+        phase-two set; without reuse every row solves both LPs."""
+        split = mellin_of_whittaker("gl", 3)
+        rng = random.Random(19)
+        _lp_model.cache_clear()
+        calls = _counting_linprog(monkeypatch)
+        for _ in range(200):
+            s = (rng.uniform(0.4, 2.0), rng.uniform(0.4, 2.0))
+            lam = tuple(rng.uniform(-2, 2) for _ in range(3))
+            eval_mellin_transform(split, s, lam, tol=1e-4)
+        assert calls[0] <= 3
+
+    def test_degenerate_vertex_stores_no_suboptimal_set(self):
+        """At s2 = 2 s1 all three rows are tight at the phase-one optimum,
+        and the first two independent ones (the canonical set) have a
+        negative multiplier: their vertex is optimal only on the tie, so
+        it must not be reused at s2 > 2 s1, where it gives margin 0."""
+        g = ("g", 1, 2)
+        forms = [
+            AffineForm({g: -3, ("s", 2): 1}),
+            AffineForm({g: -1, ("s", 1): 1}),
+            AffineForm({g: 1}),
+        ]
+        _lp_model.cache_clear()
+        for s1, s2 in ((1.0, 2.0), (1.0, 3.0), (1.0, 1.5)):
+            fixed = {("s", 1): s1, ("s", 2): s2}
+            got = contour_base_point(forms, fixed=fixed)
+            want = _highs_base_point(forms, [g], fixed)
+            assert abs(got[g] - want[0]) <= 1e-9
+
+    def test_inner_integrand_built_once_per_split(self):
+        split = mellin_of_whittaker("gl", 3)
+        inner = _inner_integrand(split)
+        assert _inner_integrand(mellin_of_whittaker("gl", 3)) is inner
+        assert inner.constraints == _split_constraints(split)
+        assert inner.variables == split.inner_vars and inner.variables is not split.inner_vars
+        # a split with other forms gets its own integrand
+        split.num = split.num + [AffineForm({split.inner_vars[0]: 1}, const=2)]
+        other = _inner_integrand(split)
+        assert other is not inner
+        assert other.constraints == _split_constraints(split)
+        assert len(other.constraints) == len(inner.constraints) + 1
+
+
+# gl 3 Mellin rows of the benchmark's many_small stream (seeds 201 and 75)
+# whose first attempt met tol 1e-7 on the three-level estimate while about
+# 1e-6 off Bump's formula
+CANCELLED_ALIAS_ROWS = [
+    ((1.3167976542526523, 1.1383492539615647),
+     (-0.2610170691267455, -1.4064513184552703, -0.9508435005947997)),
+    ((1.2005403386888611, 1.9234341705019329),
+     (1.6729382262362038, -0.08882025140318328, 0.47491413025216556)),
+    ((1.3240251026612282, 1.4785387093602904),
+     (-1.0458411818301028, 1.1133167801611594, 1.7440165032776993)),
+]
+
+
+class TestStripBound:
+    @pytest.mark.parametrize("s,lam", CANCELLED_ALIAS_ROWS)
+    def test_estimate_covers_a_cancelled_alias(self, s, lam):
+        r = eval_mellin_transform(mellin_of_whittaker("gl", 3), s, lam, tol=1e-7)
+        ref = bump_gl3(lam, *s)
+        assert abs(r.value - ref) <= r.est_error <= 1e-7 * abs(r.value)
+
+    @pytest.mark.parametrize("s,lam", CANCELLED_ALIAS_ROWS)
+    def test_bound_covers_the_missed_first_attempt(self, s, lam):
+        split = mellin_of_whittaker("gl", 3)
+        inner = _inner_integrand(split)
+        fixed = {("s", j + 1): complex(v) for j, v in enumerate(s)}
+        spec = plan_contour(inner, lam, 1e-7, fixed=fixed)
+        base = dict(zip(inner.variables, spec.base_point))
+        nodes = [np.arange(-(p // 2), p // 2 + 1) * spec.step for p in spec.panels]
+        fine = _contour_sum(
+            inner.num, inner.den, inner.variables, base, lam, {}, nodes, fixed, step=spec.step
+        )[0]
+        scale = float(split.jacobian) / (2.0 * math.pi)
+        ref = bump_gl3(lam, *s)
+        error = abs(scale * fine - ref)
+        assert error > 1e-7 * abs(ref)
+        bound = abs(scale) * _strip_bound(inner, base, lam, nodes, fixed, spec.step)
+        assert error <= bound <= 100.0 * error
 
 
 class TestEvalMB:
