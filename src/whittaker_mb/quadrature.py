@@ -26,14 +26,17 @@ process for each such structure, and a call computes only the
 right-hand side from the real parts of the fixed symbols.  An active set
 that was optimal with positive multipliers stays optimal wherever its
 vertex is feasible, so each LP tries the structure's stored sets and
-calls scipy's HiGHS (imported on first use) only when none is feasible:
-200 gl 3, sp 2 or so_odd 2 Mellin transforms at s in [0.4, 2]^n need
-three HiGHS solves in all.  Where the phase-one optimum is not unique
-(gl 4 at every such s, so_even 3 at some) no set is stored and HiGHS
-runs on every call.  Every point is solved again from a canonical
-choice of its tight rows, so the base point depends only on the
-structure and the real parts of s, whatever ran before.  A Mellin
-transform builds its inner integrand once per split (_inner_integrand).
+calls scipy's HiGHS (imported on first use) only when none is feasible.
+The sets HiGHS finds for the eval_mb structures and the Mellin splits
+of one to four inner variables ship in _lp_seeds, and phase one needs no
+LP where a stored phase-two vertex reaches the cap: so eval and 200 gl
+3, sp 2 or so_odd 2 Mellin transforms at s in [0.4, 2]^n need no HiGHS
+solve at all.  Where the phase-one optimum is a face below the cap (gl 4
+at every such s, so_even 3 at some) HiGHS runs on every call.  Every
+point is solved again from a canonical choice of its tight rows, so the
+base point depends only on the structure and the real parts of s,
+whatever ran before.  A Mellin transform builds its inner integrand once
+per split (_inner_integrand).
 
 The tensor sum is never formed as a dense grid.  Each Gamma factor
 depends on a few contour variables, so the factors sharing a support of
@@ -76,6 +79,7 @@ bit at fixed panel counts.
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import math
 import time
@@ -83,6 +87,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lp_seeds
 from .bz import bz_map_coords
 from .gammafn import PoleHit, log_gamma_array, log_gamma_complex
 from .mellin import AffineForm, MBIntegrand, MellinSplit
@@ -178,14 +183,16 @@ def contour_base_point(constraints, variables=None, fixed=None, margin=0.125, ca
     variables, the names of the fixed symbols, `margin` and `cap`, so they
     are built once per process for each such structure (_lp_model); a
     call only computes the right-hand side from the real parts of
-    `fixed`.  Each phase reuses the structure's optimal active sets
-    (_LPPhase) and calls HiGHS only when none of them is feasible, and
-    every point is solved again from a canonical choice of its tight
-    rows, so the base point depends only on the structure and the real
-    parts of `fixed`, never on the calls before it.  A structure keeps
-    the point of its last right-hand side, so one without fixed symbols
-    (eval_mb's) solves its LPs once.  Every call returns a new dict, and
-    Infeasible is raised on every call.
+    `fixed`.  Each phase starts from the optimal active sets shipped for
+    its rows (_lp_seeds) and reuses the ones it finds (_LPPhase).  Phase
+    one is the cap without an LP wherever a stored phase-two vertex at
+    slack `cap` is feasible; HiGHS runs only where neither applies.  Every
+    point is solved again from a canonical choice of its tight rows, so
+    the base point depends only on the structure and the real parts of
+    `fixed`, never on the calls before it or on the seeds.  A structure
+    keeps the point of its last right-hand side, so one without fixed
+    symbols (eval_mb's) solves its LPs once.  Every call returns a new
+    dict, and Infeasible is raised on every call.
     """
     if variables is None:
         seen = []
@@ -217,11 +224,15 @@ class _LPPhase:
     multipliers -G_S^-T cost are all positive was optimal once, and its
     vertex G_S^-1 h_S is then the unique optimum for every h that makes
     it feasible (Bertsimas and Tsitsiklis, Introduction to Linear
-    Optimization, 1997, section 5.1).  solve() tries the stored sets
-    first and calls HiGHS only when none is feasible; either way it
-    returns the vertex of the canonical active set of the point's tight
-    rows (the first independent ones in row order), so the bits of the
-    result do not depend on which sets were stored before.
+    Optimization, 1997, section 5.1).  The phase starts from the sets
+    that _lp_seeds lists under the digest of its rows and cost, each
+    checked again here (_basis), so a seed that does not fit is dropped
+    and costs at most a HiGHS call.  stored_point() tries the stored sets;
+    solve() calls HiGHS when none is feasible and stores the set of its
+    optimum when that is unique.  Either way the result is the vertex of
+    the canonical active set of the point's tight rows (the first
+    independent ones in row order), so its bits do not depend on which
+    sets were stored before.
     """
 
     def __init__(self, a_ub, cost, bounds):
@@ -237,38 +248,56 @@ class _LPPhase:
         self.a_ub = a_ub
         self.cost = cost
         self.bounds = bounds
-        self.g = np.array(rows)
+        self.g = np.array(rows, dtype="<f8")
         self.h_bounds = np.array(h_bounds)
-        self.stored = []  # (rows, G_S^-1) of optimal sets with positive multipliers
+        self.digest = hashlib.sha256(
+            self.g.tobytes() + np.array(cost, dtype="<f8").tobytes()
+        ).hexdigest()[:16]
         self.bases = {}  # tight rows -> (rows, G_S^-1, positive) or None
+        self.stored = []  # (rows, G_S^-1) of optimal sets with positive multipliers
+        for seed in _lp_seeds.SEEDS.get(self.digest, ()):
+            basis = self._basis(seed)
+            if basis is not None and basis[2] and tuple(basis[0].tolist()) == seed:
+                self.stored.append(basis[:2])
 
-    def solve(self, b_ub):
+    def stored_point(self, b_ub):
+        """The optimum at b_ub from a stored set, or None if none is feasible."""
         h = np.concatenate((b_ub, self.h_bounds))
         scale = 1.0 + np.abs(h)
         for rows, inv in self.stored:
             z = inv @ h[rows]
             slack = h - self.g @ z
             if (slack >= -_FEASIBLE * scale).all():
-                found = False
-                break
-        else:
-            from scipy.optimize import linprog
+                return self._canonical(z, h, slack, scale)[0]
+        return None
 
-            res = linprog(self.cost, A_ub=self.a_ub, b_ub=b_ub, bounds=self.bounds, method="highs")
-            if not res.success:
-                raise Infeasible(f"feasibility LP failed: {res.message}")
-            z, found = res.x, True
-            slack = h - self.g @ z
+    def solve(self, b_ub):
+        z = self.stored_point(b_ub)
+        if z is not None:
+            return z
+        from scipy.optimize import linprog
+
+        res = linprog(self.cost, A_ub=self.a_ub, b_ub=b_ub, bounds=self.bounds, method="highs")
+        if not res.success:
+            raise Infeasible(f"feasibility LP failed: {res.message}")
+        h = np.concatenate((b_ub, self.h_bounds))
+        z, basis = self._canonical(res.x, h, h - self.g @ res.x, 1.0 + np.abs(h))
+        if basis is not None and basis[2]:
+            if not any(np.array_equal(basis[0], r) for r, _ in self.stored):
+                self.stored.append(basis[:2])
+        return z
+
+    def _canonical(self, z, h, slack, scale):
+        """The vertex of the canonical active set of z's tight rows, and
+        that set; z itself and None where fewer than n tight rows are
+        independent."""
         tight = tuple(np.flatnonzero(slack <= _TIGHT * scale).tolist())
         if tight not in self.bases:
             self.bases[tight] = self._basis(tight)
         basis = self.bases[tight]
-        if basis is None:  # fewer independent tight rows than variables
-            return z
-        rows, inv, positive = basis
-        if found and positive and not any(np.array_equal(rows, r) for r, _ in self.stored):
-            self.stored.append((rows, inv))
-        return inv @ h[rows]
+        if basis is None:
+            return z, None
+        return basis[1] @ h[basis[0]], basis
 
     def _basis(self, tight):
         n = len(self.cost)
@@ -295,7 +324,7 @@ class _BasePointLP:
         d = len(variables)
         idx = {v: k for k, v in enumerate(variables)}
         pos = {v: k for k, v in enumerate(fixed_names)}
-        self.d, self.margin = d, margin
+        self.d, self.margin, self.cap = d, margin, cap
         # per constraint: its constant and its (position, coefficient) on fixed symbols
         self.rhs_terms = []
         rows = []
@@ -355,17 +384,26 @@ class _BasePointLP:
             if rhs and min(rhs) < self.margin:
                 raise Infeasible("constant constraints violated")
             return ()
-        z = self.phase1.solve(np.array(rhs))
+        b_ub = np.array(rhs)
+        z = self.phase1.stored_point(b_ub)
+        if z is None:
+            # delta <= cap is a row, so a point whose slacks all reach the
+            # cap proves that the cap is the optimum: a stored phase-two
+            # vertex feasible at target cap is such a point, found without HiGHS
+            x = self.phase2.stored_point(self._phase2_rhs(rhs, self.cap))
+            z = self.phase1.solve(b_ub) if x is None else np.append(x[:d], self.cap)
         delta = float(z[d])
         if delta < self.margin:
             raise Infeasible(f"best margin {delta:.4g} below requested {self.margin:.4g}")
         # phase two: smallest L1-norm point achieving slack delta
-        target = 0.999 * delta
         try:
-            z = self.phase2.solve(np.array([c - target for c in rhs] + [0.0] * (2 * d)))
+            z = self.phase2.solve(self._phase2_rhs(rhs, 0.999 * delta))
         except Infeasible:
-            pass  # keep the phase-one point
+            pass  # keep the phase-one point (the witness where one certified the cap)
         return tuple(float(v) for v in z[:d])
+
+    def _phase2_rhs(self, rhs, target):
+        return np.array([c - target for c in rhs] + [0.0] * (2 * self.d))
 
 
 @functools.lru_cache(maxsize=64)

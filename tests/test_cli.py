@@ -326,6 +326,50 @@ class TestRuntimeDependencies:
         )
         assert proc.returncode == 0, proc.stderr.decode()
 
+    @pytest.mark.parametrize("command", ["eval", "mellin-table"])
+    def test_shipped_structures_load_no_scipy_optimize(self, command, tmp_path):
+        """The base-point LPs of every eval_mb structure and of the gl 3,
+        sp 2 and so_odd 2 table grids start from shipped active sets, so a
+        fresh process never imports scipy.optimize (HiGHS)."""
+        import os
+        import subprocess
+        import sys
+
+        import whittaker_mb
+
+        if command == "eval":
+            cases = [
+                ("gl", 2, "0.5,-0.3", "0.2,-0.1"), ("gl", 3, "0.5,-0.3,0.1", "0.2,-0.1,0.0"),
+                ("so-even", 2, "0.5,-0.3", "0.2,-0.1"), ("so-odd", 1, "0.5", "0.2"),
+                ("so-odd", 2, "0.5,-0.3", "0.2,-0.1"), ("sp", 1, "0.5", "0.2"),
+                ("sp", 2, "0.9,-0.5", "0.3,-0.2"),
+            ]
+            calls = [
+                ["eval", "--group", g, "--rank", str(n), f"--lambda={lam}", f"--x={x}",
+                 "--method", "cross", "--tol", "1e-4"]
+                for g, n, lam, x in cases
+            ]
+        else:
+            calls = [
+                ["mellin-table", "--group", g, "--rank", str(n), f"--lambda={lam}",
+                 "--s-grid=0.6:1.4:3"]
+                for g, n, lam in (("gl", 3, "0.4,-0.1,-0.3"), ("sp", 2, "0.4,-0.1"),
+                                  ("so-odd", 2, "0.4,-0.1"))
+            ]
+        script = (
+            "import json, sys\n"
+            "from whittaker_mb import cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            f"    assert cli.main(argv + ['--output', {str(tmp_path / 'out')!r}]) == 0, argv\n"
+            "assert not [m for m in sys.modules if m.startswith('scipy.optimize')]\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(whittaker_mb.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(calls)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+
 
 class TestCallHistory:
     def test_outputs_do_not_depend_on_earlier_calls(self, tmp_path):

@@ -4,11 +4,13 @@ import math
 import random
 import zlib
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+from whittaker_mb import _lp_seeds
 from whittaker_mb.mellin import AffineForm, assemble_mb_integrand, bump_gl3, mellin_of_whittaker
 from whittaker_mb.gammafn import PoleHit, log_gamma_array
 from whittaker_mb.quadrature import (
@@ -383,6 +385,126 @@ class TestLPModel:
         assert other is not inner
         assert other.constraints == _split_constraints(split)
         assert len(other.constraints) == len(inner.constraints) + 1
+
+
+def _seed_structures():
+    """(id, constraints, variables, list of fixed dicts) of every structure
+    _lp_seeds covers: the eval_mb integrands once, and 100 s per split in
+    a range wide enough to reach infeasible points, a quarter of them with
+    s_1 = s_2."""
+    out = []
+    for family, n in _lp_seeds.EVAL_STRUCTURES:
+        mb = assemble_mb_integrand(family, n)
+        out.append((f"{family}-{n}", mb.constraints, mb.variables, [None]))
+    for family, n in _lp_seeds.SPLITS:
+        split = mellin_of_whittaker(family, n)
+        rng = random.Random(zlib.crc32(repr(("seeds", family, n)).encode()))
+        points = []
+        for k in range(100):
+            s = [rng.uniform(-0.3, 2.5) for _ in split.outer_vars]
+            if k % 4 == 0:
+                s[1] = s[0]
+            points.append({("s", j + 1): complex(v, rng.uniform(-1, 1)) for j, v in enumerate(s)})
+        out.append((f"{family}-{n}-split", _split_constraints(split), split.inner_vars, points))
+    return out
+
+
+SEED_STRUCTURES = _seed_structures()
+
+
+def _base_point_or_message(constraints, variables, fixed):
+    try:
+        got = contour_base_point(constraints, variables=variables, fixed=fixed)
+    except Infeasible as exc:
+        return str(exc)
+    return tuple(got[v] for v in variables)
+
+
+# rows g > 0, s_1 - g > 0 and s_2 - 3 g > 0; in phase one (g, delta) they
+# are rows 2, 1 and 0 of G: {1, 2} is optimal at s_2 > 2 s_1 and {0, 2}
+# below, while {0, 1} has a negative multiplier
+TWO_SIDED = [
+    AffineForm({("g", 1, 2): -3, ("s", 2): 1}),
+    AffineForm({("g", 1, 2): -1, ("s", 1): 1}),
+    AffineForm({("g", 1, 2): 1}),
+]
+
+
+class TestLPSeeds:
+    def test_regenerated_seeds_match_the_module(self):
+        seeds, labels = _lp_seeds.generate()
+        assert seeds == _lp_seeds.SEEDS
+        assert _lp_seeds._render(seeds, labels) in Path(_lp_seeds.__file__).read_text()
+
+    @pytest.mark.parametrize(
+        "constraints,variables,points", [c[1:] for c in SEED_STRUCTURES],
+        ids=[c[0] for c in SEED_STRUCTURES],
+    )
+    def test_seeds_do_not_move_a_bit(self, constraints, variables, points, monkeypatch):
+        """Without seeds, with a fresh model per point (HiGHS for each),
+        every base point and every Infeasible message is what one seeded
+        model gives."""
+        seeded = _lp_seeds.SEEDS
+        monkeypatch.setattr(_lp_seeds, "SEEDS", {})
+        cold = []
+        for fixed in points:
+            _lp_model.cache_clear()
+            cold.append(_base_point_or_message(constraints, variables, fixed))
+        monkeypatch.setattr(_lp_seeds, "SEEDS", seeded)
+        _lp_model.cache_clear()
+        assert [_base_point_or_message(constraints, variables, f) for f in points] == cold
+
+    def test_seeds_spare_highs_on_the_shipped_structures(self, monkeypatch):
+        _lp_model.cache_clear()
+        calls = _counting_linprog(monkeypatch)
+        for family, n in _lp_seeds.EVAL_STRUCTURES:
+            mb = assemble_mb_integrand(family, n)
+            contour_base_point(mb.constraints, variables=mb.variables)
+        rng = random.Random(23)
+        for family, n in (("gl", 3), ("sp", 2), ("so_odd", 2)):
+            split = mellin_of_whittaker(family, n)
+            for _ in range(50):
+                fixed = {v: complex(rng.uniform(0.4, 2.0)) for v in split.outer_vars}
+                _base_point_or_message(_split_constraints(split), split.inner_vars, fixed)
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("seed,s2", [((0, 1), 3.0), ((1, 2), 1.5)])
+    def test_a_wrong_seed_is_rejected(self, seed, s2, monkeypatch):
+        """A seed with a negative multiplier is dropped when the phase is
+        built; one whose vertex is infeasible at this s is passed over.
+        Either way HiGHS runs and gives the unseeded point."""
+        g = ("g", 1, 2)
+        fixed = {("s", 1): 1.0, ("s", 2): s2}
+        key = (tuple(TWO_SIDED), (g,), (("s", 1), ("s", 2)), 0.125, 1.0)
+        _lp_model.cache_clear()
+        want = contour_base_point(TWO_SIDED, fixed=fixed)
+        monkeypatch.setattr(_lp_seeds, "SEEDS", {_lp_model(*key).phase1.digest: (seed,)})
+        _lp_model.cache_clear()
+        stored = [tuple(rows.tolist()) for rows, _ in _lp_model(*key).phase1.stored]
+        assert stored == ([] if seed == (0, 1) else [seed])
+        calls = _counting_linprog(monkeypatch)
+        assert contour_base_point(TWO_SIDED, fixed=fixed) == want
+        assert calls[0] == 2
+        assert abs(want[g] - _highs_base_point(TWO_SIDED, [g], fixed)[0]) <= 1e-9
+
+    def test_certified_phase_one_keeps_its_witness(self, monkeypatch):
+        """Where a stored phase-two vertex certifies that the margin is the
+        cap and phase two then fails, the base point is that vertex."""
+        mb = assemble_mb_integrand("gl", 3)
+        _lp_model.cache_clear()
+        model = _lp_model(tuple(mb.constraints), tuple(mb.variables), (), 0.125, 1.0)
+
+        def fail(b_ub):
+            raise Infeasible("phase two failed")
+
+        monkeypatch.setattr(model.phase2, "solve", fail)
+        calls = _counting_linprog(monkeypatch)
+        got = contour_base_point(mb.constraints, variables=mb.variables)
+        assert calls[0] == 0
+        rhs = [float(f.const) for f in mb.constraints]
+        witness = model.phase2.stored_point(model._phase2_rhs(rhs, 1.0))
+        assert [got[v] for v in mb.variables] == witness[: len(mb.variables)].tolist()
+        assert min(constraint_slacks(mb.constraints, got)) >= 1.0 - 1e-12
 
 
 # gl 3 Mellin rows of the benchmark's many_small stream (seeds 201 and 75)
