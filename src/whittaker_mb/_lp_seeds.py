@@ -1,11 +1,11 @@
-"""Optimal active sets of the contour base-point LPs, generated by HiGHS.
+"""Optimal active sets of the contour base-point LP, generated by HiGHS.
 
-contour_base_point solves two LPs per constraint structure
-(quadrature._LPPhase).  An active set whose multipliers are all positive
-gives the unique optimum wherever its vertex is feasible, so the sets
-HiGHS finds optimal for the shipped structures are found once, here, and
-each _LPPhase starts from the sets listed under the digest of its rows
-and cost, after checking each again.  The structures are the seven
+contour_base_point solves one LP per constraint structure
+(quadrature._BasePointLP).  An active set whose multipliers are all
+positive gives the unique optimum wherever its vertex is feasible, so the
+sets HiGHS finds optimal for the shipped structures are found once, here,
+and each _BasePointLP starts from the sets listed under the digest of its
+rows and cost, after checking each again.  The structures are the seven
 eval_mb integrands and the Mellin splits with one to four inner
 variables, the latter sampled at SAMPLES points s in [0.4, 2]^k drawn
 from random.Random(SAMPLE_SEED).  Only unique optima are stored, so the
@@ -23,98 +23,77 @@ SAMPLES = 200
 SAMPLE_SEED = 0
 
 SEEDS = {
-    # gl 2 wave function, phase two
-    # so_odd 1 wave function, phase two
-    # sp 1 wave function, phase two
-    "7e3fa82ce26a9b20": (
-        (0, 1),
-    ),
-    # gl 3 wave function, phase two
-    "9af989798350a04f": (
-        (1, 2, 4, 5, 7, 9),
-    ),
-    # so_even 2 wave function, phase two
-    "356a9692c3686d58": (
-        (0, 1, 2, 4),
-    ),
-    # so_odd 2 wave function, phase two
-    "7cc8140487cfb4de": (
-        (0, 1, 2, 5, 8, 10, 12, 14),
-    ),
-    # sp 2 wave function, phase two
-    "8ee085c4c6568a96": (
-        (0, 1, 2, 6, 8, 10, 12, 14),
-    ),
-    # gl 3 Mellin split, phase one
-    "ec4fb4c6c45e971f": (
-        (0, 2),
-        (1, 2),
-    ),
-    # gl 3 Mellin split, phase two
-    "45f3d9a80f808729": (
-        (2, 3),
-    ),
-    # gl 4 Mellin split, phase two
-    "b52c70dfb1fd24c4": (
-        (5, 6, 8, 9, 11, 13),
-    ),
-    # so_even 3 Mellin split, phase one
-    "8d2027ecb264791d": (
-        (0, 2, 8, 9),
-    ),
-    # so_even 3 Mellin split, phase two
-    "6556d68daf578fdb": (
-        (0, 8, 9, 10, 12, 14),
-    ),
-    # so_odd 2 Mellin split, phase one
-    "2d1289ff9080111f": (
-        (0, 1, 4),
-        (0, 2, 4),
-    ),
-    # so_odd 2 Mellin split, phase two
-    "1e7e81855dfc30a3": (
-        (0, 4, 6, 8),
-    ),
-    # sp 2 Mellin split, phase one
-    "61394ab2bdbcdfd2": (
+    # gl 2 wave function
+    # so_odd 1 wave function
+    # sp 1 wave function
+    "38cc8c80042e3b6e": (
         (0, 1, 5),
-        (0, 2, 5),
     ),
-    # sp 2 Mellin split, phase two
-    "5fea9b6104eb011c": (
-        (0, 5, 6, 8),
+    # gl 3 wave function
+    "c5a0ab4c2d3f032f": (
+        (1, 2, 4, 5, 6, 7, 17),
+    ),
+    # so_even 2 wave function
+    "e382e7013cdfe3c1": (
+        (0, 1, 2, 3, 10),
+    ),
+    # so_odd 2 wave function
+    "e3db727015e8257d": (
+        (0, 1, 2, 5, 8, 9, 10, 11, 24),
+    ),
+    # sp 2 wave function
+    "4afd150569cba213": (
+        (0, 1, 2, 6, 8, 9, 10, 11, 24),
+    ),
+    # gl 3 Mellin split
+    "c77412f2978f26d5": (
+        (0, 2, 3),
+        (1, 2, 3),
+    ),
+    # gl 4 Mellin split
+    "c086afd7e23f5992": (
+        (0, 5, 6, 8, 9, 10, 11),
+        (3, 5, 6, 8, 9, 10, 11),
+    ),
+    # so_even 3 Mellin split
+    "b93e01b5e77c75da": (
+        (0, 2, 8, 9, 10, 11, 12),
+    ),
+    # so_odd 2 Mellin split
+    "3cc34351a0b24632": (
+        (0, 1, 4, 6, 7),
+        (0, 2, 4, 6, 7),
+    ),
+    # sp 2 Mellin split
+    "ed215bcaa2c5f229": (
+        (0, 1, 5, 6, 7),
+        (0, 2, 5, 6, 7),
     ),
 }
 
 
 def generate():
-    """The seed dict as HiGHS finds it from empty phases, and a label
-    naming the structures and phase of each digest."""
+    """The seed dict as HiGHS finds it from empty models, and a label
+    naming the structures of each digest."""
     import random
 
     from .mellin import assemble_mb_integrand, mellin_of_whittaker
-    from .quadrature import Infeasible, _BasePointLP, _inner_integrand, contour_base_point
+    from .quadrature import Infeasible, _BasePointLP, _inner_integrand
 
-    margin, cap = contour_base_point.__defaults__[-2:]
     seeds, labels = {}, {}
 
     def run(label, integrand, names, points):
-        model = _BasePointLP(
-            tuple(integrand.constraints), tuple(integrand.variables), names, margin, cap
-        )
-        phases = (("phase one", model.phase1), ("phase two", model.phase2))
-        for _, phase in phases:
-            phase.stored.clear()
+        model = _BasePointLP(tuple(integrand.constraints), tuple(integrand.variables), names)
+        model.stored.clear()
         for point in points:
             try:
                 model(point)
             except Infeasible:
                 pass
-        for name, phase in phases:
-            if phase.stored:
-                sets = {tuple(rows.tolist()) for rows, _ in phase.stored}
-                seeds[phase.digest] = tuple(sorted(sets | set(seeds.get(phase.digest, ()))))
-                labels.setdefault(phase.digest, []).append(f"{label}, {name}")
+        if model.stored:
+            sets = {tuple(rows.tolist()) for rows, _ in model.stored}
+            seeds[model.digest] = tuple(sorted(sets | set(seeds.get(model.digest, ()))))
+            labels.setdefault(model.digest, []).append(label)
 
     for family, n in EVAL_STRUCTURES:
         run(f"{family} {n} wave function", assemble_mb_integrand(family, n), (), [()])

@@ -40,6 +40,8 @@ def _parse_vector(text: str, rank: int, what: str):
         raise UsageError(f"cannot parse {what} {text!r}") from exc
     if len(vals) != rank:
         raise UsageError(f"{what} needs {rank} components, got {len(vals)}")
+    if not all(map(math.isfinite, vals)):
+        raise UsageError(f"{what} must be finite, got {text!r}")
     return vals
 
 
@@ -315,14 +317,20 @@ def _parse_grid(spec: str):
         bits = part.split(":")
         if len(bits) != 3:
             raise UsageError(f"grid axis {part!r} is not start:stop:count")
-        start, stop, count = float(bits[0]), float(bits[1]), int(bits[2])
+        try:
+            start, stop, count = float(bits[0]), float(bits[1]), int(bits[2])
+        except ValueError as exc:
+            raise UsageError(f"cannot parse grid axis {part!r}") from exc
         if count < 1:
             raise UsageError("grid count must be positive")
         if count == 1:
-            axes.append([start])
+            axis = [start]
         else:
             step = (stop - start) / (count - 1)
-            axes.append([start + step * k for k in range(count)])
+            axis = [start + step * k for k in range(count)]
+        if not all(map(math.isfinite, [stop, *axis])):
+            raise UsageError(f"grid axis {part!r} is not finite")
+        axes.append(axis)
     return axes
 
 

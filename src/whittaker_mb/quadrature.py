@@ -19,24 +19,24 @@ and adds the boundary-shell mass.  Without a torus weight, an attempt
 that meets tol must meet the strip bound of the same theorem as well
 (_strip_bound).
 
-The contour's base point comes from two feasibility LPs.  Their rows
-depend only on the constraint forms, the variables, the names of the
-fixed symbols, the margin and the cap, so they are built once per
-process for each such structure, and a call computes only the
-right-hand side from the real parts of the fixed symbols.  An active set
-that was optimal with positive multipliers stays optimal wherever its
-vertex is feasible, so each LP tries the structure's stored sets and
-calls scipy's HiGHS (imported on first use) only when none is feasible.
-The sets HiGHS finds for the eval_mb structures and the Mellin splits
-of one to four inner variables ship in _lp_seeds, and phase one needs no
-LP where a stored phase-two vertex reaches the cap: so eval and 200 gl
-3, sp 2 or so_odd 2 Mellin transforms at s in [0.4, 2]^n need no HiGHS
-solve at all.  Where the phase-one optimum is a face below the cap (gl 4
-at every such s, so_even 3 at some) HiGHS runs on every call.  Every
-point is solved again from a canonical choice of its tight rows, so the
-base point depends only on the structure and the real parts of s,
-whatever ran before.  A Mellin transform builds its inner integrand once
-per split (_inner_integrand).
+The contour's base point comes from one LP per constraint structure: the
+largest minimum slack up to a cap and, at that slack, the smallest L1
+norm, as one objective whose weight on the norm is too small to trade
+any slack.  Its rows depend only on the constraint forms, the variables
+and the names of the fixed symbols, so they are built once per process
+for each such structure, and a call computes only the right-hand side
+from the real parts of the fixed symbols.  An active set that was optimal
+with positive multipliers stays optimal wherever its vertex is feasible,
+so the LP tries the structure's stored sets and calls scipy's HiGHS
+(imported on first use) only when none is feasible.  The sets HiGHS finds
+for the eval_mb structures and the Mellin splits of one to four inner
+variables ship in _lp_seeds, so eval and 200 gl 3, sp 2 or so_odd 2
+Mellin transforms at s in [0.4, 2]^n need no HiGHS solve at all; gl 4
+and so_even 3, whose optimum is a face at some s, call it on 20 to 40%
+of them.  Every point is solved again from a canonical choice of its
+tight rows, so the base point depends only on the structure and the real
+parts of s, whatever ran before.  A Mellin transform builds its inner
+integrand once per split (_inner_integrand).
 
 The tensor sum is never formed as a dense grid.  Each Gamma factor
 depends on a few contour variables, so the factors sharing a support of
@@ -53,6 +53,8 @@ boundary-shell mass of every axis at once.  Before any table is built,
 the plan's flop count and its largest table or intermediate, counted
 with the true axis lengths, are held against MAX_FLOPS and MAX_ENTRIES;
 a cached path over budget is planned once more with the true lengths.
+Both routes do this from the panel counts, before any node vector is
+built.
 
 Every axis of the contour grid has the same step, and the coefficients
 of the contour variables in a factor are small integers (or rationals),
@@ -171,28 +173,40 @@ def constraint_slacks(constraints, point, fixed=None):
     return out
 
 
-def contour_base_point(constraints, variables=None, fixed=None, margin=0.125, cap=1.0):
+# The slack a base point needs on every constraint, and the slack above
+# which the LP stops seeking more.
+_MARGIN = 0.125
+_CAP = 1.0
+# Weight of the L1 norm against the slack in the LP's objective: small
+# enough that the optimal slack is the largest one (a test checks it on
+# every shipped structure).
+_NORM_WEIGHT = 1e-3
+# Active-set reuse: a stored set's vertex is accepted when no row is violated
+# by more than _FEASIBLE (1 + |h_i|), a row is tight where its slack is at
+# most _TIGHT (1 + |h_i|), and a set is stored when all its multipliers
+# exceed _TIGHT.
+_FEASIBLE = 1e-12
+_TIGHT = 1e-9
+
+
+def contour_base_point(constraints, variables=None, fixed=None):
     """Strictly feasible real base point for Re(form) > 0 constraints.
 
-    Phase one maximizes the minimum slack (capped, since large real
-    shifts inflate the Gamma factors), phase two picks the minimum-norm
-    point at that slack.  Raises Infeasible when the best margin falls
-    below the requested one.
+    One LP gives the point whose minimum slack is largest, up to _CAP
+    (large real shifts inflate the Gamma factors), and among those the
+    one of smallest L1 norm (_BasePointLP).  Raises Infeasible when that
+    slack falls below _MARGIN.
 
-    The rows of both LPs depend only on the constraint forms, the
-    variables, the names of the fixed symbols, `margin` and `cap`, so they
-    are built once per process for each such structure (_lp_model); a
-    call only computes the right-hand side from the real parts of
-    `fixed`.  Each phase starts from the optimal active sets shipped for
-    its rows (_lp_seeds) and reuses the ones it finds (_LPPhase).  Phase
-    one is the cap without an LP wherever a stored phase-two vertex at
-    slack `cap` is feasible; HiGHS runs only where neither applies.  Every
+    The LP's rows depend only on the constraint forms, the variables and
+    the names of the fixed symbols, so they are built once per process
+    for each such structure (_lp_model); a call only computes the
+    right-hand side from the real parts of `fixed`.  The LP starts from
+    the optimal active sets shipped for its rows (_lp_seeds) and reuses
+    the ones it finds; HiGHS runs only where none is feasible.  Every
     point is solved again from a canonical choice of its tight rows, so
     the base point depends only on the structure and the real parts of
-    `fixed`, never on the calls before it or on the seeds.  A structure
-    keeps the point of its last right-hand side, so one without fixed
-    symbols (eval_mb's) solves its LPs once.  Every call returns a new
-    dict, and Infeasible is raised on every call.
+    `fixed`, never on the calls before it or on the seeds.  Every call
+    returns a new dict.
     """
     if variables is None:
         seen = []
@@ -202,56 +216,64 @@ def contour_base_point(constraints, variables=None, fixed=None, margin=0.125, ca
                     seen.append(v)
         variables = seen
     names = tuple(sorted(fixed or ()))
-    model = _lp_model(tuple(constraints), tuple(variables), names, margin, cap)
+    model = _lp_model(tuple(constraints), tuple(variables), names)
     point = model([complex(fixed[v]).real for v in names])
     return dict(zip(variables, point))
 
 
-# Active-set reuse: a stored set's vertex is accepted when no row is violated
-# by more than _FEASIBLE (1 + |h_i|), a row is tight where its slack is at
-# most _TIGHT (1 + |h_i|), and a set is stored when all its multipliers
-# exceed _TIGHT.
-_FEASIBLE = 1e-12
-_TIGHT = 1e-9
+class _BasePointLP:
+    """The LP of contour_base_point for one constraint structure; calling
+    it with the real parts of the fixed symbols (in the order of
+    `fixed_names`) gives the base point as a tuple in the order of
+    `variables`.
 
-
-class _LPPhase:
-    """One LP, min cost . z over A_ub z <= b_ub and per-variable bounds,
-    whose rows are fixed and whose b_ub comes with each solve.
-
-    The bounds are rows too: G z <= h stacks A_ub and the finite bounds.
-    An active set S (as many independent rows of G as variables) whose
-    multipliers -G_S^-T cost are all positive was optimal once, and its
-    vertex G_S^-1 h_S is then the unique optimum for every h that makes
-    it feasible (Bertsimas and Tsitsiklis, Introduction to Linear
-    Optimization, 1997, section 5.1).  The phase starts from the sets
-    that _lp_seeds lists under the digest of its rows and cost, each
+    In z = (x, t, delta) it minimizes _NORM_WEIGHT sum t - delta over
+    G z <= h, whose rows say a_i . x + c_i >= delta for each constraint,
+    |x_k| <= t_k, |x_k| <= bound and delta <= _CAP.  Only the c_i part of
+    h changes between calls.  An active set S (as many independent rows
+    of G as unknowns) whose multipliers -G_S^-T cost are all positive was
+    optimal once, and its vertex G_S^-1 h_S is then the unique optimum for
+    every h that makes it feasible (Bertsimas and Tsitsiklis, Introduction
+    to Linear Optimization, 1997, section 5.1).  The LP starts from the
+    sets that _lp_seeds lists under the digest of its rows and cost, each
     checked again here (_basis), so a seed that does not fit is dropped
-    and costs at most a HiGHS call.  stored_point() tries the stored sets;
-    solve() calls HiGHS when none is feasible and stores the set of its
-    optimum when that is unique.  Either way the result is the vertex of
-    the canonical active set of the point's tight rows (the first
-    independent ones in row order), so its bits do not depend on which
-    sets were stored before.
+    and costs at most a HiGHS call.  A call tries the stored sets, then
+    HiGHS, storing the set of its optimum when that is unique.  Either way
+    the result is the vertex of the canonical active set of the point's
+    tight rows (the first independent ones in row order), so its bits do
+    not depend on which sets were stored before.
     """
 
-    def __init__(self, a_ub, cost, bounds):
-        n = len(cost)
-        rows, h_bounds = [list(r) for r in a_ub], []
-        for k, (lo, hi) in enumerate(bounds):
-            for sign, value in ((1.0, hi), (-1.0, lo)):
-                if value is not None:
-                    row = [0.0] * n
-                    row[k] = sign
-                    rows.append(row)
-                    h_bounds.append(sign * value)
-        self.a_ub = a_ub
-        self.cost = cost
-        self.bounds = bounds
-        self.g = np.array(rows, dtype="<f8")
-        self.h_bounds = np.array(h_bounds)
+    def __init__(self, constraints, variables, fixed_names):
+        d, m = len(variables), len(constraints)
+        idx = {v: k for k, v in enumerate(variables)}
+        pos = {v: k for k, v in enumerate(fixed_names)}
+        self.d = d
+        # per constraint: its constant and its (position, coefficient) on fixed symbols
+        self.rhs_terms = []
+        a = np.zeros((m, d))
+        for i, f in enumerate(constraints):
+            terms = []
+            for v, c in f.gamma.items():
+                if v in pos:
+                    terms.append((pos[v], float(c)))
+                elif v in idx:
+                    a[i, idx[v]] = float(c)
+            self.rhs_terms.append((float(f.const), terms))
+        eye, zero, col = np.eye(d), np.zeros((d, d)), np.zeros((d, 1))
+        self.g = np.block([
+            [-a, np.zeros((m, d)), np.ones((m, 1))],
+            [eye, -eye, col],
+            [-eye, -eye, col],
+            [eye, zero, col],
+            [-eye, zero, col],
+            [np.zeros((1, 2 * d)), np.ones((1, 1))],
+        ])
+        bound = max(10.0, 4.0 * d)
+        self.h = np.concatenate((np.zeros(m + 2 * d), np.full(2 * d, bound), [_CAP]))
+        self.cost = np.concatenate((np.zeros(d), np.full(d, _NORM_WEIGHT), [-1.0]))
         self.digest = hashlib.sha256(
-            self.g.tobytes() + np.array(cost, dtype="<f8").tobytes()
+            self.g.astype("<f8").tobytes() + self.cost.astype("<f8").tobytes()
         ).hexdigest()[:16]
         self.bases = {}  # tight rows -> (rows, G_S^-1, positive) or None
         self.stored = []  # (rows, G_S^-1) of optimal sets with positive multipliers
@@ -260,28 +282,35 @@ class _LPPhase:
             if basis is not None and basis[2] and tuple(basis[0].tolist()) == seed:
                 self.stored.append(basis[:2])
 
-    def stored_point(self, b_ub):
-        """The optimum at b_ub from a stored set, or None if none is feasible."""
-        h = np.concatenate((b_ub, self.h_bounds))
+    def __call__(self, fixed_re):
+        h = self.h.copy()
+        for i, (c, terms) in enumerate(self.rhs_terms):
+            for k, a in terms:
+                c += a * fixed_re[k]
+            h[i] = c
+        if self.d == 0:
+            if self.rhs_terms and h[: len(self.rhs_terms)].min() < _MARGIN:
+                raise Infeasible("constant constraints violated")
+            return ()
+        z = self._optimum(h)
+        delta = float(z[-1])
+        if delta < _MARGIN:
+            raise Infeasible(f"best margin {delta:.4g} below requested {_MARGIN:.4g}")
+        return tuple(float(v) for v in z[: self.d])
+
+    def _optimum(self, h):
         scale = 1.0 + np.abs(h)
         for rows, inv in self.stored:
             z = inv @ h[rows]
             slack = h - self.g @ z
             if (slack >= -_FEASIBLE * scale).all():
                 return self._canonical(z, h, slack, scale)[0]
-        return None
-
-    def solve(self, b_ub):
-        z = self.stored_point(b_ub)
-        if z is not None:
-            return z
         from scipy.optimize import linprog
 
-        res = linprog(self.cost, A_ub=self.a_ub, b_ub=b_ub, bounds=self.bounds, method="highs")
+        res = linprog(self.cost, A_ub=self.g, b_ub=h, bounds=(None, None), method="highs")
         if not res.success:
-            raise Infeasible(f"feasibility LP failed: {res.message}")
-        h = np.concatenate((b_ub, self.h_bounds))
-        z, basis = self._canonical(res.x, h, h - self.g @ res.x, 1.0 + np.abs(h))
+            raise Infeasible(f"base-point LP failed: {res.message}")
+        z, basis = self._canonical(res.x, h, h - self.g @ res.x, scale)
         if basis is not None and basis[2]:
             if not any(np.array_equal(basis[0], r) for r, _ in self.stored):
                 self.stored.append(basis[:2])
@@ -314,102 +343,8 @@ class _LPPhase:
         return rows, inv, bool((inv.T @ self.cost < -_TIGHT).all())
 
 
-class _BasePointLP:
-    """The two LPs of contour_base_point for one constraint structure;
-    calling it with the real parts of the fixed symbols (in the order of
-    `fixed_names`) gives the base point as a tuple in the order of
-    `variables`."""
-
-    def __init__(self, constraints, variables, fixed_names, margin, cap):
-        d = len(variables)
-        idx = {v: k for k, v in enumerate(variables)}
-        pos = {v: k for k, v in enumerate(fixed_names)}
-        self.d, self.margin, self.cap = d, margin, cap
-        # per constraint: its constant and its (position, coefficient) on fixed symbols
-        self.rhs_terms = []
-        rows = []
-        for f in constraints:
-            row = [0.0] * d
-            terms = []
-            for v, a in f.gamma.items():
-                if v in pos:
-                    terms.append((pos[v], float(a)))
-                elif v in idx:
-                    row[idx[v]] = -float(a)
-            rows.append(row)
-            self.rhs_terms.append((float(f.const), terms))
-        self.last = None
-        bound = max(10.0, 4.0 * d)
-        # phase one in (x, delta): a_i . x + c_i >= delta, delta <= cap
-        self.phase1 = _LPPhase(
-            [row + [1.0] for row in rows],
-            [0.0] * d + [-1.0],
-            [(-bound, bound)] * d + [(None, cap)],
-        )
-        # phase two in (x, t): slack >= target and |x_k| <= t_k, min sum t
-        rows2 = [row + [0.0] * d for row in rows]
-        for k in range(d):
-            pos_row = [0.0] * (2 * d)
-            pos_row[k], pos_row[d + k] = 1.0, -1.0
-            neg_row = [0.0] * (2 * d)
-            neg_row[k], neg_row[d + k] = -1.0, -1.0
-            rows2 += [pos_row, neg_row]
-        self.phase2 = _LPPhase(
-            rows2, [0.0] * d + [1.0] * d, [(-bound, bound)] * d + [(0.0, bound)] * d
-        )
-
-    def __call__(self, fixed_re):
-        # The point (or the Infeasible message) of the last real parts: a
-        # structure without fixed symbols has one right-hand side, so its
-        # LPs run once, even where their optimum is not unique.
-        key = tuple(fixed_re)
-        if self.last is None or self.last[0] != key:
-            try:
-                self.last = (key, self._point(key), None)
-            except Infeasible as exc:
-                self.last = (key, None, str(exc))
-        _, point, error = self.last
-        if error is not None:
-            raise Infeasible(error)
-        return point
-
-    def _point(self, fixed_re):
-        rhs = []
-        for c, terms in self.rhs_terms:
-            for k, a in terms:
-                c += a * fixed_re[k]
-            rhs.append(c)
-        d = self.d
-        if d == 0:
-            if rhs and min(rhs) < self.margin:
-                raise Infeasible("constant constraints violated")
-            return ()
-        b_ub = np.array(rhs)
-        z = self.phase1.stored_point(b_ub)
-        if z is None:
-            # delta <= cap is a row, so a point whose slacks all reach the
-            # cap proves that the cap is the optimum: a stored phase-two
-            # vertex feasible at target cap is such a point, found without HiGHS
-            x = self.phase2.stored_point(self._phase2_rhs(rhs, self.cap))
-            z = self.phase1.solve(b_ub) if x is None else np.append(x[:d], self.cap)
-        delta = float(z[d])
-        if delta < self.margin:
-            raise Infeasible(f"best margin {delta:.4g} below requested {self.margin:.4g}")
-        # phase two: smallest L1-norm point achieving slack delta
-        try:
-            z = self.phase2.solve(self._phase2_rhs(rhs, 0.999 * delta))
-        except Infeasible:
-            pass  # keep the phase-one point (the witness where one certified the cap)
-        return tuple(float(v) for v in z[:d])
-
-    def _phase2_rhs(self, rhs, target):
-        return np.array([c - target for c in rhs] + [0.0] * (2 * self.d))
-
-
-@functools.lru_cache(maxsize=64)
-def _lp_model(constraints, variables, fixed_names, margin, cap):
-    """The LP model of one constraint structure, built once per process."""
-    return _BasePointLP(constraints, variables, fixed_names, margin, cap)
+# The LP model of one constraint structure, built once per process.
+_lp_model = functools.lru_cache(maxsize=64)(_BasePointLP)
 
 
 # ---------------------------------------------------------------------------
@@ -615,10 +550,10 @@ def _extrapolated(fine, coarse, coarse4, mass):
     return disc2
 
 
-def _contour_sum(num, den, variables, base, lam, hx, nodes, fixed=None, *, step):
+def _contour_sum(num, den, variables, base, lam, hx, halves, fixed=None, *, step):
     """Trapezoid sum of prod Gamma(num)/prod Gamma(den) * exp(sum z_v hx_v)
-    over the tensor grid z_k = base_k + i nodes[k], contracted factor by
-    factor; nodes[k] is (-m_k, ..., m_k) times the common `step`.
+    over the tensor grid z_k = base_k + i step j, |j| <= halves[k],
+    contracted factor by factor.
 
     Each factor's table is gathered from its log Gamma on one line
     (_support_lines).  Factors that share a support of two or more axes
@@ -631,8 +566,8 @@ def _contour_sum(num, den, variables, base, lam, hx, nodes, fixed=None, *, step)
     it gives the mass and the mass on each axis' pair of boundary faces.
     Returns (fine, coarse, coarse4, face_abs, n_evals, mass), n_evals
     being the node count of the dense grid and mass the sum of the
-    moduli of all terms.  Raises DimensionTooLarge, before any table is
-    built, when the plans exceed the budget.
+    moduli of all terms.  Raises DimensionTooLarge, before any node vector
+    is built, when the plans exceed the budget.
     """
     d = len(variables)
     axes = {v: k for k, v in enumerate(variables)}
@@ -649,7 +584,7 @@ def _contour_sum(num, den, variables, base, lam, hx, nodes, fixed=None, *, step)
         val = complex(np.exp(const))
         return val, val, val, [0.0], 1, abs(val)
 
-    sizes = [nd.size for nd in nodes]
+    sizes = [2 * m + 1 for m in halves]
     shared = [s for s in groups if len(s) > 1]
     selected = [(k, d + k) for k in range(d)]
     (subs, path, *_), (sel_subs, sel_path, *_) = _budgeted_plans(
@@ -660,7 +595,8 @@ def _contour_sum(num, den, variables, base, lam, hx, nodes, fixed=None, *, step)
         ],
     )
 
-    grid = (variables, base, lam, fixed, [(n - 1) // 2 for n in sizes], step)
+    nodes = [np.arange(-m, m + 1) * step for m in halves]
+    grid = (variables, base, lam, fixed, halves, step)
     tables, moduli = [], []
     for s in shared:
         table, modulus = _support_tables(_support_lines(groups[s], s, *grid))
@@ -708,7 +644,8 @@ def plan_contour(integrand: MBIntegrand, lam, tol, x=None, base=None, fixed=None
     axis (_common_step), so that every Gamma factor's argument runs over
     one line.  `fixed` holds the complex values of symbols that are not
     integrated; their imaginary parts shift the decay profile like the
-    spectral parameters do.
+    spectral parameters do.  Raises DimensionTooLarge where one axis alone
+    is over the contraction budget (_half_panels).
     """
     variables = integrand.variables
     if base is None:
@@ -739,8 +676,15 @@ def plan_contour(integrand: MBIntegrand, lam, tol, x=None, base=None, fixed=None
 def _half_panels(t, h):
     """Nodes on each side of the centre for half-width t at step h: ceil(t / h),
     rounded up to even so that the grids of every second and fourth node
-    end on the faces."""
-    m = int(math.ceil(t / h))
+    end on the faces.  Raises DimensionTooLarge where the axis would take
+    more than MAX_ENTRIES nodes: every contraction has its weight vector
+    as an operand, so no plan of such a grid is within the budget."""
+    m = t / h
+    if not 2.0 * m + 1.0 <= MAX_ENTRIES:  # NaN too
+        raise DimensionTooLarge(
+            f"a grid axis of {2.0 * m + 1.0:.3g} nodes exceeds the budget of {MAX_ENTRIES} entries"
+        )
+    m = int(math.ceil(m))
     return m + m % 2
 
 
@@ -786,16 +730,16 @@ def _integrate(
 
     def attempt(spec):
         h = spec.step
-        nodes = [np.arange(-(p // 2), p // 2 + 1) * h for p in spec.panels]
+        halves = [p // 2 for p in spec.panels]
         fine, coarse, coarse4, face_abs, evals, mass = _contour_sum(
-            integrand.num, integrand.den, variables, base, lam, hx, nodes, fixed, step=h
+            integrand.num, integrand.den, variables, base, lam, hx, halves, fixed, step=h
         )
         tail = 0.0
         for k in range(len(variables)):
             tail += 3.0 * face_abs[k] / max(rates[k] * h, 1e-9) * h
         err = scale * (_extrapolated(fine, coarse, coarse4, mass) + tail)
         if x is None and err <= tol * abs(scale * fine):
-            err = max(err, abs(scale) * _strip_bound(integrand, base, lam, nodes, fixed, h))
+            err = max(err, abs(scale) * _strip_bound(integrand, base, lam, halves, fixed, h))
         return phase * scale * fine, err, evals, lambda: _refine_spec(spec)
 
     return _attempts(attempt, spec, attempts, tol, t0, "estimated error {err:.3g} above tolerance")
@@ -807,10 +751,11 @@ _STRIP_SHARE = 0.9
 _STRIP_FREE = 2.0
 
 
-def _strip_bound(integrand: MBIntegrand, base, lam, nodes, fixed, step):
-    """Bound on the discretization error of the trapezoid sum at `step`
-    of a Gamma-product integrand without torus weight (Trefethen and
-    Weideman, SIAM Rev. 56, 2014, Thm 5.1, one side at a time).
+def _strip_bound(integrand: MBIntegrand, base, lam, halves, fixed, step):
+    """Bound on the discretization error of the trapezoid sum at `step`,
+    with halves[k] (even) nodes a side on axis k, of a Gamma-product
+    integrand without torus weight (Trefethen and Weideman, SIAM Rev. 56,
+    2014, Thm 5.1, one side at a time).
 
     On each axis and side, the contour may move by the distance a to the
     nearest pole line with the other axes held (_STRIP_FREE where no
@@ -822,7 +767,7 @@ def _strip_bound(integrand: MBIntegrand, base, lam, nodes, fixed, step):
     """
     variables = integrand.variables
     slacks = constraint_slacks(integrand.constraints, base, fixed)
-    coarse = [n[::2] for n in nodes]
+    coarse = [m // 2 for m in halves]
     total = 0.0
     for v in variables:
         for side in (1.0, -1.0):
@@ -1066,12 +1011,11 @@ def eval_cone(
     def attempt(grid):
         bounds, h, dropped = grid
         # a multiple of 4 panels: the grids of every 2nd and 4th node end on both faces
-        nodes = []
-        for lo, hi in bounds:
-            m = 2 * _half_panels((hi - lo) / 2, h)
-            nodes.append(np.linspace(lo, lo + m * h, m + 1))
+        panels = [2 * _half_panels((hi - lo) / 2, h) for lo, hi in bounds]
+        layout = _cone_layout(family, n, labels, [m + 1 for m in panels])
+        nodes = [np.linspace(lo, lo + m * h, m + 1) for (lo, _), m in zip(bounds, panels)]
         fine, coarse, coarse4, faces, evals, mass, marginals = _cone_sum(
-            family, n, labels, efac, phase, nodes, s_center
+            family, n, labels, efac, phase, nodes, s_center, layout
         )
         value = pref * fine * scale
         face = sum(faces) * scale
@@ -1152,7 +1096,38 @@ def _cone_trim(nodes, marginals, limit):
     return bounds, dropped
 
 
-def _cone_sum(family, n, labels, efac, phase, nodes, s_shift):
+def _cone_layout(family, n, labels, sizes):
+    """The operands of the cone sums on a grid of sizes[k] nodes on axis k,
+    and their plan: the axes each image coordinate runs over (a dict),
+    the supports of the tables, the table each axis' vector folds into,
+    and the einsum subscripts and path of the sums (see _cone_sum).
+    Raises DimensionTooLarge when the plan exceeds the budget."""
+    d = len(labels)
+    # the axes each image coordinate runs over, from a grid of two nodes per axis
+    probe = {lab: _shaped(np.ones(2), k, d) for k, lab in enumerate(labels)}
+    supports = {
+        key: tuple(k for k, size in enumerate(np.shape(val)) if size == 2)
+        for key, val in bz_map_coords(family, n, probe).items()
+    }
+    shared = list(dict.fromkeys(s for s in supports.values() if len(s) > 1))
+    # the vector of an axis folds into the first table over it, or is the
+    # table of that axis; axis d + k picks a column of axis k
+    home = {}
+    for support in shared:
+        for k in support:
+            home.setdefault(k, support)
+    for k in range(d):
+        if k not in home:
+            home[k] = (k,)
+            shared.append((k,))
+    column_axes = [(k, d + k) for k in range(d)]
+    ((subs, path, *_),) = _budgeted_plans(
+        "cone", [(shared + column_axes, list(sizes) + [2] * d, tuple(range(d, 2 * d)))]
+    )
+    return supports, shared, home, subs, path
+
+
+def _cone_sum(family, n, labels, efac, phase, nodes, s_shift, layout=None):
     """Trapezoid sums of exp(-(S - s_shift) - i phase) over the tensor grid
     and over its grids of every second and fourth node, with the mass of
     the weight and its mass on the boundary faces, contracted factor by
@@ -1178,33 +1153,14 @@ def _cone_sum(family, n, labels, efac, phase, nodes, s_shift):
     that contracts the same tables once per axis, with that axis kept:
     marginals()[k][i] is the weight on the hyperplane u_k = nodes[k][i]
     times the voxel.  Its plans are held against the budget when it is
-    called.  Raises DimensionTooLarge, before any table is built, when
-    the plans of the sums exceed the budget.
+    called.  `layout` is the _cone_layout of the grid, which eval_cone
+    builds before the nodes; without it the sums raise DimensionTooLarge,
+    before any table is built, when their plans exceed the budget.
     """
     d = len(labels)
     sizes = [nd.size for nd in nodes]
     voxel = math.prod(float(nd[1] - nd[0]) if nd.size > 1 else 1.0 for nd in nodes)
-    # the axes each image coordinate runs over, from a grid of two nodes per axis
-    probe = {lab: _shaped(np.ones(2), k, d) for k, lab in enumerate(labels)}
-    supports = {
-        key: tuple(k for k, size in enumerate(np.shape(val)) if size == 2)
-        for key, val in bz_map_coords(family, n, probe).items()
-    }
-    shared = list(dict.fromkeys(s for s in supports.values() if len(s) > 1))
-    # the vector of an axis folds into the first table over it, or is the
-    # table of that axis; axis d + k picks a column of axis k
-    home = {}
-    for support in shared:
-        for k in support:
-            home.setdefault(k, support)
-    for k in range(d):
-        if k not in home:
-            home[k] = (k,)
-            shared.append((k,))
-    column_axes = [(k, d + k) for k in range(d)]
-    ((subs, path, *_),) = _budgeted_plans(
-        "cone", [(shared + column_axes, sizes + [2] * d, tuple(range(d, 2 * d)))]
-    )
+    supports, shared, home, subs, path = layout or _cone_layout(family, n, labels, sizes)
 
     coords = {lab: np.exp(_shaped(nd, k, d)) for k, (lab, nd) in enumerate(zip(labels, nodes))}
     vecs = [coords[lab].reshape(-1) * efac[lab] for lab in labels]

@@ -159,6 +159,43 @@ class TestEval:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("option", ["--lambda", "--x"])
+    def test_vector_not_finite_is_usage_error(self, option, value, capsys):
+        vectors = {"--lambda": "1,-1", "--x": "0.3,-0.3"}
+        vectors[option] = f"{value},0.2"
+        code = run(["eval", "--group", "gl", "--rank", "2", "--method", "cross"]
+                   + [f"{name}={vector}" for name, vector in vectors.items()])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("method", ["mb", "cone"])
+    @pytest.mark.parametrize("rank,lam", [("2", "3e6,0"), ("2", "1e300,0"), ("3", "1e5,0,0")])
+    def test_lambda_over_budget_builds_no_grid(self, rank, lam, method, capsys):
+        """Both routes hold the panel counts against the contraction budget
+        before any node vector is built: a spectral parameter whose grid is
+        over it is a usage error that allocates next to nothing."""
+        import os
+        import tracemalloc
+
+        # first-use imports outside the trace
+        assert run(["eval", "--group", "gl", "--rank", "2", "--lambda=1,0", "--x=0,0",
+                    "--output", os.devnull]) == 0
+        x = ",".join(["0"] * int(rank))
+        tracemalloc.start()
+        try:
+            code = run(["eval", "--group", "gl", "--rank", rank, f"--lambda={lam}", f"--x={x}",
+                        "--method", method])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert peak < 2**20
+
     def test_mb_dimension_guard_is_usage_error(self):
         code = run(
             ["eval", "--group", "gl", "--rank", "5", "--method", "mb",
@@ -209,6 +246,16 @@ class TestMellinTable:
              "--s-grid", "nope"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("axis", ["{v}:{v}:1", "0.5:{v}:2"])
+    def test_grid_not_finite_is_usage_error(self, axis, value, capsys):
+        code = run(["mellin-table", "--group", "gl", "--rank", "3", "--lambda", "0.5,0,-0.5",
+                    f"--s-grid={axis.format(v=value)}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
     def test_s_outside_the_domain_is_usage_error(self, capsys):
         # no inner contour separates the poles at s = (0, 0)
