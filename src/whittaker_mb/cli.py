@@ -368,25 +368,20 @@ def cmd_mellin_table(args) -> int:
         except NotConverged as exc:
             exit_code = 3
             r = exc.result
-        v = r.value
+        # a row without a finite result (r None) has null values
+        record = dict.fromkeys(header[n_outer:])
+        record["s"] = list(point)
+        if r is not None:
+            v = r.value
+            record.update(re=v.real, im=v.imag, abs=abs(v))
         if use_oracle:
             ref = bump_gl3(lam, point[0], point[1])
-            rel = abs(v - ref) / max(abs(ref), 1e-300)
-            row = list(point) + [v.real, v.imag, abs(v), ref.real, ref.imag, rel]
-        else:
-            row = list(point) + [v.real, v.imag, abs(v), "", "", ""]
-        rows.append(row)
-        records.append(
-            {
-                "s": list(point),
-                "re": v.real,
-                "im": v.imag,
-                "abs": abs(v),
-                "oracle_re": ref.real if use_oracle else None,
-                "oracle_im": ref.imag if use_oracle else None,
-                "rel_dev": rel if use_oracle else None,
-            }
-        )
+            record.update(oracle_re=ref.real, oracle_im=ref.imag)
+            if r is not None:
+                record["rel_dev"] = abs(v - ref) / max(abs(ref), 1e-300)
+        records.append(record)
+        cells = [record[k] for k in header[n_outer:]]
+        rows.append(list(point) + ["" if c is None else c for c in cells])
     if args.format == "csv":
         text = _csv_dump(header, rows)
     else:

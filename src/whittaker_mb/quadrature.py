@@ -8,8 +8,9 @@ variables (eval_mellin_transform) and the first Barnes lemma check
 (barnes_first_lemma_quad) are thin front ends that each hand it an
 MBIntegrand.  It plans the contour (plan_contour), contracts the sum,
 estimates the error and refines, in the one attempt loop (_attempts)
-that serves the cone route too: the budget, the tol test and
-NotConverged are the same for both.  Gamma decay makes the trapezoid
+that serves the cone route too: the budget, the tol test, the check
+that a sum stayed in floating-point range and NotConverged are the
+same for both.  Gamma decay makes the trapezoid
 rule converge geometrically (Trefethen and Weideman, SIAM Rev. 56, 2014);
 per-axis truncation comes from the Gamma-decay envelope (spectral
 shifts and the imaginary parts of fixed symbols translate the profile,
@@ -49,12 +50,13 @@ its operands and the axes it keeps, planned with a nominal length on
 every grid axis and cached.  The coarser grid levels contract the same
 tables sliced.  One selector contraction of the moduli, with each
 axis' weight as [w, w * ends] columns, gives the mass and the
-boundary-shell mass of every axis at once.  Before any table is built,
-the plan's flop count and its largest table or intermediate, counted
-with the true axis lengths, are held against MAX_FLOPS and MAX_ENTRIES;
-a cached path over budget is planned once more with the true lengths.
-Both routes do this from the panel counts, before any node vector is
-built.
+boundary-shell mass of every axis at once.  Both routes lay their sums
+out this way, shared tables plus one operand per axis (_axis_plans),
+and run them through one helper (_strided_sums).  Before any table is
+built, the plan's flop count and its largest table or intermediate,
+counted with the true axis lengths, are held against MAX_FLOPS and
+MAX_ENTRIES, and a plan over them raises DimensionTooLarge.  Both
+routes do this from the panel counts, before any node vector is built.
 
 Every axis of the contour grid has the same step, and the coefficients
 of the contour variables in a factor are small integers (or rationals),
@@ -66,10 +68,12 @@ table share one lattice direction, exp runs on the line too.
 The positive-cone sum is a contraction as well: each image coordinate
 in its exponent S depends on a few log coordinates and its phase is
 linear, so exp(-S - i phase) is a product of small tables and per-axis
-vectors, contracted under the same budget.  Each attempt sums on its
-grid and on the grids of every second and fourth node, and estimates
-its error by the rule of the contour engine; a selector contraction
-gives its mass and face masses.  Its first box already reaches beyond
+vectors.  Each axis' vector is that axis' own operand, as [Re, Im]
+columns of its phase in the sums and as [w, w * ends] columns in the
+selector, so the tables stay real.  Each attempt sums on its grid and
+on the grids of every second and fourth node, and estimates its error
+by the rule of the contour engine; the selector gives its mass and
+face masses.  Its first box already reaches beyond
 the box where S has risen by log(10/tol) + 6, and only an attempt that
 misses tol contracts the mass on every grid hyperplane, to which the
 box of the next attempt is trimmed.  The cone route is limited to
@@ -393,8 +397,8 @@ def _shaped(arr, axis, ndim):
 
 
 # Contraction paths are planned with this length on every axis longer than
-# two, so one path serves every grid of a support structure; the cone's
-# [Re, Im] axes keep their length 2.
+# two, so one path serves every grid of a support structure; the column
+# axes of the selector and of the cone's [Re, Im] phases keep their length 2.
 _NOMINAL_SIZE = 32
 
 
@@ -406,23 +410,20 @@ def _greedy_path(subs, shapes, limit):
     return tuple(np.einsum_path(subs, *operands, optimize=("greedy", limit))[0])
 
 
-def _plan(supports, sizes, output=(), nominal=True):
+def _plan(supports, sizes, output=()):
     """Greedy pairwise order (numpy.einsum_path) for contracting operands
     that run over the axis tuples `supports`, keeping the axes `output`.
 
-    With `nominal`, the path is planned once per support structure, with
-    every axis longer than two at _NOMINAL_SIZE, and cached; otherwise it
-    is planned with the true `sizes` and not cached.  Either way the
-    flops and the largest entry are counted with the true sizes.  Returns
-    the einsum subscripts, the path, its flop count and the entry count
-    of its largest operand or intermediate.
+    The path is planned once per support structure, with every axis longer
+    than two at _NOMINAL_SIZE, and cached; its flops and largest entry are
+    counted with the true `sizes`.  Returns the einsum subscripts, the
+    path, its flop count and the entry count of its largest operand or
+    intermediate.
     """
     subs = ",".join("".join(_LETTERS[a] for a in s) for s in supports)
     subs += "->" + "".join(_LETTERS[a] for a in output)
-    plan_sizes = [_NOMINAL_SIZE if nominal and n > 2 else n for n in sizes]
-    shapes = tuple(tuple(plan_sizes[a] for a in s) for s in supports)
-    find = _greedy_path if nominal else _greedy_path.__wrapped__
-    path = find(subs, shapes, MAX_ENTRIES)
+    shapes = tuple(tuple(_NOMINAL_SIZE if sizes[a] > 2 else sizes[a] for a in s) for s in supports)
+    path = _greedy_path(subs, shapes, MAX_ENTRIES)
     live = [set(s) for s in supports]
     flops = 0.0
     largest = max(math.prod(sizes[a] for a in s) for s in supports)
@@ -437,22 +438,31 @@ def _plan(supports, sizes, output=(), nominal=True):
 
 
 def _budgeted_plans(what, jobs):
-    """_plan for each (supports, sizes, output) of `jobs`, within the budget.
+    """_plan for each (supports, sizes, output) of `jobs`.  Raises
+    DimensionTooLarge when their flops, or the largest entry of one,
+    counted with the true sizes, are over the budget."""
+    plans = [_plan(*job) for job in jobs]
+    flops = sum(p[2] for p in plans)
+    largest = max(p[3] for p in plans)
+    if flops > MAX_FLOPS or largest > MAX_ENTRIES:
+        raise DimensionTooLarge(
+            f"{what} contraction of {flops:.2g} flops with {largest:.2g}-entry "
+            "tables exceeds the budget"
+        )
+    return plans
 
-    The cached nominal paths are tried first; if their flops or largest
-    entry, counted with the true sizes, are over the budget, the paths
-    are planned once more with the true sizes.  Raises DimensionTooLarge
-    when those are over it too.
-    """
-    for nominal in (True, False):
-        plans = [_plan(*job, nominal=nominal) for job in jobs]
-        flops = sum(p[2] for p in plans)
-        largest = max(p[3] for p in plans)
-        if flops <= MAX_FLOPS and largest <= MAX_ENTRIES:
-            return plans
-    raise DimensionTooLarge(
-        f"{what} contraction of {flops:.2g} flops with {largest:.2g}-entry "
-        "tables exceeds the budget"
+
+def _axis_plans(what, shared, sizes, outputs):
+    """_budgeted_plans of contracting the tables over the supports `shared`
+    with one operand per axis k of a grid of sizes[k] nodes, one plan per
+    entry of `outputs`: for None, a pair of columns on axes k and d + k,
+    which are kept (the selector, the cone's [Re, Im] phases); for a
+    tuple of grid axes, a vector on axis k, and those axes are kept."""
+    d = len(sizes)
+    columns = (shared + [(k, d + k) for k in range(d)], [*sizes] + [2] * d, tuple(range(d, 2 * d)))
+    vectors = shared + [(k,) for k in range(d)]
+    return _budgeted_plans(
+        what, [columns if out is None else (vectors, sizes, out) for out in outputs]
     )
 
 
@@ -528,12 +538,22 @@ def _face_columns(weight):
     return cols
 
 
-def _selected_masses(selected):
-    """The mass and the per-axis face masses in the (2,) * d output of a
-    [w, w * ends] selector contraction (_face_columns)."""
+def _strided_sums(plans, tables, axis_ops, moduli, selectors):
+    """The contractions of a tensor trapezoid sum along the `plans` of
+    _axis_plans: `tables` with one operand per axis (`axis_ops`) on the
+    grid and, sliced, on its grids of every second and fourth node; and
+    `moduli` with the [w, w * ends] `selectors` (_face_columns).  Returns
+    the three sums, the mass and the per-axis face masses."""
+    (subs, path, *_), (sel_subs, sel_path, *_) = plans
+    sums = []
+    for stride in (1, 2, 4):
+        sliced = [t[(slice(None, None, stride),) * t.ndim] for t in tables]
+        sums.append(np.einsum(subs, *sliced, *(op[::stride] for op in axis_ops), optimize=path))
+    # the selector's (2,) * d output: the mass at 0, axis k's face mass at the k-th unit vector
+    selected = np.einsum(sel_subs, *moduli, *selectors, optimize=sel_path)
     d = selected.ndim
     faces = [float(selected[tuple(int(j == k) for j in range(d))]) for k in range(d)]
-    return float(selected[(0,) * d]), faces
+    return sums, float(selected[(0,) * d]), faces
 
 
 def _extrapolated(fine, coarse, coarse4, mass):
@@ -559,11 +579,13 @@ def _contour_sum(num, den, variables, base, lam, hx, halves, fixed=None, *, step
     (_support_lines).  Factors that share a support of two or more axes
     make one table, exp'd on the line when they all share one direction
     and on the gathered log table otherwise; those on one axis are added
-    to the log of that axis' weight vector exp(z_k hx_k) before exp.  The
-    sums on the grids of every second and every fourth node contract the
-    same tables sliced.  One more contraction takes the moduli with each
-    weight vector's moduli w as [w, w * ends] columns (_face_columns):
-    it gives the mass and the mass on each axis' pair of boundary faces.
+    to the log of that axis' weight vector exp(z_k hx_k) before exp, and
+    each weight vector is its axis' own operand, the layout _cone_sum
+    shares (_axis_plans, _strided_sums).  The sums on the grids of every
+    second and every fourth node contract the same operands sliced.  One
+    more contraction takes the moduli with each weight vector's moduli w
+    as [w, w * ends] columns (_face_columns): it gives the mass and the
+    mass on each axis' pair of boundary faces.
     Returns (fine, coarse, coarse4, face_abs, n_evals, mass), n_evals
     being the node count of the dense grid and mass the sum of the
     moduli of all terms.  Raises DimensionTooLarge, before any node vector
@@ -586,14 +608,7 @@ def _contour_sum(num, den, variables, base, lam, hx, halves, fixed=None, *, step
 
     sizes = [2 * m + 1 for m in halves]
     shared = [s for s in groups if len(s) > 1]
-    selected = [(k, d + k) for k in range(d)]
-    (subs, path, *_), (sel_subs, sel_path, *_) = _budgeted_plans(
-        "contour",
-        [
-            (shared + [(k,) for k in range(d)], sizes, ()),
-            (shared + selected, sizes + [2] * d, tuple(range(d, 2 * d))),
-        ],
-    )
+    plans = _axis_plans("contour", shared, sizes, [(), None])
 
     nodes = [np.arange(-m, m + 1) * step for m in halves]
     grid = (variables, base, lam, fixed, halves, step)
@@ -602,24 +617,20 @@ def _contour_sum(num, den, variables, base, lam, hx, halves, fixed=None, *, step
         table, modulus = _support_tables(_support_lines(groups[s], s, *grid))
         tables.append(table)
         moduli.append(modulus)
-    selectors = []
+    weights, selectors = [], []
     for k, v in enumerate(variables):
         weight = (base[v] + 1j * nodes[k]) * hx.get(v, 0.0)
         if (k,) in groups:
             ((line, idx),) = _support_lines(groups[(k,)], (k,), *grid)
             weight = weight + line[idx]
-        tables.append(np.exp(weight))
+        weights.append(np.exp(weight))
         selectors.append(_face_columns(np.exp(weight.real)))
 
     scale = complex(np.exp(const)) * step**d
-
-    def contract(stride):
-        sliced = [t[(slice(None, None, stride),) * t.ndim] for t in tables]
-        return complex(np.einsum(subs, *sliced, optimize=path)) * stride**d * scale
-
-    mass, faces = _selected_masses(np.einsum(sel_subs, *moduli, *selectors, optimize=sel_path))
+    sums, mass, faces = _strided_sums(plans, tables, weights, moduli, selectors)
+    fine, coarse, coarse4 = (complex(s) * stride**d * scale for s, stride in zip(sums, (1, 2, 4)))
     face_abs = [face * abs(scale) for face in faces]
-    return contract(1), contract(2), contract(4), face_abs, math.prod(sizes), mass * abs(scale)
+    return fine, coarse, coarse4, face_abs, math.prod(sizes), mass * abs(scale)
 
 
 def _torus_slopes(integrand: MBIntegrand, x):
@@ -795,25 +806,37 @@ def _attempts(attempt, grid, tries, tol, t0, message):
     attempt follows.  The first attempt with err <= tol |value|, or with
     value exactly 0, is the result.  A first attempt over the contraction
     budget raises DimensionTooLarge; a later one, or a refine() over it,
-    ends the attempts.  If none meets tol, NotConverged carries the last
-    result and `message` formatted with its err.  evaluations sums over
-    the attempts, and wall_time runs from t0.
+    ends the attempts.  So does an attempt whose sums leave the floating-
+    point range: its value or err is not finite, or its arithmetic raises
+    OverflowError (which abs() of a complex NaN can raise as well).  If
+    none meets tol, NotConverged carries the last finite result, or None
+    where there is none, and `message` formatted with its err.
+    evaluations sums over the finite attempts, and wall_time runs from t0
+    to the end of the attempt.
     """
-    evals_total = 0
+    evals_total, last = 0, None
     for k in range(tries):
         try:
             if k:
                 grid = refine()
             value, err, evals, refine = attempt(grid)
+            finite = math.isfinite(abs(value)) and math.isfinite(err)
         except DimensionTooLarge:
             if k == 0:
                 raise
             break  # keep the last result
+        except OverflowError:
+            finite = False
+        if not finite:
+            message = f"attempt {k + 1} summed out of floating-point range"
+            break
         evals_total += evals
         if err <= tol * max(abs(value), 1e-300) or value == 0:
             return QuadResult(value, err, evals_total, time.perf_counter() - t0)
-    result = QuadResult(value, err, evals_total, time.perf_counter() - t0, converged=False)
-    raise NotConverged(message.format(err=err), result)
+        last = QuadResult(value, err, evals_total, time.perf_counter() - t0, converged=False)
+    if last is None:  # the first attempt left the range
+        raise NotConverged(message, None)
+    raise NotConverged(message.format(err=last.est_error), last)
 
 
 def _refine_spec(spec: ContourSpec) -> ContourSpec:
@@ -928,7 +951,10 @@ def _cone_exponent(family, n, x):
     out = {}
     for label in rs.positive_roots:
         row = cartan_scaling_exponent(family, n, label)
-        out[label] = math.exp(sum(float(c) * xi for c, xi in zip(row, x)))
+        try:
+            out[label] = math.exp(sum(float(c) * xi for c, xi in zip(row, x)))
+        except OverflowError:  # the cone sums then leave the range (_attempts)
+            out[label] = math.inf
     return out
 
 
@@ -1097,10 +1123,11 @@ def _cone_trim(nodes, marginals, limit):
 
 
 def _cone_layout(family, n, labels, sizes):
-    """The operands of the cone sums on a grid of sizes[k] nodes on axis k,
-    and their plan: the axes each image coordinate runs over (a dict),
-    the supports of the tables, the table each axis' vector folds into,
-    and the einsum subscripts and path of the sums (see _cone_sum).
+    """The supports of the cone sums on a grid of sizes[k] nodes on axis k,
+    and their plans: the axes each image coordinate runs over (a dict),
+    the distinct supports of two or more axes, one table each, and the
+    _axis_plans of the sums and of the selector, which contract those
+    tables with per-axis columns and so share one plan (see _cone_sum).
     Raises DimensionTooLarge when the plan exceeds the budget."""
     d = len(labels)
     # the axes each image coordinate runs over, from a grid of two nodes per axis
@@ -1110,57 +1137,40 @@ def _cone_layout(family, n, labels, sizes):
         for key, val in bz_map_coords(family, n, probe).items()
     }
     shared = list(dict.fromkeys(s for s in supports.values() if len(s) > 1))
-    # the vector of an axis folds into the first table over it, or is the
-    # table of that axis; axis d + k picks a column of axis k
-    home = {}
-    for support in shared:
-        for k in support:
-            home.setdefault(k, support)
-    for k in range(d):
-        if k not in home:
-            home[k] = (k,)
-            shared.append((k,))
-    column_axes = [(k, d + k) for k in range(d)]
-    ((subs, path, *_),) = _budgeted_plans(
-        "cone", [(shared + column_axes, list(sizes) + [2] * d, tuple(range(d, 2 * d)))]
-    )
-    return supports, shared, home, subs, path
+    (plan,) = _axis_plans("cone", shared, sizes, [None])
+    return supports, shared, (plan, plan)
 
 
-def _cone_sum(family, n, labels, efac, phase, nodes, s_shift, layout=None):
+def _cone_sum(family, n, labels, efac, phase, nodes, s_shift, layout):
     """Trapezoid sums of exp(-(S - s_shift) - i phase) over the tensor grid
     and over its grids of every second and fourth node, with the mass of
     the weight and its mass on the boundary faces, contracted factor by
-    factor.
+    factor, on the `layout` (_cone_layout) of the grid.
 
     Each image coordinate depends on a few log coordinates, and each
     E_gamma t_gamma term and phase term on one, so the weight is a product
     of small tables: the image coordinates sharing a support of two or
     more axes are summed into one table, and the other terms into one
-    vector per axis.  Each table and vector is shifted by its minimum
-    before exp (the shifts make one scalar); then each vector is folded
-    into the first table over its axis, or is the table of its axis if
-    none is.  The sums contract the tables with the per-axis phase
-    vectors, given as [Re, Im] columns so that no table is cast to
-    complex; the coarser grids contract the same tables and columns
-    sliced.  One more contraction, with the same subscripts and path,
-    takes per-axis [1, ends] columns (_face_columns) in place of the
-    phase columns: it gives the mass and the face mass of every axis.
-    Returns (fine, coarse, coarse4, faces, n_evals, mass, marginals):
-    the sums at strides 1, 2 and 4, each times its voxel, faces[k] the
-    weight on the first and last hyperplane of axis k times the voxel,
-    n_evals the node count of the dense grid, and marginals a function
-    that contracts the same tables once per axis, with that axis kept:
-    marginals()[k][i] is the weight on the hyperplane u_k = nodes[k][i]
-    times the voxel.  Its plans are held against the budget when it is
-    called.  `layout` is the _cone_layout of the grid, which eval_cone
-    builds before the nodes; without it the sums raise DimensionTooLarge,
-    before any table is built, when their plans exceed the budget.
+    vector v_k per axis.  Each table and vector is shifted by its minimum
+    before exp (the shifts make one scalar).  As in _contour_sum, each
+    axis' vector is that axis' own operand (_strided_sums): the sums
+    contract the tables with the columns v_k [Re, Im] of the axis' phase,
+    so that no table is cast to complex, and the coarser grids contract
+    the same tables and columns sliced; the selector contracts them with
+    the [v_k, v_k * ends] columns (_face_columns), for the mass and the
+    face mass of every axis.  Returns (fine, coarse, coarse4, faces,
+    n_evals, mass, marginals): the sums at strides 1, 2 and 4, each times
+    its voxel, faces[k] the weight on the first and last hyperplane of
+    axis k times the voxel, n_evals the node count of the dense grid, and
+    marginals a function that contracts the same tables and vectors once
+    per axis, with that axis kept: marginals()[k][i] is the weight on the
+    hyperplane u_k = nodes[k][i] times the voxel.  Its plans are held
+    against the budget when it is called.
     """
     d = len(labels)
     sizes = [nd.size for nd in nodes]
     voxel = math.prod(float(nd[1] - nd[0]) if nd.size > 1 else 1.0 for nd in nodes)
-    supports, shared, home, subs, path = layout or _cone_layout(family, n, labels, sizes)
+    supports, shared, plans = layout
 
     coords = {lab: np.exp(_shaped(nd, k, d)) for k, (lab, nd) in enumerate(zip(labels, nodes))}
     vecs = [coords[lab].reshape(-1) * efac[lab] for lab in labels]
@@ -1186,34 +1196,21 @@ def _cone_sum(family, n, labels, efac, phase, nodes, s_shift, layout=None):
         shift += low
         np.subtract(low, t, out=t)
         np.exp(t, out=t)
-    for k, support in home.items():
-        if support == (k,):
-            tables[support] = vecs[k]
-        else:
-            tables[support] *= _shaped(vecs[k], support.index(k), len(support))
     factors = [tables[s] for s in shared]
     scale = math.exp(-shift) * voxel
 
-    def contract(cols, stride):
-        sliced = [t[(slice(None, None, stride),) * t.ndim] for t in factors]
-        cols = [c[::stride] for c in cols]
-        if d == 1:  # one vector against one pair of columns, no path to parse
-            return sliced[0] @ cols[0]
-        return np.einsum(subs, *sliced, *cols, optimize=path)
-
     waves = [np.exp(-1j * phase[lab] * nd) for lab, nd in zip(labels, nodes)]
-    phased = [np.stack([w.real, w.imag], axis=1) for w in waves]
+    phased = [np.stack([v * w.real, v * w.imag], axis=1) for v, w in zip(vecs, waves)]
+    parts, mass, faces = _strided_sums(plans, factors, phased, factors, map(_face_columns, vecs))
     sums = []
-    for stride in (1, 2, 4):
-        parts = contract(phased, stride)
-        for _ in range(d):  # sum_w parts[w] * i^|w|
-            parts = parts @ np.array([1.0, 1j])
-        sums.append(complex(parts) * stride**d * scale)
-    mass, faces = _selected_masses(contract([_face_columns(np.ones(size)) for size in sizes], 1))
+    for part, stride in zip(parts, (1, 2, 4)):
+        for _ in range(d):  # sum_w part[w] * i^|w|
+            part = part @ np.array([1.0, 1j])
+        sums.append(complex(part) * stride**d * scale)
 
     def marginals():
-        plans = _budgeted_plans("cone", [(shared, sizes, (k,)) for k in range(d)])
-        return [np.einsum(p[0], *factors, optimize=p[1]) * scale for p in plans]
+        plans = _axis_plans("cone", shared, sizes, [(k,) for k in range(d)])
+        return [np.einsum(p[0], *factors, *vecs, optimize=p[1]) * scale for p in plans]
 
     return (*sums, [face * scale for face in faces], math.prod(sizes), mass * scale, marginals)
 

@@ -9,6 +9,15 @@ def run(argv):
     return cli.main(argv)
 
 
+def _finite_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+
+    def reject(name):
+        raise ValueError(f"non-finite number {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestVerify:
     def test_degenerate_rank_passes(self, tmp_path):
         out = tmp_path / "report.json"
@@ -196,6 +205,16 @@ class TestEval:
         assert captured.err.startswith("error: ") and captured.out == ""
         assert peak < 2**20
 
+    @pytest.mark.parametrize("method,x", [("cone", "50,-50"), ("cone", "800,0"), ("mb", "-800,0")])
+    def test_large_x_ends_finite_or_typed(self, method, x, capsys):
+        """A sum out of floating-point range is a typed failure: no traceback
+        and no non-finite number in the record."""
+        code = run(["eval", "--group", "gl", "--rank", "2", "--lambda=0.5,0", f"--x={x}",
+                    "--method", method])
+        assert code in (0, 2, 3)
+        record = _finite_json(capsys.readouterr().out)
+        assert (method in record) == (code == 0)
+
     def test_mb_dimension_guard_is_usage_error(self):
         code = run(
             ["eval", "--group", "gl", "--rank", "5", "--method", "mb",
@@ -298,6 +317,15 @@ class TestMellinTable:
         assert proc.returncode == 0, proc.stderr.decode()
         (row,) = json.loads(proc.stdout)["rows"]
         assert row["s"] == [-1e6] and row["abs"] == 0.0
+
+    def test_out_of_range_row_is_null(self, capsys):
+        # Gamma(300) is past the floating-point range
+        code = run(["mellin-table", "--group", "gl", "--rank", "2", "--lambda=1,0",
+                    "--s-grid=2:300:2", "--format", "json"])
+        assert code == 3
+        first, last = _finite_json(capsys.readouterr().out)["rows"]
+        assert first["abs"] > 0 and last["s"] == [300.0]
+        assert [last[k] for k in ("re", "im", "abs")] == [None] * 3
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "t.json"

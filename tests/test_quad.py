@@ -17,13 +17,13 @@ from whittaker_mb.quadrature import (
     _cone_action,
     _cone_exponent,
     _cone_box,
+    _cone_layout,
     _cone_phase_coeffs,
     _cone_sum,
     _cone_trim,
     _contour_sum,
     _inner_integrand,
     _lp_model,
-    _budgeted_plans,
     _greedy_path,
     _plan,
     _strip_bound,
@@ -731,6 +731,12 @@ def _dense_cone(family, n, labels, efac, phase, nodes, s_shift):
     return (*sums, faces, arr.size, mod.sum(), marginals)
 
 
+def _laid_out_cone_sum(family, n, labels, efac, phase, nodes, s_shift):
+    """_cone_sum on the _cone_layout of its grid."""
+    layout = _cone_layout(family, n, labels, [nd.size for nd in nodes])
+    return _cone_sum(family, n, labels, efac, phase, nodes, s_shift, layout)
+
+
 class TestContractedKernels:
     # half-widths m of the axes (2m + 1 nodes): none a multiple of four
     HALF = (3, 5, 7, 6)
@@ -770,7 +776,7 @@ class TestContractedKernels:
         efac = _cone_exponent(family, n, x)
         phase = _cone_phase_coeffs(family, n, lam)
         nodes = [np.linspace(-2.0, 1.0, 2 * m + 1) for m in self.HALF[: len(labels)]]
-        got = _cone_sum(family, n, labels, efac, phase, nodes, 1.5)
+        got = _laid_out_cone_sum(family, n, labels, efac, phase, nodes, 1.5)
         ref = _dense_cone(family, n, labels, efac, phase, nodes, 1.5)
         for a, b in zip(got[:3], ref[:3]):  # strides 1, 2 and 4
             assert _close(a, b)
@@ -800,7 +806,7 @@ class TestContractedKernels:
         grids = np.meshgrid(*nodes, indexing="ij")
         coords = {lab: np.exp(g) for lab, g in zip(labels, grids)}
         s_min = float(_cone_action(family, 2, coords, efac).min())
-        got = _cone_sum(family, 2, labels, efac, phase, nodes, s_min - 40.0)
+        got = _laid_out_cone_sum(family, 2, labels, efac, phase, nodes, s_min - 40.0)
         ref = _dense_cone(family, 2, labels, efac, phase, nodes, s_min - 40.0)
         mass = float(ref[5])
         assert 0.0 < mass < 1e-10
@@ -824,7 +830,7 @@ class TestContractedKernels:
             efac = _cone_exponent(family, n, (0.2, -0.1, 0.1)[:n])
             phase = _cone_phase_coeffs(family, n, (0.5, -0.8, 0.3)[:n])
             nodes = [np.linspace(-2.0, 1.0, 2 * m + 1) for m in half[: len(labels)]]
-            return _cone_sum(family, n, labels, efac, phase, nodes, 1.5)
+            return _laid_out_cone_sum(family, n, labels, efac, phase, nodes, 1.5)
 
         first = cone_sum("sp", 2, self.HALF)
         first_marginals = first[6]()
@@ -976,6 +982,25 @@ class TestCommonStepLattice:
         # one-axis Gamma factors fold into the weight vectors: 8 operands, not 11
         assert subs and all(s == "bd,bc,ab,cd,a,b,c,d->" for s in subs)
 
+    def test_sp2_cone_operands(self, monkeypatch):
+        import whittaker_mb.quadrature as quad
+
+        subs, real_plans = [], quad._budgeted_plans
+
+        def plans(what, jobs):
+            out = real_plans(what, jobs)
+            subs.extend(p[0] for p in out)
+            return out
+
+        monkeypatch.setattr(quad, "_budgeted_plans", plans)
+        eval_cone("sp", 2, (0.7, -0.4), (0.3, -0.2), tol=1e-8)  # trims, so marginals run
+        # the shared tables and one operand per axis, as in the contour sum:
+        # columns in the sums and the selector, a vector in the marginals;
+        # no one-axis table
+        sums = "bd,bcd,abd,ae,bf,cg,dh->efgh"
+        marginals = {f"bd,bcd,abd,a,b,c,d->{k}" for k in "abcd"}
+        assert set(subs) == {sums} | marginals
+
 
 def _recount(subs, path, sizes):
     """Flops and largest entry of an einsum path, counted from its
@@ -1016,38 +1041,32 @@ class TestContractionPlans:
         for plan, sizes in ((first, (73, 45, 73, 45)), (second, (61, 33, 97, 41))):
             assert plan[2:] == _recount(plan[0], plan[1], sizes)
 
-    def test_size_aware_plan_when_nominal_is_over_budget(self, monkeypatch):
-        import whittaker_mb.quadrature as quad
-
-        # with every axis at the nominal size the greedy order contracts
-        # axis c first, which costs 133 times the order for these sizes
-        job = ([(1, 2), (0, 2), (1,)], [200, 400, 3], ())
-        nominal = _plan(*job)
-        aware = _plan(*job, nominal=False)
-        assert nominal[1] != aware[1] and aware[2] < 1e4 < nominal[2]
-        _greedy_path.cache_clear()
-        monkeypatch.setattr(quad, "MAX_FLOPS", 1e4)
-        (plan,) = _budgeted_plans("test", [job])
-        assert plan == aware
-        # only the nominal path is kept
-        assert _greedy_path.cache_info().currsize == 1
-        monkeypatch.setattr(quad, "MAX_FLOPS", 1e3)
-        with pytest.raises(DimensionTooLarge):
-            _budgeted_plans("test", [job])
-
     @pytest.mark.parametrize("family", ["sp", "so_odd"])
     def test_cone_sum_matches_size_aware_plans(self, monkeypatch, family):
         import whittaker_mb.quadrature as quad
+
+        real = quad._plan
+
+        def size_aware(supports, sizes, output=()):
+            """_plan with the greedy path planned at the true sizes."""
+            subs, _, flops, largest = real(supports, sizes, output)
+            operands = [np.broadcast_to(0.0, tuple(sizes[a] for a in s)) for s in supports]
+            path = np.einsum_path(subs, *operands, optimize=("greedy", quad.MAX_ENTRIES))[0]
+            return subs, tuple(path), flops, largest
 
         labels = list(build_root_system(family, 2).positive_roots)
         efac = _cone_exponent(family, 2, (0.2, -0.1))
         phase = _cone_phase_coeffs(family, 2, (0.5, -0.8))
         nodes = [np.linspace(-2.0, 1.0, m) for m in (61, 36, 41, 39)]
-        got = _cone_sum(family, 2, labels, efac, phase, nodes, 1.5)
+        sizes = [nd.size for nd in nodes]
+        layout = _cone_layout(family, 2, labels, sizes)
+        got = _cone_sum(family, 2, labels, efac, phase, nodes, 1.5, layout)
         got_marginals = got[6]()
-        real = quad._plan
-        monkeypatch.setattr(quad, "_plan", lambda *job, nominal: real(*job, nominal=False))
-        ref = _cone_sum(family, 2, labels, efac, phase, nodes, 1.5)
+        monkeypatch.setattr(quad, "_plan", size_aware)
+        aware = _cone_layout(family, 2, labels, sizes)
+        # at these sizes the greedy order differs from the nominal one
+        assert aware[2][0][1] != layout[2][0][1]
+        ref = _cone_sum(family, 2, labels, efac, phase, nodes, 1.5, aware)
         for a, b in zip(got[:3], ref[:3]):
             assert abs(a - b) <= 1e-13 * abs(b)
         assert got[3] == pytest.approx(ref[3], rel=1e-13)
@@ -1131,7 +1150,7 @@ class TestConeBox:
         h = 0.15
         while True:  # widen as eval_cone does until the face check passes
             nodes = [np.arange(lo, hi + h, h) for lo, hi in bounds]
-            total, _, _, faces, evals, _, marginals = _cone_sum(
+            total, _, _, faces, evals, _, marginals = _laid_out_cone_sum(
                 family, 2, labels, efac, phase, nodes, s_center
             )
             face = sum(faces)
@@ -1142,7 +1161,7 @@ class TestConeBox:
         marginals = marginals()
         kept, dropped = _cone_trim(nodes, marginals, limit)
         trimmed = [nd[(nd >= lo) & (nd <= hi)] for nd, (lo, hi) in zip(nodes, kept)]
-        part, _, _, part_faces, part_evals, _, part_marginals = _cone_sum(
+        part, _, _, part_faces, part_evals, _, part_marginals = _laid_out_cone_sum(
             family, 2, labels, efac, phase, trimmed, s_center
         )
         part_face, part_marginals = sum(part_faces), part_marginals()
