@@ -10,8 +10,6 @@ from .exact import (
     DivisionByZero,
     ExactMatrix,
     GaussDecomposition,
-    QSqrt2,
-    SQRT2,
     SingularLeadingMinor,
     lu_gauss_decompose,
 )

@@ -27,7 +27,6 @@ from functools import lru_cache
 from .exact import ExactMatrix, SingularLeadingMinor, lu_gauss_decompose, signed_permutation
 from .charts import (
     LusztigChart,
-    _frac,
     chart_to_matrix,
     extract_coordinates,
     monomial_weight,
@@ -206,10 +205,8 @@ def bz_oracle(chart: LusztigChart) -> BZResult:
     diag = dec.diag_entries()
     family, n = rs.family, rs.n
     if family == "gl":
-        twist = [_frac(v) for v in diag]
-        return BZResult(image, twist)
+        return BZResult(image, diag)
     size = rs.matrix_size
-    twist = [_frac(diag[k]) for k in range(n)]
     for k in range(n):
         if diag[size - 1 - k] * diag[k] != 1:
             raise StructureViolation(
@@ -217,7 +214,7 @@ def bz_oracle(chart: LusztigChart) -> BZResult:
             )
     if family == "so_odd" and diag[n] != 1:
         raise StructureViolation("middle twist entry differs from 1")
-    return BZResult(image, twist)
+    return BZResult(image, diag[:n])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ one-parameter subgroup elements exp(t_gamma * e_letter).  This module
 provides the chart -> matrix map, the inverse (inductive peeling of the
 first simple-root string off the first row), the three rank-two
 transition maps between adjacent normal orderings, the invariant
-monomials t^mu, and exact log-coordinate Jacobians.
+monomials t^mu, and exact log-coordinate Jacobians.  Coordinates and
+chart matrices are rational in every family: the so_odd realization uses
+the basis with the middle vector scaled by sqrt(2) (see roots), in which
+its short generator has integer entries.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ExactMatrix, QSqrt2, SQRT2, jacobian_exact
+from .exact import ExactMatrix, jacobian_exact
 from .roots import (
     RootSystem,
     build_realization,
@@ -102,15 +105,6 @@ def chart_to_matrix(chart: LusztigChart, negate: bool = False) -> ExactMatrix:
 # inverse map: peel simple-root strings off the first row
 
 
-def _frac(x):
-    """Coerce a scalar that must be rational back to Fraction."""
-    if isinstance(x, QSqrt2):
-        if not x.is_rational:
-            raise ReconstructionMismatch(f"irrational coordinate {x!r}")
-        return x.as_fraction()
-    return Fraction(x)
-
-
 def _ratio(num, den):
     if den == 0:
         raise NotInChartDomain("vanishing first-row entry")
@@ -128,19 +122,19 @@ def _string1_params(x: ExactMatrix, family: str, r: int) -> dict:
     out = {}
     if family == "gl":
         for m in range(r, 1, -1):
-            out[("m", 1, m)] = _frac(_ratio(row[r + 1 - m], row[r - m]))
+            out[("m", 1, m)] = _ratio(row[r + 1 - m], row[r - m])
         return out
     if family == "so_even":
         for j in range(2, r):
-            out[("m", 1, j)] = _frac(-_ratio(row[2 * r + 1 - j], row[2 * r - j]))
+            out[("m", 1, j)] = -_ratio(row[2 * r + 1 - j], row[2 * r - j])
         p = Fraction(1)
         for j in range(2, r):
-            u_j = _frac(_ratio(row[j - 1], p))
+            u_j = _ratio(row[j - 1], p)
             s_j = u_j - out[("m", 1, j)]
             out[("p", 1, j)] = s_j
             p *= s_j
-        a = _frac(_ratio(row[r - 1], p))
-        b = _frac(_ratio(row[r], p))
+        a = _ratio(row[r - 1], p)
+        b = _ratio(row[r], p)
         if _eps(r - 1) == 1:  # r odd: plain column r holds s, next holds t
             out[("p", 1, r)], out[("m", 1, r)] = a, b
         else:
@@ -148,22 +142,20 @@ def _string1_params(x: ExactMatrix, family: str, r: int) -> dict:
         if row[r + 1] != -p * out[("p", 1, r)] * out[("m", 1, r)]:
             raise ReconstructionMismatch("first-row consistency check failed")
         return out
-    # so_odd / sp share the string shape; so_odd carries sqrt(2) at the middle
+    # so_odd / sp share the string shape; so_odd has one more column: the
+    # middle one holds p * t_1, the next -p * t_1^2 (checked below)
     for j in range(2, r + 1):
         col_hi = (2 * r + 3 - j) if family == "so_odd" else (2 * r + 2 - j)
-        out[("m", 1, j)] = _frac(-_ratio(row[col_hi - 1], row[col_hi - 2]))
+        out[("m", 1, j)] = -_ratio(row[col_hi - 1], row[col_hi - 2])
     p = Fraction(1)
     for j in range(2, r + 1):
-        u_j = _frac(_ratio(row[j - 1], p))
+        u_j = _ratio(row[j - 1], p)
         s_j = u_j - out[("m", 1, j)]
         out[("p", 1, j)] = s_j
         p *= s_j
-    if family == "so_odd":
-        t1 = _frac(_ratio(row[r], p) / SQRT2)
-        if row[r + 1] != -p * t1 * t1:
-            raise ReconstructionMismatch("first-row consistency check failed")
-    else:
-        t1 = _frac(_ratio(row[r], p))
+    t1 = _ratio(row[r], p)
+    if family == "so_odd" and row[r + 1] != -p * t1 * t1:
+        raise ReconstructionMismatch("first-row consistency check failed")
     out[("s", 1)] = t1
     return out
 

@@ -13,20 +13,12 @@ import argparse
 import functools
 import json
 import math
-import os
 import re
 import sys
 from fractions import Fraction
 
 
 GROUPS = {"gl": "gl", "so-even": "so_even", "so-odd": "so_odd", "sp": "sp"}
-
-
-def _cap_threads():
-    cap = os.environ.get("WHITTAKER_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 class UsageError(ValueError):
@@ -464,7 +456,6 @@ def _glue_negative_values(argv):
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     parser = build_parser()
     try:
         args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))

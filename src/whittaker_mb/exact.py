@@ -1,15 +1,13 @@
 """Exact scalar and matrix arithmetic.
 
-Everything here is exact: scalars are arbitrary-precision rationals,
-optionally extended by sqrt(2) (the odd orthogonal Chevalley generators
-need the irrationality), matrices are dense grids of such scalars, and
-the Gauss (LDU) decomposition runs plain elimination with exact pivots.
-Floats appear only as an export format.
+Everything here is exact: scalars are arbitrary-precision rationals
+(every family's realization has rational entries, see roots), matrices
+are dense grids of them, and the Gauss (LDU) decomposition runs plain
+elimination with exact pivots.  Floats appear only as an export format.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -30,202 +28,8 @@ class SingularLeadingMinor(ExactError):
         self.k = k
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
-
-
-class QSqrt2:
-    """Element a + b*sqrt(2) of the quadratic field Q(sqrt 2).
-
-    Field inverse goes through the conjugate: 1/(a+b*sqrt2) =
-    (a-b*sqrt2)/(a^2-2b^2); the denominator vanishes only at 0 because
-    sqrt(2) is irrational.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0):
-        self.a = _as_fraction(a)
-        self.b = _as_fraction(b)
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, QSqrt2):
-            return x
-        if isinstance(x, Fraction):
-            return _rational(x)
-        if isinstance(x, int):
-            return _rational(Fraction(x))
-        return None
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self!r} is irrational")
-        return self.a
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not (self.b or o.b):
-            return _rational(self.a + o.a)
-        return QSqrt2(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QSqrt2(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QSqrt2(o.a - self.a, o.b - self.b)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not (self.b or o.b):
-            return _rational(self.a * o.a)
-        return QSqrt2(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QSqrt2":
-        d = self.a * self.a - 2 * self.b * self.b
-        if d == 0:
-            raise DivisionByZero("inverse of zero in Q(sqrt2)")
-        return QSqrt2(self.a / d, -self.b / d)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = QSqrt2(1, 0)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __neg__(self):
-        return QSqrt2(-self.a, -self.b)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b))
-
-    def __bool__(self):
-        return self.a != 0 or self.b != 0
-
-    def _sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with 2 b^2 exactly
-        if a * a > 2 * b * b:
-            return 1 if a > 0 else -1
-        return 1 if b > 0 else -1
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o)._sign() < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o)._sign() <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o)._sign() > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o)._sign() >= 0
-
-    def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(2.0)
-
-    def __repr__(self):
-        if self.b == 0:
-            return f"QSqrt2({self.a})"
-        return f"QSqrt2({self.a}, {self.b})"
-
-
-_ZERO = Fraction(0)
-
-
-def _rational(a: Fraction) -> QSqrt2:
-    """QSqrt2 with rational part a and no sqrt(2) part, built without coercion."""
-    x = object.__new__(QSqrt2)
-    x.a = a
-    x.b = _ZERO
-    return x
-
-
-SQRT2 = QSqrt2(0, 1)
-
-
-def scalar_inverse(x):
-    """Exact inverse of a Fraction/int/QSqrt2, raising DivisionByZero at 0."""
-    if isinstance(x, QSqrt2):
-        return x.inverse()
-    x = _as_fraction(x)
-    if x == 0:
-        raise DivisionByZero("inverse of zero")
-    return 1 / x
-
-
 class ExactMatrix:
-    """Dense matrix over exact scalars (Fraction and/or QSqrt2)."""
+    """Dense matrix over exact rationals."""
 
     __slots__ = ("rows",)
 
@@ -440,7 +244,7 @@ def lu_gauss_decompose(m: ExactMatrix) -> GaussDecomposition:
     for k in range(n):
         p = u[k][k]
         diag.rows[k][k] = p
-        pinv = scalar_inverse(p)
+        pinv = 1 / p
         for j in range(k, n):
             upper.rows[k][j] = u[k][j] * pinv
     return GaussDecomposition(lower, diag, upper)
@@ -463,7 +267,7 @@ class Dual:
     def _coerce(x):
         if isinstance(x, Dual):
             return x
-        if isinstance(x, (int, Fraction, QSqrt2)):
+        if isinstance(x, (int, Fraction)):
             return Dual(x, 0)
         return None
 

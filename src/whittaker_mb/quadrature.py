@@ -713,6 +713,7 @@ def _common_step(h, truncation):
     return step, [2 * _half_panels(t, step * (1.0 + 1e-12)) + 1 for t in truncation]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # out-of-range sums end typed in _attempts
 def _integrate(
     integrand: MBIntegrand, lam, tol, scale, attempts, x=None, fixed=None, base=None, phase=1.0
 ):
@@ -982,6 +983,7 @@ _WIDEN = 1.5
 TRIM_SHARE = 0.01
 
 
+@np.errstate(over="ignore", invalid="ignore")  # out-of-range sums end typed in _attempts
 def eval_cone(
     family: str,
     n: int,

@@ -5,8 +5,8 @@ Families are named by the split real group they realize:
 * ``gl``      -- GL(n,R), type A data in GL(n) conventions, n x n matrices;
 * ``so_even`` -- SO(n,n), type D, 2n x 2n matrices preserving the
   antidiagonal symmetric form;
-* ``so_odd``  -- SO(n+1,n), type B, (2n+1) x (2n+1) matrices; the short
-  Chevalley generator carries a factor sqrt(2);
+* ``so_odd``  -- SO(n+1,n), type B, (2n+1) x (2n+1) matrices preserving
+  the antidiagonal symmetric form with 1/2 at the centre;
 * ``sp``      -- Sp(2n,R), type C, 2n x 2n matrices preserving the
   antidiagonal skew form.
 
@@ -14,6 +14,16 @@ Positive roots are labelled by tuples that mirror the coordinate names
 used throughout: ``('m', i, j)`` is eps_i - eps_j (coordinate t_{i,j}),
 ``('p', i, j)`` is eps_i + eps_j (coordinate s_{i,j}), and ``('s', k)``
 is the single-index root eps_k resp. 2 eps_k (coordinate t_k).
+
+Every realization has rational entries.  For so_odd this takes a choice
+of basis: with the plain antidiagonal form the short generator would be
+sqrt(2) (E_{n,n+1} - E_{n+1,n+2}); scaling the middle basis vector by
+sqrt(2), i.e. conjugating by D = diag(1, ..., sqrt 2, ..., 1), gives
+e_n = E_{n,n+1} - 2 E_{n+1,n+2} and f_n = 2 E_{n+1,n} - E_{n+2,n+1}, the
+integral Chevalley basis of a split group (Steinberg, Lectures on
+Chevalley Groups, 1967), and halves the centre of the form.  The
+conjugation leaves h, every zero pattern, the Gauss diagonal and the
+chart coordinates as they were.
 
 Each family comes with one fixed normal ordering of the positive roots
 and the matching reduced word for the longest Weyl element; the word is
@@ -27,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import ExactMatrix, SQRT2
+from .exact import ExactMatrix
 
 FAMILIES = ("gl", "so_even", "so_odd", "sp")
 
@@ -137,8 +147,8 @@ class ChevalleyRealization:
     def exp_terms(self, letter: int, c):
         """Sparse non-identity part of exp(c * e_letter) as (row, col, value) triples.
 
-        All generators square to zero except the sqrt(2) short generator of
-        so_odd, whose exponential picks up one quadratic term.
+        All generators square to zero except the short generator of so_odd,
+        whose exponential picks up one quadratic term.
         """
         return _exp_terms(self.family, self.n, letter, c, neg=False)
 
@@ -162,7 +172,7 @@ def _gen_pairs(family: str, n: int, letter: int):
         if letter <= n - 1:
             i = letter
             return [((i, i + 1), Fraction(1)), ((2 * n + 1 - i, 2 * n + 2 - i), Fraction(-1))]
-        return [((n, n + 1), SQRT2), ((n + 1, n + 2), -SQRT2)]
+        return [((n, n + 1), Fraction(1)), ((n + 1, n + 2), Fraction(-2))]
     if family == "sp":
         if letter <= n - 1:
             i = letter
@@ -171,13 +181,18 @@ def _gen_pairs(family: str, n: int, letter: int):
     raise ValueError(family)
 
 
+def _f_pairs(family: str, n: int, letter: int):
+    """(row, col) index pairs (1-based) and scalar weights of f_letter: the
+    transpose of e_letter, except at the short letter of so_odd, where
+    f_n = 2 E_{n+1,n} - E_{n+2,n+1} pairs with e_n = E_{n,n+1} - 2 E_{n+1,n+2}."""
+    if family == "so_odd" and letter == n:
+        return [((n + 1, n), Fraction(2)), ((n + 2, n + 1), Fraction(-1))]
+    return [((j, i), w) for (i, j), w in _gen_pairs(family, n, letter)]
+
+
 def _exp_terms(family, n, letter, c, neg):
-    pairs = _gen_pairs(family, n, letter)
-    terms = []
-    for (i, j), w in pairs:
-        if neg:
-            i, j = j, i
-        terms.append((i - 1, j - 1, w * c))
+    pairs = _f_pairs(family, n, letter) if neg else _gen_pairs(family, n, letter)
+    terms = [(i - 1, j - 1, w * c) for (i, j), w in pairs]
     if family == "so_odd" and letter == n:
         # quadratic term of exp(c*e_n): e_n^2 = -2 E_{n,n+2} (f side mirrors)
         if neg:
@@ -197,7 +212,8 @@ def build_realization(family: str, n: int) -> ChevalleyRealization:
         fm = ExactMatrix.zeros(size)
         for (i, j), w in _gen_pairs(family, n, letter):
             em.rows[i - 1][j - 1] = w
-            fm.rows[j - 1][i - 1] = w
+        for (i, j), w in _f_pairs(family, n, letter):
+            fm.rows[i - 1][j - 1] = w
         e[letter] = em
         f[letter] = fm
         h[letter] = em * fm - fm * em
@@ -213,6 +229,8 @@ def build_realization(family: str, n: int) -> ChevalleyRealization:
         form = ExactMatrix.zeros(size)
         for i in range(1, size + 1):
             form.rows[i - 1][size - i] = Fraction(1)
+        if family == "so_odd":  # the middle basis vector is scaled by sqrt(2)
+            form.rows[n][n] = Fraction(1, 2)
         kind = "sym"
     return ChevalleyRealization(family, n, size, e, f, h, form, kind)
 

@@ -19,9 +19,9 @@ from whittaker_mb.bz import (
     string1_matrix,
     u_matrix_check,
 )
-from whittaker_mb.charts import constant_chart, monomial_weight
-from whittaker_mb.exact import ExactMatrix
-from whittaker_mb.roots import Weight, w0_lift, w0_lift_embedded
+from whittaker_mb.charts import chart_to_matrix, constant_chart, monomial_weight
+from whittaker_mb.exact import ExactMatrix, lu_gauss_decompose
+from whittaker_mb.roots import Weight, build_realization, w0_lift, w0_lift_embedded
 
 SMALL_RANKS = [("gl", 2), ("gl", 3), ("gl", 4), ("so_even", 2), ("so_even", 3),
                ("so_odd", 1), ("so_odd", 2), ("so_odd", 3), ("sp", 1), ("sp", 2),
@@ -89,6 +89,25 @@ class TestOracle:
         for family, n in (("gl", 3), ("so_even", 2), ("so_odd", 2), ("sp", 2)):
             ch = random_positive_chart(family, n, rng)
             assert bz_oracle(bz_oracle(ch).image_chart).image_chart == ch
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_so_odd_entries_are_rational(self, n, monkeypatch):
+        """The so_odd realization, a chart matrix and the LDU factors inside
+        the oracle hold Fractions only: the basis carries no sqrt(2)."""
+        real = build_realization("so_odd", n)
+        matrices = [*real.e.values(), *real.f.values(), *real.h.values(), real.form]
+        chart = random_positive_chart("so_odd", n, random.Random(n))
+        matrices.append(chart_to_matrix(chart))
+
+        def decompose(m):
+            dec = lu_gauss_decompose(m)
+            matrices.extend((dec.lower, dec.diag, dec.upper))
+            return dec
+
+        monkeypatch.setattr("whittaker_mb.bz.lu_gauss_decompose", decompose)
+        bz_oracle(chart)
+        assert len(matrices) == 3 * n + 5
+        assert all(type(v) is Fraction for m in matrices for row in m.rows for v in row)
 
     def test_outside_big_cell(self):
         # zero chart: X(0) w0bar is the bare lift, whose leading minors vanish

@@ -45,12 +45,11 @@ class TestChartToMatrix:
         assert m == ExactMatrix([[1, c], [0, 1]])
 
     def test_so_odd_quadratic_exponential_term(self):
-        # the short generator squares to a nonzero matrix, so its
+        # the short generator e = E_12 - 2 E_23 squares to -2 E_13, so its
         # exponential carries a genuine quadratic entry
-        from whittaker_mb.exact import SQRT2
-
         m = chart_to_matrix(chart_from_values("so_odd", 1, [Fraction(2)]))
-        assert m[0, 1] == SQRT2 * 2
+        assert m[0, 1] == Fraction(2)
+        assert m[1, 2] == Fraction(-4)
         assert m[0, 2] == Fraction(-4)
 
     def test_unipotent_in_the_group(self):

@@ -205,10 +205,11 @@ class TestEval:
         assert captured.err.startswith("error: ") and captured.out == ""
         assert peak < 2**20
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("method,x", [("cone", "50,-50"), ("cone", "800,0"), ("mb", "-800,0")])
     def test_large_x_ends_finite_or_typed(self, method, x, capsys):
-        """A sum out of floating-point range is a typed failure: no traceback
-        and no non-finite number in the record."""
+        """A sum out of floating-point range is a typed failure: no traceback,
+        no numpy warning and no non-finite number in the record."""
         code = run(["eval", "--group", "gl", "--rank", "2", "--lambda=0.5,0", f"--x={x}",
                     "--method", method])
         assert code in (0, 2, 3)
@@ -318,8 +319,10 @@ class TestMellinTable:
         (row,) = json.loads(proc.stdout)["rows"]
         assert row["s"] == [-1e6] and row["abs"] == 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_out_of_range_row_is_null(self, capsys):
-        # Gamma(300) is past the floating-point range
+        # Gamma(300) is past the floating-point range; the row ends typed,
+        # with no numpy warning
         code = run(["mellin-table", "--group", "gl", "--rank", "2", "--lambda=1,0",
                     "--s-grid=2:300:2", "--format", "json"])
         assert code == 3

@@ -9,18 +9,11 @@ from whittaker_mb.exact import (
     Dual,
     DivisionByZero,
     ExactMatrix,
-    QSqrt2,
-    SQRT2,
     SingularLeadingMinor,
     jacobian_exact,
     lu_gauss_decompose,
     signed_permutation,
 )
-
-fractions = st.fractions(
-    min_value=-20, max_value=20, max_denominator=12
-)
-
 
 def frac_matrix(n, rng):
     return ExactMatrix(
@@ -29,61 +22,6 @@ def frac_matrix(n, rng):
             for _ in range(n)
         ]
     )
-
-
-class TestQSqrt2:
-    def test_conjugate_product(self):
-        assert QSqrt2(1, 1) * QSqrt2(1, -1) == QSqrt2(-1)
-
-    def test_inverse_of_one_plus_sqrt2(self):
-        assert QSqrt2(1, 1).inverse() == QSqrt2(-1, 1)
-
-    def test_sqrt2_squares_to_two(self):
-        assert SQRT2 * SQRT2 == QSqrt2(2)
-        assert SQRT2**2 == QSqrt2(2)
-
-    def test_zero_inverse_raises(self):
-        with pytest.raises(DivisionByZero):
-            QSqrt2(0, 0).inverse()
-
-    @given(fractions, fractions, fractions, fractions, fractions, fractions)
-    def test_multiplication_associative(self, a, b, c, d, e, f):
-        x, y, z = QSqrt2(a, b), QSqrt2(c, d), QSqrt2(e, f)
-        assert (x * y) * z == x * (y * z)
-
-    @given(fractions, fractions)
-    def test_field_inverse(self, a, b):
-        x = QSqrt2(a, b)
-        if x == QSqrt2(0):
-            return
-        assert x * x.inverse() == QSqrt2(1)
-
-    @given(fractions, fractions, fractions, fractions)
-    def test_float_conversion_monotone(self, a, b, c, d):
-        x, y = QSqrt2(a, b), QSqrt2(c, d)
-        if x < y:
-            assert float(x) <= float(y)
-        elif y < x:
-            assert float(y) <= float(x)
-
-    @pytest.mark.parametrize("other", [Fraction(-7, 3), 5, QSqrt2(Fraction(2, 9))])
-    def test_rational_fast_path_matches_general_formula(self, other):
-        x = QSqrt2(Fraction(5, 4))
-        o = QSqrt2._coerce(other)
-        general_sum = QSqrt2(x.a + o.a, x.b + o.b)
-        general_product = QSqrt2(x.a * o.a + 2 * x.b * o.b, x.a * o.b + x.b * o.a)
-        for got, want in ((x + other, general_sum), (other + x, general_sum),
-                          (x * other, general_product), (other * x, general_product)):
-            assert type(got) is QSqrt2
-            assert got == want and hash(got) == hash(want)
-            assert (got.a, got.b) == (want.a, want.b)
-            assert type(got.a) is Fraction and type(got.b) is Fraction
-            assert hash(got) == hash(want.a)
-
-    def test_mixed_arithmetic_with_fraction(self):
-        assert Fraction(1, 2) + SQRT2 == QSqrt2(Fraction(1, 2), 1)
-        assert Fraction(3) * SQRT2 == QSqrt2(0, 3)
-        assert (Fraction(2) / SQRT2) == SQRT2
 
 
 class TestGaussDecomposition:
@@ -125,12 +63,6 @@ class TestGaussDecomposition:
             assert det == m.det()
             done += 1
 
-    def test_sqrt2_entries(self):
-        m = ExactMatrix([[SQRT2, Fraction(1)], [Fraction(1), SQRT2]])
-        dec = lu_gauss_decompose(m)
-        assert dec.recompose() == m
-        assert dec.diag_entries()[0] == SQRT2
-
 
 class TestMatrixAlgebra:
     @given(st.integers(2, 4), st.integers(0, 10**6))
@@ -145,9 +77,9 @@ class TestMatrixAlgebra:
         # a term's target column is another term's source column, and rows
         # with a zero source entry are skipped
         m = ExactMatrix(
-            [[1, 0, 2, 0], [0, 3, 0, 1], [Fraction(1, 2), 0, 0, 5], [0, 0, SQRT2, 1]]
+            [[1, 0, 2, 0], [0, 3, 0, 1], [Fraction(1, 2), 0, 0, 5], [0, 0, Fraction(-2, 3), 1]]
         )
-        terms = [(0, 1, Fraction(2)), (1, 2, SQRT2), (2, 0, Fraction(-3, 4)),
+        terms = [(0, 1, Fraction(2)), (1, 2, Fraction(5, 7)), (2, 0, Fraction(-3, 4)),
                  (1, 3, Fraction(1, 3))]
         s = ExactMatrix.zeros(4)
         for i, j, v in terms:
@@ -172,7 +104,7 @@ class TestMatrixAlgebra:
 
 class TestSignedPermutation:
     def test_map_of_a_signed_permutation(self):
-        w = ExactMatrix([[0, -1, 0], [0, 0, 1], [QSqrt2(1), 0, 0]])
+        w = ExactMatrix([[0, -1, 0], [0, 0, 1], [Fraction(1), 0, 0]])
         assert signed_permutation(w) == ((2, 1), (0, -1), (1, 1))
 
     @pytest.mark.parametrize(
@@ -180,7 +112,6 @@ class TestSignedPermutation:
         [
             [[0, 1], [1, 1]],  # two nonzero entries in a column
             [[0, 2], [1, 0]],  # entry other than +-1
-            [[0, SQRT2], [1, 0]],
             [[1, 0], [0, 0]],  # zero column
             [[1, 1], [0, 0]],  # columns share a row
             [[1, 0, 0], [0, 1, 0]],  # not square
@@ -213,8 +144,7 @@ class TestDualNumbers:
     @pytest.mark.parametrize(
         "val,eps",
         [(Fraction(3, 7), Fraction(-2, 5)), (Fraction(-4), Fraction(1)),
-         (QSqrt2(Fraction(1, 2), 3), QSqrt2(-1, Fraction(2, 3))),
-         (QSqrt2(Fraction(5, 3)), Fraction(1))],
+         (Fraction(-5, 2), Fraction(0)), (Fraction(1), Fraction(7, 3))],
     )
     def test_power_matches_repeated_multiplication(self, k, val, eps):
         x = Dual(val, eps)
