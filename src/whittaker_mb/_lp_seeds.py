@@ -78,7 +78,7 @@ def generate():
     import random
 
     from .mellin import assemble_mb_integrand, mellin_of_whittaker
-    from .quadrature import Infeasible, _BasePointLP, _inner_integrand
+    from .quadrature import Infeasible, _BasePointLP
 
     seeds, labels = {}, {}
 
@@ -103,7 +103,7 @@ def generate():
         rng = random.Random(SAMPLE_SEED)
         points = [tuple(rng.uniform(*S_RANGE) for _ in range(k)) for _ in range(SAMPLES)]
         names = tuple(("s", j + 1) for j in range(k))
-        run(f"{family} {n} Mellin split", _inner_integrand(split), names, points)
+        run(f"{family} {n} Mellin split", split.inner, names, points)
     return seeds, labels
 
 

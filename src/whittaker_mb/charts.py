@@ -24,6 +24,7 @@ from .roots import (
     build_root_system,
     coroot_pairing,
     _eps,
+    _min_rank,
 )
 
 
@@ -191,14 +192,13 @@ def extract_coordinates(x_bar: ExactMatrix, root_system: RootSystem) -> LusztigC
     coords = {}
     work = x_bar.copy()
     lo = 0
-    min_rank = 2 if family in ("gl", "so_even") else 1
 
     def current_block():
         hi = work.nrows if family == "gl" else work.nrows - lo
         return _submatrix(work, lo, hi) if lo else work
 
     r = n
-    while r >= min_rank:
+    while r >= _min_rank(family):
         sub = current_block()
         if sub.is_identity():
             rs_level = build_root_system(family, r)

@@ -17,7 +17,9 @@ The module builds, per family and rank:
   Gamma-product (Bump) formula that the split reduces to.
 
 The integrand and the split depend only on the family and rank: each is
-built once per process and handed out as a copy with new lists.
+an immutable value (frozen, with tuple fields), built once per process by
+its cached builder, and the split holds its inner integrand as a field.
+Code that needs a changed integrand makes one with dataclasses.replace.
 
 Contour variables are keyed ('g', i, j), ('d', i, j) and ('g1', k),
 matching the t/s/t_k chart coordinates; outer Mellin variables are
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .gammafn import log_gamma_complex
@@ -280,9 +282,9 @@ def phi_psi_theta(family: str, n: int):
     return phi, psi, theta, phi_single
 
 
-def _nu(i, coef=1) -> AffineForm:
-    """Shifted weight slot nu'_i, stored as the coefficient of i*lambda_i."""
-    return AffineForm(ilam={i: coef})
+def _lam(k, coef=1) -> AffineForm:
+    """Shifted weight slot nu'_k, stored as the coefficient of i*lambda_k."""
+    return AffineForm(ilam={k: coef})
 
 
 def left_vector_mellin(family: str, n: int):
@@ -293,25 +295,25 @@ def left_vector_mellin(family: str, n: int):
     num, den = [], []
     if family == "gl":
         for (i, j), f in sorted(phi.items()):
-            num.append(-f + _nu(j) - _nu(i))
+            num.append(-f + _lam(j) - _lam(i))
         return num, den
     if family == "so_even":
         for i in range(1, n - 1):
-            num.append(-v.g(i, i + 1) - v.d(i, i + 1) - _nu(i, 2))
-            den.append(-v.g(i, n) - v.d(i, n) - _nu(i, 2))
+            num.append(-v.g(i, i + 1) - v.d(i, i + 1) - _lam(i, 2))
+            den.append(-v.g(i, n) - v.d(i, n) - _lam(i, 2))
     elif family == "so_odd":
-        num.append(-v.g1(n) - _nu(n, 2))
+        num.append(-v.g1(n) - _lam(n, 2))
         for i in range(1, n):
-            num.append(-v.g(i, i + 1) - v.d(i, i + 1) - _nu(i, 2))
+            num.append(-v.g(i, i + 1) - v.d(i, i + 1) - _lam(i, 2))
     else:
-        num.append(-v.g1(n) - _nu(n))
+        num.append(-v.g1(n) - _lam(n))
         for i in range(1, n):
-            num.append(-v.g(i, i + 1) - v.d(i, i + 1) - _nu(i, 2))
-            num.append(-v.g1(i) - _nu(i))
-            den.append(-v.g1(i).scale(2) - _nu(i, 2))
+            num.append(-v.g(i, i + 1) - v.d(i, i + 1) - _lam(i, 2))
+            num.append(-v.g1(i) - _lam(i))
+            den.append(-v.g1(i).scale(2) - _lam(i, 2))
     for (i, j) in sorted(phi):
-        num.append(phi[(i, j)] - _nu(i) + _nu(j))
-        num.append(psi[(i, j)] - _nu(i) - _nu(j))
+        num.append(phi[(i, j)] - _lam(i) + _lam(j))
+        num.append(psi[(i, j)] - _lam(i) - _lam(j))
     return num, den
 
 
@@ -341,15 +343,15 @@ def cartan_exponent(family: str, n: int):
 # the wave-function integrand in telescoped variables
 
 
-@dataclass
+@dataclass(frozen=True)
 class MBIntegrand:
     family: str
     n: int
-    variables: list
-    num: list
-    den: list
-    exponent: dict  # var -> x-coefficient row (length n)
-    constraints: list = field(default_factory=list)
+    variables: tuple
+    num: tuple
+    den: tuple
+    exponent: dict  # var -> x-coefficient row (tuple of length n)
+    constraints: tuple = ()
 
     @property
     def dimension(self) -> int:
@@ -372,26 +374,22 @@ class MBIntegrand:
 
     @classmethod
     def from_json(cls, d):
-        variables = [_var_from_name(s) for s in d["variables"]]
-        exponent = {v: [Fraction(0)] * d["n"] for v in variables}
+        variables = tuple(_var_from_name(s) for s in d["variables"])
+        exponent = {v: (Fraction(0),) * d["n"] for v in variables}
         for k, row in d["exponent"].items():
-            exponent[_var_from_name(k)] = [Fraction(c) for c in row]
+            exponent[_var_from_name(k)] = tuple(Fraction(c) for c in row)
         return cls(
             d["family"],
             d["n"],
             variables,
-            [AffineForm.from_json(f) for f in d["num"]],
-            [AffineForm.from_json(f) for f in d["den"]],
+            tuple(AffineForm.from_json(f) for f in d["num"]),
+            tuple(AffineForm.from_json(f) for f in d["den"]),
             exponent,
-            [AffineForm.from_json(f) for f in d["constraints"]],
+            tuple(AffineForm.from_json(f) for f in d["constraints"]),
         )
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), indent=1, sort_keys=True)
-
-
-def _lam(k, coef=1) -> AffineForm:
-    return AffineForm(ilam={k: coef})
 
 
 def _xi_eta(family: str, n: int, v: _VarTable):
@@ -411,6 +409,20 @@ def _xi_eta(family: str, n: int, v: _VarTable):
     return xi, eta
 
 
+def _constraints(num, variables) -> tuple:
+    """Contour constraints Re f > 0: the distinct variable part, with its
+    constant, of each numerator argument that involves one of `variables`
+    (in numerator order)."""
+    out = []
+    for f in num:
+        if any(v in variables for v in f.gamma):
+            cf = AffineForm(f.gamma, const=f.const)
+            if cf not in out:
+                out.append(cf)
+    return tuple(out)
+
+
+@functools.cache
 def assemble_mb_integrand(family: str, n: int) -> MBIntegrand:
     """The wave-function integrand: Gamma-argument lists, torus exponent
     and contour constraints, in the telescoped contour variables.
@@ -419,23 +431,9 @@ def assemble_mb_integrand(family: str, n: int) -> MBIntegrand:
     integral of exp(H(x,gamma)) prod Gamma(num) / prod Gamma(den) over
     the shifted imaginary plane.
 
-    Built once per (family, n) and process; each call returns a copy
-    whose lists and exponent rows are new, so the caller may change
-    them.  The AffineForms inside are shared and must not be mutated.
+    Built once per (family, n) and process: every call returns the same
+    immutable integrand.
     """
-    mb = _mb_integrand(family, n)
-    return replace(
-        mb,
-        variables=list(mb.variables),
-        num=list(mb.num),
-        den=list(mb.den),
-        exponent={v: list(row) for v, row in mb.exponent.items()},
-        constraints=list(mb.constraints),
-    )
-
-
-@functools.cache
-def _mb_integrand(family: str, n: int) -> MBIntegrand:
     rs = build_root_system(family, n)
     v = _VarTable(n, family in ("so_odd", "sp"))
     num, den = [], []
@@ -495,21 +493,13 @@ def _mb_integrand(family: str, n: int) -> MBIntegrand:
         elif family == "sp":
             exponent[("g1", 1)][n - 1] -= 2
 
-    num = [f for f in num if not (f.gamma == {} and f.ilam == {})]
-    constraints = []
-    seen = set()
-    for f in num:
-        g_part = AffineForm(f.gamma, const=f.const)
-        if g_part.gamma and g_part.key() not in seen:
-            seen.add(g_part.key())
-            constraints.append(g_part)
-    for var in variables_of(family, n):
-        f = AffineForm.var(var)
-        if f.key() not in seen:
-            seen.add(f.key())
-            constraints.append(f)
-    assert len(variables_of(family, n)) == rs.d
-    return MBIntegrand(family, n, variables_of(family, n), num, den, exponent, constraints)
+    num = tuple(f for f in num if not (f.gamma == {} and f.ilam == {}))
+    variables = tuple(variables_of(family, n))
+    assert len(variables) == rs.d
+    # then each variable's own form, Re g > 0, where no numerator gave it
+    constraints = _constraints(num + tuple(map(AffineForm.var, variables)), variables)
+    exponent = {var: tuple(row) for var, row in exponent.items()}
+    return MBIntegrand(family, n, variables, num, tuple(den), exponent, constraints)
 
 
 def tilde_substitution(family: str, n: int):
@@ -559,38 +549,35 @@ def assemble_from_vectors(family: str, n: int) -> MBIntegrand:
             tgt = exponent[w]
             for k in range(n):
                 tgt[k] += coef * row[k]
-    num = [f for f in num if not (f.gamma == {} and f.ilam == {})]
-    return MBIntegrand(family, n, variables_of(family, n), num, den, exponent)
+    num = tuple(f for f in num if not (f.gamma == {} and f.ilam == {}))
+    exponent = {var: tuple(row) for var, row in exponent.items()}
+    return MBIntegrand(family, n, tuple(variables_of(family, n)), num, tuple(den), exponent)
 
 
 # ---------------------------------------------------------------------------
 # outer/inner split: the Mellin transform of the wave function
 
 
-@dataclass
+@dataclass(frozen=True)
 class MellinSplit:
     """Wave function as an iterated inverse Mellin transform.
 
     Psi(x) = phase(x, lambda) * (2 pi i)^{-N} Int prod_j z_j^{-s_j} M(s) ds,
     M(s) = jacobian * (2 pi i)^{-(d-N)} Int prod Gamma(num)/prod Gamma(den)
-    over the inner variables, with the outer symbols ('s', j) held fixed.
+    over the inner variables, with the outer symbols ('s', j) held fixed:
+    `inner` is that integrand, its constraints those of the inner
+    variables.
     """
 
     family: str
     n: int
-    outer_vars: list  # ('s', j)
-    inner_vars: list
-    num: list
-    den: list
-    shifts: list  # AffineForm (pure ilam): s_j = (contour combination) + i c_j
-    z_rows: list  # log z_j as x-coefficient rows
+    outer_vars: tuple  # ('s', j)
+    shifts: tuple  # AffineForm (pure ilam): s_j = (contour combination) + i c_j
+    z_rows: tuple  # log z_j as x-coefficient rows
     jacobian: Fraction
-    residual_row: list | None  # extra phase exp(-i (res_lam . lambda)(res_row . x))
-    residual_lam: list | None
-
-    @property
-    def inner_dimension(self) -> int:
-        return len(self.inner_vars)
+    residual_row: tuple | None  # extra phase exp(-i (res_lam . lambda)(res_row . x))
+    residual_lam: tuple | None
+    inner: MBIntegrand
 
     def phase(self, x, lam) -> complex:
         import math
@@ -618,30 +605,15 @@ def _solve_exact(a_rows, rhs):
     return [m[i][n] for i in range(n)]
 
 
+@functools.cache
 def mellin_of_whittaker(family: str, n: int) -> MellinSplit:
     """Split the wave-function integrand into outer Mellin variables tied to
     the torus directions and inner Barnes variables.
 
-    Built once per (family, n) and process, like assemble_mb_integrand;
-    each call returns a copy whose lists and rows are new.
+    Built once per (family, n) and process, like assemble_mb_integrand:
+    every call returns the same immutable split.
     """
-    split = _mellin_split(family, n)
-    return replace(
-        split,
-        outer_vars=list(split.outer_vars),
-        inner_vars=list(split.inner_vars),
-        num=list(split.num),
-        den=list(split.den),
-        shifts=list(split.shifts),
-        z_rows=[list(row) for row in split.z_rows],
-        residual_row=None if split.residual_row is None else list(split.residual_row),
-        residual_lam=None if split.residual_lam is None else list(split.residual_lam),
-    )
-
-
-@functools.cache
-def _mellin_split(family: str, n: int) -> MellinSplit:
-    mb = _mb_integrand(family, n)
+    mb = assemble_mb_integrand(family, n)
     z_rows = []
     for k in range(1, n):
         row = [Fraction(0)] * n
@@ -682,7 +654,7 @@ def _mellin_split(family: str, n: int) -> MellinSplit:
             if residual_lam is None:
                 residual_lam = [Fraction(0)] * n
             residual_lam[k - 1] = sol[nb - 1]
-    residual_row = [Fraction(1)] * n if family == "gl" else None
+    residual_row = (Fraction(1),) * n if family == "gl" else None
     outer_combo = outer_combo[:n_outer]
 
     # pivots: solve each G_j for one contour variable in terms of s_j
@@ -701,21 +673,19 @@ def _mellin_split(family: str, n: int) -> MellinSplit:
         )
         mapping[pivot] = expr
         jac *= abs(Fraction(1) / cp)
-    inner = [v for v in mb.variables if v not in mapping]
-    num = [f.subs(mapping) for f in mb.num]
-    den = [f.subs(mapping) for f in mb.den]
+    inner_variables = tuple(v for v in mb.variables if v not in mapping)
+    num = tuple(f.subs(mapping) for f in mb.num)
+    den = tuple(f.subs(mapping) for f in mb.den)
     return MellinSplit(
         family,
         n,
-        [("s", j + 1) for j in range(n_outer)],
-        inner,
-        num,
-        den,
-        shifts,
-        z_rows,
+        tuple(("s", j + 1) for j in range(n_outer)),
+        tuple(shifts),
+        tuple(map(tuple, z_rows)),
         jac,
         residual_row,
-        residual_lam,
+        None if residual_lam is None else tuple(residual_lam),
+        MBIntegrand(family, n, inner_variables, num, den, {}, _constraints(num, inner_variables)),
     )
 
 

@@ -36,8 +36,7 @@ Mellin transforms at s in [0.4, 2]^n need no HiGHS solve at all; gl 4
 and so_even 3, whose optimum is a face at some s, call it on 20 to 40%
 of them.  Every point is solved again from a canonical choice of its
 tight rows, so the base point depends only on the structure and the real
-parts of s, whatever ran before.  A Mellin transform builds its inner
-integrand once per split (_inner_integrand).
+parts of s, whatever ran before.
 
 The tensor sum is never formed as a dense grid.  Each Gamma factor
 depends on a few contour variables, so the factors sharing a support of
@@ -97,7 +96,7 @@ from . import _lp_seeds
 from .bz import bz_map_coords
 from .gammafn import PoleHit, log_gamma_array, log_gamma_complex
 from .mellin import AffineForm, MBIntegrand, MellinSplit
-from .roots import build_root_system, cartan_scaling_exponent
+from .roots import Weight, build_root_system, cartan_scaling_exponent, coroot_pairing
 
 __all__ = [
     "ContourSpec",
@@ -894,36 +893,8 @@ def eval_mellin_transform(split: MellinSplit, s_values, lam, tol: float = 1e-7) 
     sits on a pole, and the contraction budget of _attempts.
     """
     fixed = {("s", j + 1): complex(s_values[j]) for j in range(len(split.outer_vars))}
-    inner = _inner_integrand(split)
-    scale = (2.0 * math.pi) ** (-len(inner.variables)) * float(split.jacobian)
-    return _integrate(inner, lam, tol, scale, 4, fixed=fixed)
-
-
-# (family, n, inner variables) -> ((num, den), inner integrand) of the last split seen
-_INNER = {}
-
-
-def _inner_integrand(split: MellinSplit) -> MBIntegrand:
-    """The integrand over the inner variables of `split`, with one
-    constraint per distinct inner Gamma argument of the numerator (its
-    lambda part dropped), built once per split: the copies that
-    mellin_of_whittaker returns share their forms, so the check that the
-    forms are the ones it was built from is an identity test per form."""
-    key = (split.family, split.n, tuple(split.inner_vars))
-    forms = (tuple(split.num), tuple(split.den))
-    hit = _INNER.get(key)
-    if hit is None or hit[0] != forms:
-        variables = list(split.inner_vars)
-        constraints = []
-        for f in split.num:
-            cf = AffineForm(f.gamma, const=f.const)
-            if any(v in variables for v in f.gamma) and cf not in constraints:
-                constraints.append(cf)
-        inner = MBIntegrand(
-            split.family, split.n, variables, list(split.num), list(split.den), {}, constraints
-        )
-        hit = _INNER[key] = (forms, inner)
-    return hit[1]
+    scale = (2.0 * math.pi) ** (-split.inner.dimension) * float(split.jacobian)
+    return _integrate(split.inner, lam, tol, scale, 4, fixed=fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -931,20 +902,11 @@ def _inner_integrand(split: MellinSplit) -> MBIntegrand:
 
 
 def _cone_phase_coeffs(family, n, lam):
-    rs = build_root_system(family, n)
-    out = {}
-    for label in rs.positive_roots:
-        kind = label[0]
-        if kind == "m":
-            v = lam[label[1] - 1] - lam[label[2] - 1]
-        elif kind == "p":
-            v = lam[label[1] - 1] + lam[label[2] - 1]
-        elif family == "so_odd":
-            v = 2.0 * lam[label[1] - 1]
-        else:
-            v = lam[label[1] - 1]
-        out[label] = float(v)
-    return out
+    mu = Weight(enumerate(lam, 1))
+    return {
+        label: float(coroot_pairing(mu, label, family))
+        for label in build_root_system(family, n).positive_roots
+    }
 
 
 def _cone_exponent(family, n, x):
@@ -1233,6 +1195,7 @@ def barnes_first_lemma_quad(a, b, c, d, tol: float = 1e-9) -> complex:
     """
     s = ("s", 1)
     fixed = {(name,): complex(v) for name, v in zip("abcd", (a, b, c, d))}
-    forms = [AffineForm({(name,): 1, s: sign}) for name, sign in zip("abcd", (1, 1, -1, -1))]
-    integrand = MBIntegrand("barnes", 0, [s], forms, [], {}, forms)
+    signs = zip("abcd", (1, 1, -1, -1))
+    forms = tuple(AffineForm({(name,): 1, s: sign}) for name, sign in signs)
+    integrand = MBIntegrand("barnes", 0, (s,), forms, (), {}, forms)
     return _integrate(integrand, (), tol, 1.0 / (2.0 * math.pi), 4, fixed=fixed).value

@@ -41,11 +41,16 @@ from .exact import ExactMatrix
 
 FAMILIES = ("gl", "so_even", "so_odd", "sp")
 
-DEFAULT_MAX_RANK = 8
+MAX_RANK = 8
 
 
 class UnsupportedRank(ValueError):
     pass
+
+
+def _min_rank(family: str) -> int:
+    """Smallest supported rank: 2 for gl and so_even, 1 otherwise."""
+    return 2 if family in ("gl", "so_even") else 1
 
 
 def _eps(k: int) -> int:
@@ -100,13 +105,12 @@ def _bc_word(n):
 
 
 @lru_cache(maxsize=None)
-def build_root_system(family: str, n: int, max_rank: int = DEFAULT_MAX_RANK) -> RootSystem:
+def build_root_system(family: str, n: int) -> RootSystem:
     """Root data with the fixed normal ordering and reduced word for w0."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    min_rank = 2 if family in ("gl", "so_even") else 1
-    if not (min_rank <= n <= max_rank):
-        raise UnsupportedRank(f"{family} rank {n} outside [{min_rank}, {max_rank}]")
+    if not (_min_rank(family) <= n <= MAX_RANK):
+        raise UnsupportedRank(f"{family} rank {n} outside [{_min_rank(family)}, {MAX_RANK}]")
     if family == "gl":
         word = _gl_word(n)
         letters = tuple(range(1, n))
@@ -262,17 +266,11 @@ def w0_lift_embedded(family: str, n: int) -> ExactMatrix:
     The subgroup lives on the middle block; its letters are the rank-(n-1)
     letters shifted by one, acting in the rank-n realization.
     """
-    rs_sub = build_root_system(family, n - 1) if _sub_rank_ok(family, n) else None
     real = build_realization(family, n)
-    if rs_sub is None:
+    if n - 1 < _min_rank(family):
         return ExactMatrix.identity(real.matrix_size)
-    word = [letter + 1 for letter, _ in rs_sub.word]
+    word = [letter + 1 for letter, _ in build_root_system(family, n - 1).word]
     return weyl_lift(word, real)
-
-
-def _sub_rank_ok(family, n):
-    min_rank = 2 if family in ("gl", "so_even") else 1
-    return n - 1 >= min_rank
 
 
 # ---------------------------------------------------------------------------

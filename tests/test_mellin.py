@@ -1,8 +1,8 @@
-import copy
 import json
 import math
 import random
 from collections import Counter
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import numpy as np
@@ -94,7 +94,7 @@ class TestStructure:
         keys = {f.key() for f in mb.num}
         assert AffineForm({v: 1}, {1: 1, 2: -1}).key() in keys
         assert AffineForm({v: 1}).key() in keys
-        assert mb.exponent[v] == [Fraction(-1), Fraction(1)]
+        assert mb.exponent[v] == (Fraction(-1), Fraction(1))
 
     def test_gl3_has_three_variables_six_factors(self):
         mb = assemble_mb_integrand("gl", 3)
@@ -243,11 +243,48 @@ class TestMellinSplit:
         split = mellin_of_whittaker(family, n)
         outer = n - 1 if family == "gl" else n
         assert len(split.outer_vars) == outer
-        assert split.inner_dimension == build_root_system(family, n).d - outer
+        assert split.inner.dimension == build_root_system(family, n).d - outer
 
     def test_gl3_inner_is_single_barnes_variable(self):
         split = mellin_of_whittaker("gl", 3)
-        assert split.inner_vars == [("g", 2, 3)]
+        assert split.inner.variables == (("g", 2, 3),)
+
+    @pytest.mark.parametrize("family,n", [("gl", 2), ("sp", 1), ("so_odd", 1), ("so_even", 2)])
+    def test_outer_data_give_the_wave_function(self, family, n):
+        """With no inner variables M(s) is its Gamma product, and
+        phase(x, lam) (2 pi i)^{-N} Int prod_j z_j^{-s_j} M(s) ds is the
+        wave function; the shifts split lambda . x along the z rows."""
+        from whittaker_mb.mellin import _constraints
+        from whittaker_mb.quadrature import _integrate, eval_mb
+
+        split = mellin_of_whittaker(family, n)
+        assert split.inner.dimension == 0
+        outer = replace(
+            split.inner,
+            variables=split.outer_vars,
+            exponent={s: tuple(-c for c in row) for s, row in zip(split.outer_vars, split.z_rows)},
+            constraints=_constraints(split.inner.num, split.outer_vars),
+        )
+        scale = float(split.jacobian) / (2.0 * math.pi) ** len(split.outer_vars)
+        mb = assemble_mb_integrand(family, n)
+        rng = random.Random(f"outer {family} {n}")
+        for _ in range(5):
+            lam = tuple(Fraction(rng.randint(-15, 15), 10) for _ in range(n))
+            x = tuple(Fraction(rng.randint(-5, 5), 10) for _ in range(n))
+            along = sum(
+                sum(f.ilam.get(k, 0) * l for k, l in enumerate(lam, 1))
+                * sum(c * xi for c, xi in zip(row, x))
+                for f, row in zip(split.shifts, split.z_rows)
+            )
+            if split.residual_row is not None:
+                along += sum(c * l for c, l in zip(split.residual_lam, lam)) * sum(
+                    c * xi for c, xi in zip(split.residual_row, x)
+                )
+            assert along == sum(l * xi for l, xi in zip(lam, x))
+            lam, x = tuple(map(float, lam)), tuple(map(float, x))
+            got = split.phase(x, lam) * _integrate(outer, lam, 1e-10, scale, 4, x=x).value
+            ref = eval_mb(mb, x, lam, tol=1e-10).value
+            assert abs(got - ref) <= 1e-10 * abs(ref)
 
     def test_gl2_closed_product(self):
         from whittaker_mb.quadrature import eval_mellin_transform
@@ -276,37 +313,35 @@ class TestMellinSplit:
 
 
 class TestBuildCache:
-    """Each (family, rank) is built once per process; what a call returns
-    is the caller's to change."""
+    """Each (family, rank) is built once per process as an immutable
+    value: every call returns the same object, and no field can be set."""
 
     @pytest.mark.parametrize("family,n", [("gl", 3), ("sp", 2), ("so_even", 3)])
     def test_mutated_integrand_does_not_reach_the_next_call(self, family, n):
-        want = assemble_mb_integrand(family, n).to_json()
         mb = assemble_mb_integrand(family, n)
-        mb.num = mb.num + [AffineForm(const=3)]
-        mb.den.append(AffineForm(const=2))
-        mb.constraints.append(AffineForm({mb.variables[0]: 1}, const=5))
-        mb.variables.append(("g", 9, 9))
-        row = next(r for r in mb.exponent.values() if any(r))
-        row[0] += 7
-        mb.exponent[mb.variables[0]][-1] -= 3
-        assert assemble_mb_integrand(family, n).to_json() == want
+        assert assemble_mb_integrand(family, n) is mb
+        with pytest.raises(FrozenInstanceError):
+            mb.num = mb.num + (AffineForm(const=3),)
+        for seq in (mb.variables, mb.num, mb.den, mb.constraints, *mb.exponent.values()):
+            assert isinstance(seq, tuple)
+        changed = replace(mb, num=mb.num + (AffineForm(const=3),))
+        assert len(changed.num) == len(mb.num) + 1
+        assert assemble_mb_integrand(family, n) is mb
 
     @pytest.mark.parametrize("family,n", [("gl", 3), ("sp", 2)])
     def test_mutated_split_does_not_reach_the_next_call(self, family, n):
-        want = copy.deepcopy(mellin_of_whittaker(family, n))
         split = mellin_of_whittaker(family, n)
-        split.num = split.num + [AffineForm(const=3)]
-        split.den.append(AffineForm(const=2))
-        split.inner_vars.append(("g", 9, 9))
-        split.outer_vars.append(("s", 9))
-        split.shifts.append(AffineForm(ilam={1: 1}))
-        split.z_rows[0][0] += 7
-        if split.residual_row is not None:
-            split.residual_row[0] += 1
-            split.residual_lam[0] += 1
-        assert mellin_of_whittaker(family, n) == want
-        assert mellin_of_whittaker(family, n) != split
+        assert mellin_of_whittaker(family, n) is split
+        assert mellin_of_whittaker(family, n).inner is split.inner
+        with pytest.raises(FrozenInstanceError):
+            split.outer_vars = split.outer_vars + (("s", 9),)
+        with pytest.raises(FrozenInstanceError):
+            split.inner.num = ()
+        rows = split.z_rows + (() if split.residual_row is None else (split.residual_row,))
+        for seq in (split.outer_vars, split.shifts, split.z_rows, *rows, split.inner.variables):
+            assert isinstance(seq, tuple)
+        # the inner integrand holds the split-substituted forms of the wave-function integrand
+        assert len(split.inner.num) == len(assemble_mb_integrand(family, n).num)
 
 
 class TestClosedGammaValues:

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import zlib
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +23,6 @@ from whittaker_mb.quadrature import (
     _cone_sum,
     _cone_trim,
     _contour_sum,
-    _inner_integrand,
     _lp_model,
     _greedy_path,
     _plan,
@@ -164,11 +164,12 @@ MB_STRUCTURES = [
 
 
 def _split_constraints(split):
-    """The inner constraint set eval_mellin_transform builds from a split."""
+    """The inner constraint set of a split, one per distinct inner Gamma
+    argument of the numerator with its lambda part dropped."""
     out = []
-    for f in split.num:
+    for f in split.inner.num:
         cf = AffineForm(f.gamma, const=f.const)
-        if any(v in split.inner_vars for v in f.gamma) and cf not in out:
+        if any(v in split.inner.variables for v in f.gamma) and cf not in out:
             out.append(cf)
     return out
 
@@ -265,9 +266,9 @@ class TestBasePointCache:
         constraints = _split_constraints(split)
         for s in ((0.8 + 0.3j, 1.1 - 0.2j), (1.4, 0.6)):
             fixed = {("s", j + 1): complex(v) for j, v in enumerate(s)}
-            want = _highs_base_point(constraints, split.inner_vars, fixed)
-            got = contour_base_point(constraints, variables=split.inner_vars, fixed=fixed)
-            assert max(abs(got[v] - w) for v, w in zip(split.inner_vars, want)) <= 1e-9
+            want = _highs_base_point(constraints, split.inner.variables, fixed)
+            got = contour_base_point(constraints, variables=split.inner.variables, fixed=fixed)
+            assert max(abs(got[v] - w) for v, w in zip(split.inner.variables, want)) <= 1e-9
 
     def test_returned_dict_is_fresh(self):
         mb = assemble_mb_integrand("gl", 3)
@@ -318,7 +319,7 @@ class TestLPModel:
         HiGHS, with Infeasible on the same points."""
         split = mellin_of_whittaker(family, n)
         constraints = _split_constraints(split)
-        variables = split.inner_vars
+        variables = split.inner.variables
         rng = random.Random(zlib.crc32(repr(("lp model", family, n)).encode()))
         points = []
         for k in range(100):
@@ -380,16 +381,8 @@ class TestLPModel:
 
     def test_inner_integrand_built_once_per_split(self):
         split = mellin_of_whittaker("gl", 3)
-        inner = _inner_integrand(split)
-        assert _inner_integrand(mellin_of_whittaker("gl", 3)) is inner
-        assert inner.constraints == _split_constraints(split)
-        assert inner.variables == split.inner_vars and inner.variables is not split.inner_vars
-        # a split with other forms gets its own integrand
-        split.num = split.num + [AffineForm({split.inner_vars[0]: 1}, const=2)]
-        other = _inner_integrand(split)
-        assert other is not inner
-        assert other.constraints == _split_constraints(split)
-        assert len(other.constraints) == len(inner.constraints) + 1
+        assert mellin_of_whittaker("gl", 3).inner is split.inner
+        assert list(split.inner.constraints) == _split_constraints(split)
 
 
 def _lp_structures(tag, count, lo, hi):
@@ -410,7 +403,8 @@ def _lp_structures(tag, count, lo, hi):
             if k % 4 == 0:
                 s[1] = s[0]
             points.append({("s", j + 1): complex(v, rng.uniform(-1, 1)) for j, v in enumerate(s)})
-        out.append((f"{family}-{n}-split", _split_constraints(split), split.inner_vars, points))
+        variables = split.inner.variables
+        out.append((f"{family}-{n}-split", _split_constraints(split), variables, points))
     return out
 
 
@@ -491,7 +485,7 @@ class TestLPSeeds:
             split = mellin_of_whittaker(family, n)
             for _ in range(50):
                 fixed = {v: complex(rng.uniform(0.4, 2.0)) for v in split.outer_vars}
-                _base_point_or_message(_split_constraints(split), split.inner_vars, fixed)
+                _base_point_or_message(_split_constraints(split), split.inner.variables, fixed)
         assert calls[0] == 0
 
     @pytest.mark.parametrize("seed,s2", [((0, 1, 3), 3.0), ((1, 2, 3), 1.5)])
@@ -537,7 +531,7 @@ class TestStripBound:
     @pytest.mark.parametrize("s,lam", CANCELLED_ALIAS_ROWS)
     def test_bound_covers_the_missed_first_attempt(self, s, lam):
         split = mellin_of_whittaker("gl", 3)
-        inner = _inner_integrand(split)
+        inner = split.inner
         fixed = {("s", j + 1): complex(v) for j, v in enumerate(s)}
         spec = plan_contour(inner, lam, 1e-7, fixed=fixed)
         base = dict(zip(inner.variables, spec.base_point))
@@ -573,8 +567,7 @@ class TestEvalMB:
     def test_prefactor_linearity(self):
         # an extra constant Gamma factor scales the result exactly
         mb = assemble_mb_integrand("gl", 2)
-        scaled = assemble_mb_integrand("gl", 2)
-        scaled.num = scaled.num + [AffineForm(const=3)]  # Gamma(3) = 2
+        scaled = replace(mb, num=mb.num + (AffineForm(const=3),))  # Gamma(3) = 2
         a = eval_mb(mb, (0.1, -0.2), (0.5, -0.5), tol=1e-8).value
         b = eval_mb(scaled, (0.1, -0.2), (0.5, -0.5), tol=1e-8).value
         assert b == pytest.approx(2 * a, rel=1e-10)

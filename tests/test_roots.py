@@ -74,7 +74,6 @@ class TestOrdering:
             build_root_system("gl", 1)
         with pytest.raises(UnsupportedRank):
             build_root_system("sp", 9)
-        build_root_system("sp", 9, max_rank=12)
 
 
 class TestRealization:
