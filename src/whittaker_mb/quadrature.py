@@ -43,11 +43,8 @@ depends on a few contour variables, so the factors sharing a support of
 two or more axes make one table, those on one axis fold into that axis'
 weight vector, and the sum contracts the tables with the weight vectors
 along a greedy numpy.einsum_path plan (the greedy order of opt_einsum,
-Smith and Gray, JOSS 3, 2018).  Paths are planned once per support
-structure: the path of a contraction depends only on the supports of
-its operands and the axes it keeps, planned with a nominal length on
-every grid axis and cached.  The coarser grid levels contract the same
-tables sliced.  One selector contraction of the moduli, with each
+Smith and Gray, JOSS 3, 2018).  The coarser grid levels contract the
+same tables sliced.  One selector contraction of the moduli, with each
 axis' weight as [w, w * ends] columns, gives the mass and the
 boundary-shell mass of every axis at once.  Both routes lay their sums
 out this way, shared tables plus one operand per axis (_axis_plans),
@@ -57,12 +54,29 @@ counted with the true axis lengths, are held against MAX_FLOPS and
 MAX_ENTRIES, and a plan over them raises DimensionTooLarge.  Both
 routes do this from the panel counts, before any node vector is built.
 
+Each contour structure is compiled once per process, on first use: the
+key is the integrand object itself with the names of its fixed symbols
+(_contour_program), and the program holds what depends on the structure
+alone: the float coefficients of every factor and its offset terms in
+the order they are added, the lattice direction of each factor, the
+groups of factors that share a support, and the contraction plans, each
+planned once with a nominal length on every grid axis.  A contraction
+is lowered once into the steps numpy's einsum runs for its path (a
+single-operand np.einsum per operand, reshapes and transposes, and
+np.matmul or np.multiply per pair), keyed by the order of the axis
+lengths, the one thing besides the path that fixes those steps
+(_Contraction, _lowered); so it equals np.einsum(..., optimize=path) bit
+for bit, and the number of lowered forms is bounded by the structures,
+not by the grids.  A call computes only values.  The caches are bounded.
+
 Every axis of the contour grid has the same step, and the coefficients
 of the contour variables in a factor are small integers (or rationals),
 so the factor's argument on the grid takes only the values of one line
-of lattice points: log Gamma runs once on that line, and the table is
-gathered from it by an integer index table.  When all the factors of a
-table share one lattice direction, exp runs on the line too.
+of lattice points: log Gamma runs on those lines, one log_gamma_array
+call for all the factors of a sum (and for all the shifted contours of
+a strip bound), and each table is gathered from its lines by an integer
+index table.  When all the factors of a table share one lattice
+direction, exp runs on the line too.
 
 The positive-cone sum is a contraction as well: each image coordinate
 in its exponent S depends on a few log coordinates and its phase is
@@ -377,17 +391,6 @@ def _axis_rates(num, den, variables):
     return rates
 
 
-def _form_offset(f, lam, fixed):
-    acc = complex(f.const)
-    for k, b in f.ilam.items():
-        acc += 1j * float(b) * lam[k - 1]
-    if fixed:
-        for v, a in f.gamma.items():
-            if v in fixed:
-                acc += float(a) * complex(fixed[v])
-    return acc
-
-
 def _shaped(arr, axis, ndim):
     """View of the 1-D `arr` along `axis` of an `ndim`-dimensional grid."""
     shape = [1] * ndim
@@ -395,122 +398,229 @@ def _shaped(arr, axis, ndim):
     return arr.reshape(shape)
 
 
-# Contraction paths are planned with this length on every axis longer than
-# two, so one path serves every grid of a support structure; the column
-# axes of the selector and of the cone's [Re, Im] phases keep their length 2.
+# Contraction paths are planned with this length on every grid axis, so one
+# path serves every grid of a support structure; the column axes of the
+# selector and of the cone's [Re, Im] phases keep their length 2.
 _NOMINAL_SIZE = 32
 
 
-@functools.lru_cache(maxsize=256)
-def _greedy_path(subs, shapes, limit):
-    """numpy's greedy einsum_path for the einsum `subs` on operands of the
-    given `shapes`, with at most `limit` entries per intermediate."""
-    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
-    return tuple(np.einsum_path(subs, *operands, optimize=("greedy", limit))[0])
+class _Contraction:
+    """The contraction of operands over the axis tuples `supports` that
+    keeps the axes `output`, along numpy's greedy einsum_path for operands
+    of the given `shapes` (the greedy order of opt_einsum, Smith and Gray,
+    JOSS 3, 2018).
 
-
-def _plan(supports, sizes, output=()):
-    """Greedy pairwise order (numpy.einsum_path) for contracting operands
-    that run over the axis tuples `supports`, keeping the axes `output`.
-
-    The path is planned once per support structure, with every axis longer
-    than two at _NOMINAL_SIZE, and cached; its flops and largest entry are
-    counted with the true `sizes`.  Returns the einsum subscripts, the
-    path, its flop count and the entry count of its largest operand or
-    intermediate.
+    Calling it with the operands gives np.einsum(subs, *operands,
+    optimize=path) bit for bit: it runs the steps numpy runs for that call
+    (each pair through matmul or multiply, as numpy's bmm_einsum does),
+    lowered once per order of the axis sizes (_lowered), the one thing
+    besides the path that fixes them.  cost(sizes) counts its flops and
+    its largest operand or intermediate with sizes[a] entries on axis a.
     """
-    subs = ",".join("".join(_LETTERS[a] for a in s) for s in supports)
-    subs += "->" + "".join(_LETTERS[a] for a in output)
-    shapes = tuple(tuple(_NOMINAL_SIZE if sizes[a] > 2 else sizes[a] for a in s) for s in supports)
-    path = _greedy_path(subs, shapes, MAX_ENTRIES)
-    live = [set(s) for s in supports]
-    flops = 0.0
-    largest = max(math.prod(sizes[a] for a in s) for s in supports)
-    for step in path[1:]:
-        picked = [live.pop(i) for i in sorted(step, reverse=True)]
-        union = set().union(*picked)
-        kept = union & set(output).union(*live)
-        flops += math.prod(sizes[a] for a in union) * len(picked)
-        largest = max(largest, math.prod(sizes[a] for a in kept))
-        live.append(kept)
-    return subs, path, flops, largest
+
+    def __init__(self, supports, output, shapes):
+        self.supports, self.output = supports, output
+        self.subs = ",".join("".join(_LETTERS[a] for a in s) for s in supports)
+        self.subs += "->" + "".join(_LETTERS[a] for a in output)
+        operands = [np.broadcast_to(0.0, shape) for shape in shapes]
+        self.path = tuple(np.einsum_path(self.subs, *operands, optimize=("greedy", MAX_ENTRIES))[0])
+        # the axes each step runs over and keeps, with its operand count
+        self.counted = []
+        live = [set(s) for s in supports]
+        for step in self.path[1:]:
+            picked = [live.pop(i) for i in sorted(step, reverse=True)]
+            union = set().union(*picked)
+            kept = union & set(output).union(*live)
+            self.counted.append((tuple(union), tuple(kept), len(picked)))
+            live.append(kept)
+        # the axes, and where each one's length is read: (operand, dimension)
+        where = {}
+        for i, s in enumerate(supports):
+            for j, a in enumerate(s):
+                where.setdefault(a, (i, j))
+        self.axes = sorted(where)
+        self.where = [where[a] for a in self.axes]
+
+    def cost(self, sizes):
+        flops = 0.0
+        largest = max(math.prod(sizes[a] for a in s) for s in self.supports)
+        for union, kept, count in self.counted:
+            flops += math.prod(sizes[a] for a in union) * count
+            largest = max(largest, math.prod(sizes[a] for a in kept))
+        return flops, largest
+
+    def __call__(self, *operands):
+        sizes = [operands[i].shape[j] for i, j in self.where]
+        order = tuple(sorted(range(len(sizes)), key=sizes.__getitem__))
+        ones = tuple(r for r, n in enumerate(sizes) if n == 1) if 1 in sizes else ()
+        ops = list(operands)
+        for picks, step in _lowered(self, order, ones):
+            taken = [ops.pop(i) for i in picks]
+            ops.append(step(*taken))
+        return ops[0]
 
 
-def _budgeted_plans(what, jobs):
-    """_plan for each (supports, sizes, output) of `jobs`.  Raises
-    DimensionTooLarge when their flops, or the largest entry of one,
-    counted with the true sizes, are over the budget."""
-    plans = [_plan(*job) for job in jobs]
-    flops = sum(p[2] for p in plans)
-    largest = max(p[3] for p in plans)
+@functools.lru_cache(maxsize=1024)
+def _lowered(contraction, order, ones):
+    """The steps of np.einsum(subs, *operands, optimize=path) for the
+    _Contraction `contraction` on operands whose axes, by increasing
+    length (ties by axis), are the positions `order` in its axis list, and
+    have length 1 at the positions `ones`: for each step, the positions it
+    takes from the operand list (the result goes to its end) and the
+    function of those operands.
+
+    Each intermediate lists its axes by increasing length, as einsum_path
+    does, and the last one has the output's; a pair contracts through
+    _pair_step, any other count through one plain np.einsum.
+    """
+    axes = contraction.axes
+    rank = {_LETTERS[axes[r]]: k for k, r in enumerate(order)}
+    ones = {_LETTERS[axes[r]] for r in ones}
+    path = contraction.path
+    inputs, output = contraction.subs.split("->")
+    terms = inputs.split(",")
+    steps = []
+    for num, picks in enumerate(path[1:], 2):
+        picks = tuple(sorted(picks, reverse=True))
+        picked = [terms.pop(i) for i in picks]
+        if num == len(path):
+            result = output
+        else:
+            kept = set("".join(picked)) & set(output + "".join(terms))
+            result = "".join(sorted(kept, key=rank.__getitem__))
+        terms.append(result)
+        eq = ",".join(picked) + "->" + result
+        steps.append((picks, _pair_step(eq, ones) if len(picked) == 2 else functools.partial(np.einsum, eq)))
+    return tuple(steps)
+
+
+def _fused(shape, groups):
+    """`shape` with each run of `groups` consecutive axes fused into one."""
+    out, start = [], 0
+    for n in groups:
+        out.append(math.prod(shape[start : start + n]))
+        start += n
+    return tuple(out)
+
+
+def _pair_step(eq, ones):
+    """The two-operand einsum `eq` (axes in `ones` of length 1) as numpy's
+    bmm_einsum runs it: each operand has its own axes summed and is
+    transposed by one single-operand einsum, then the contraction is one
+    matmul over the fused batch, kept and contracted axes, reshaped and
+    transposed to the result; without a contracted axis it is one
+    broadcast multiply."""
+    lhs, out = eq.split("->")
+    a_term, b_term = lhs.split(",")
+    singles, left, right = set(), {}, {}
+    for ix in a_term:
+        if ix in ones:
+            singles.add(ix)
+        else:
+            left[ix] = True
+    for ix in b_term:
+        if ix in ones:
+            if ix not in left:
+                singles.add(ix)
+        else:
+            singles.discard(ix)
+            right[ix] = True
+    bat, con, a_keep = [], [], []
+    for ix in left:
+        if right.pop(ix, False):
+            (bat if ix in out else con).append(ix)
+        elif ix in out:
+            a_keep.append(ix)
+    b_keep = [ix for ix in right if ix in out]
+
+    def prepare(term, desired):
+        return None if term == desired else f"{term}->{desired}"
+
+    if not con:
+        eq_a = prepare(a_term, "".join(ix for ix in out if ix in a_term))
+        eq_b = prepare(b_term, "".join(ix for ix in out if ix in b_term))
+        in_a = [ix in a_term for ix in out]
+        in_b = [ix in b_term for ix in out]
+
+        def multiply(a, b):
+            if eq_a is not None:
+                a = np.einsum(eq_a, a)
+            shape = iter(a.shape)
+            a = a.reshape([next(shape) if m else 1 for m in in_a])
+            if eq_b is not None:
+                b = np.einsum(eq_b, b)
+            shape = iter(b.shape)
+            b = b.reshape([next(shape) if m else 1 for m in in_b])
+            return np.multiply(a, b)
+
+        return multiply
+
+    singles = [ix for ix in out if ix in singles]
+    eq_a = prepare(a_term, "".join(bat + a_keep + con))
+    eq_b = prepare(b_term, "".join(bat + con + b_keep))
+    groups = (bat, a_keep, con) if bat else (a_keep, con)
+    fuse_a = [len(g) for g in groups] if any(len(g) != 1 for g in groups) else None
+    groups = (bat, con, b_keep) if bat else (con, b_keep)
+    fuse_b = [len(g) for g in groups] if any(len(g) != 1 for g in groups) else None
+    groups = (bat, a_keep, b_keep) if bat else (a_keep, b_keep)
+    unfuse = singles or any(len(g) != 1 for g in groups)
+    produced = "".join(singles + bat + a_keep + b_keep)
+    perm = None if produced == out else tuple(produced.index(ix) for ix in out)
+    nb, nk, nc = len(bat), len(a_keep), len(con)
+
+    def contract(a, b):
+        if eq_a is not None:
+            a = np.einsum(eq_a, a)
+        if eq_b is not None:
+            b = np.einsum(eq_b, b)
+        shape_a, shape_b = a.shape, b.shape
+        if fuse_a is not None:
+            a = a.reshape(_fused(shape_a, fuse_a))
+        if fuse_b is not None:
+            b = b.reshape(_fused(shape_b, fuse_b))
+        ab = np.matmul(a, b)
+        if unfuse:
+            ab = ab.reshape((1,) * len(singles) + shape_a[: nb + nk] + shape_b[nb + nc :])
+        if perm is not None:
+            ab = ab.transpose(perm)
+        return ab
+
+    return contract
+
+
+@functools.lru_cache(maxsize=256)
+def _axis_plans(shared, d, outputs):
+    """The contractions of the tables over the supports `shared` with one
+    operand per axis k < d, one for each entry of `outputs`: for None, a
+    pair of columns on axes k and d + k, which are kept (the selector, the
+    cone's [Re, Im] phases); for a tuple of grid axes, a vector on axis k,
+    and those axes are kept.  Planned once per structure, with
+    _NOMINAL_SIZE nodes on every grid axis."""
+    plans = []
+    for out in outputs:
+        if out is None:
+            supports = shared + tuple((k, d + k) for k in range(d))
+            out = tuple(range(d, 2 * d))
+        else:
+            supports = shared + tuple((k,) for k in range(d))
+        shapes = [tuple(_NOMINAL_SIZE if a < d else 2 for a in s) for s in supports]
+        plans.append(_Contraction(supports, out, shapes))
+    return tuple(plans)
+
+
+def _budgeted_plans(what, plans, sizes):
+    """The `plans` of _axis_plans, for a grid of sizes[k] nodes on axis k.
+    Raises DimensionTooLarge when their flops, or the largest entry of
+    one, counted with these sizes, are over the budget."""
+    costs = [plan.cost([*sizes] + [2] * len(sizes)) for plan in plans]
+    flops = sum(c[0] for c in costs)
+    largest = max(c[1] for c in costs)
     if flops > MAX_FLOPS or largest > MAX_ENTRIES:
         raise DimensionTooLarge(
             f"{what} contraction of {flops:.2g} flops with {largest:.2g}-entry "
             "tables exceeds the budget"
         )
     return plans
-
-
-def _axis_plans(what, shared, sizes, outputs):
-    """_budgeted_plans of contracting the tables over the supports `shared`
-    with one operand per axis k of a grid of sizes[k] nodes, one plan per
-    entry of `outputs`: for None, a pair of columns on axes k and d + k,
-    which are kept (the selector, the cone's [Re, Im] phases); for a
-    tuple of grid axes, a vector on axis k, and those axes are kept."""
-    d = len(sizes)
-    columns = (shared + [(k, d + k) for k in range(d)], [*sizes] + [2] * d, tuple(range(d, 2 * d)))
-    vectors = shared + [(k,) for k in range(d)]
-    return _budgeted_plans(
-        what, [columns if out is None else (vectors, sizes, out) for out in outputs]
-    )
-
-
-def _support_lines(forms, support, variables, base, lam, fixed, halves, step):
-    """log Gamma of the (sign, f) in `forms`, all on the axes `support`, on
-    their grid: one (line, index) pair per direction, the grid table of a
-    direction being line[index] and the support's log table their sum.
-
-    On the grid z_k = base_k + i step j_k, |j_k| <= halves[k], the argument
-    of f is c0 + i step q m: the coefficients of f are the rational q
-    times a primitive integer vector p whose first entry is positive, and
-    m = sum_k p_k j_k is an integer.  So log Gamma runs once per factor on
-    the line of every m between the extremes, the lines of the factors
-    with the same p are summed, and each sum is placed on the grid by one
-    integer index table.  PoleHit is raised when the argument at a node is
-    a pole, never for a line point that no node reaches.
-    """
-    lines, indices = {}, {}
-
-    def index(p):
-        # position m + reach on the line of each node, summed axis by axis
-        if p not in indices:
-            idx = 0
-            for pos, (b, k) in enumerate(zip(p, support)):
-                j = np.arange(-halves[k], halves[k] + 1)
-                idx = idx + _shaped(b * j + abs(b) * halves[k], pos, len(support))
-            indices[p] = idx
-        return indices[p]
-
-    for sign, f in forms:
-        coefs = [f.gamma[variables[k]] for k in support]
-        lcm = math.lcm(*(a.denominator for a in coefs))
-        ints = [int(a * lcm) for a in coefs]
-        g = math.gcd(*ints) if ints[0] > 0 else -math.gcd(*ints)
-        p = tuple(b // g for b in ints)
-        c0 = _form_offset(f, lam, fixed)
-        for a, k in zip(coefs, support):
-            c0 += float(a) * base[variables[k]]
-        reach = sum(abs(b) * halves[k] for b, k in zip(p, support))
-        line = c0 + 1j * (step * g / lcm) * np.arange(-reach, reach + 1)
-        try:
-            values = log_gamma_array(line)
-        except PoleHit:
-            reached = np.zeros(line.size, dtype=bool)
-            reached[index(p)] = True
-            values = np.zeros(line.size, dtype=complex)
-            values[reached] = log_gamma_array(line[reached])
-        lines[p] = lines.get(p, 0.0) + sign * values
-    return [(values, index(p)) for p, values in lines.items()]
 
 
 def _support_tables(lines):
@@ -521,10 +631,23 @@ def _support_tables(lines):
     if len(lines) == 1:
         ((line, idx),) = lines
         return np.exp(line)[idx], np.exp(line.real)[idx]
+    log = _gathered_log(lines)
+    return np.exp(log), np.exp(log.real)
+
+
+def _support_moduli(lines):
+    """The moduli of _support_tables alone."""
+    if len(lines) == 1:
+        ((line, idx),) = lines
+        return np.exp(line.real)[idx]
+    return np.exp(_gathered_log(lines).real)
+
+
+def _gathered_log(lines):
     log = lines[0][0][lines[0][1]]
     for line, idx in lines[1:]:
         log = log + line[idx]
-    return np.exp(log), np.exp(log.real)
+    return log
 
 
 def _face_columns(weight):
@@ -538,21 +661,26 @@ def _face_columns(weight):
 
 
 def _strided_sums(plans, tables, axis_ops, moduli, selectors):
-    """The contractions of a tensor trapezoid sum along the `plans` of
+    """The contractions of a tensor trapezoid sum, the `plans` of
     _axis_plans: `tables` with one operand per axis (`axis_ops`) on the
     grid and, sliced, on its grids of every second and fourth node; and
     `moduli` with the [w, w * ends] `selectors` (_face_columns).  Returns
     the three sums, the mass and the per-axis face masses."""
-    (subs, path, *_), (sel_subs, sel_path, *_) = plans
+    contract, select = plans
     sums = []
     for stride in (1, 2, 4):
         sliced = [t[(slice(None, None, stride),) * t.ndim] for t in tables]
-        sums.append(np.einsum(subs, *sliced, *(op[::stride] for op in axis_ops), optimize=path))
-    # the selector's (2,) * d output: the mass at 0, axis k's face mass at the k-th unit vector
-    selected = np.einsum(sel_subs, *moduli, *selectors, optimize=sel_path)
+        sums.append(contract(*sliced, *(op[::stride] for op in axis_ops)))
+    mass, faces = _selected(select(*moduli, *selectors))
+    return sums, mass, faces
+
+
+def _selected(selected):
+    """The mass and the per-axis face masses in the selector's (2,) * d
+    output: the mass at 0, axis k's face mass at the k-th unit vector."""
     d = selected.ndim
     faces = [float(selected[tuple(int(j == k) for j in range(d))]) for k in range(d)]
-    return sums, float(selected[(0,) * d]), faces
+    return float(selected[(0,) * d]), faces
 
 
 def _extrapolated(fine, coarse, coarse4, mass):
@@ -569,67 +697,273 @@ def _extrapolated(fine, coarse, coarse4, mass):
     return disc2
 
 
-def _contour_sum(num, den, variables, base, lam, hx, halves, fixed=None, *, step):
+def _offset_terms(f, fixed_names):
+    """The constant of the form f, its i b_k lambda_k terms and its terms
+    in fixed symbols, as floats in the order _offset adds them."""
+    ilam = tuple((k - 1, 1j * float(b)) for k, b in f.ilam.items())
+    fixed = tuple((v, float(a)) for v, a in f.gamma.items() if v in fixed_names)
+    return complex(f.const), ilam, fixed
+
+
+def _offset(terms, lam, fixed):
+    """The value of a form (_offset_terms) with every contour variable 0."""
+    acc, ilam, fixed_terms = terms
+    for k, b in ilam:
+        acc += b * lam[k]
+    for v, a in fixed_terms:
+        acc += a * complex(fixed[v])
+    return acc
+
+
+class _Factor:
+    """A Gamma factor of a _ContourProgram that depends on contour
+    variables: its sign (+1 numerator, -1 denominator), its support (the
+    axes of those variables), its offset terms, its (coefficient,
+    variable) pairs on the support, and its lattice direction: its
+    coefficients are g / lcm times the primitive integer vector p, whose
+    first entry is positive."""
+
+    __slots__ = ("sign", "support", "terms", "base", "p", "g", "lcm")
+
+    def __init__(self, sign, f, support, variables, fixed_names):
+        coefs = [f.gamma[variables[k]] for k in support]
+        self.lcm = math.lcm(*(a.denominator for a in coefs))
+        ints = [int(a * self.lcm) for a in coefs]
+        self.g = math.gcd(*ints) if ints[0] > 0 else -math.gcd(*ints)
+        self.p = tuple(b // self.g for b in ints)
+        self.sign, self.support = sign, support
+        self.terms = _offset_terms(f, fixed_names)
+        self.base = tuple((float(a), variables[k]) for a, k in zip(coefs, support))
+
+
+class _ContourProgram:
+    """The contour sums of one integrand with the symbols `fixed_names`
+    held fixed, compiled once per process (_contour_program): a call
+    computes only values.
+
+    The program holds what depends on the structure alone: the decay rate
+    of each axis, the constraints and the Gamma factors with their
+    coefficients as floats, each factor's offset terms in the order they
+    are added, its lattice direction, the groups of factors that share a
+    support and the contractions of the sums and the selector
+    (_axis_plans).  Their flops and largest entry are held against the
+    budget at each call's grid, before any node vector is built.
+
+    On the grid z_k = base_k + i step j_k, |j_k| <= halves[k], the argument
+    of a factor is c0 + i step (g / lcm) m with m = sum_k p_k j_k an
+    integer, so log Gamma runs on the line of every m between the
+    extremes.  One log_gamma_array call takes the factors free of contour
+    variables and the lines of every factor, for one or several base
+    points, concatenated; the lines of the factors of a support with the
+    same direction are summed, and each sum is placed on the grid by one
+    integer index table.  PoleHit is raised when the argument at a node is
+    a pole, never for a line point that no node reaches, and for the first
+    such node in the order of the base points, the constant factors, the
+    shared supports and the axes.
+    """
+
+    def __init__(self, integrand, fixed_names):
+        variables = integrand.variables
+        axes = {v: k for k, v in enumerate(variables)}
+        self.variables, self.d = variables, len(variables)
+        self.rates = _axis_rates(integrand.num, integrand.den, variables)
+        # per constraint: its constant and (variable, coefficient, fixed?) terms
+        self.constraints = [
+            (float(f.const), tuple((v, float(a), v in fixed_names) for v, a in f.gamma.items()))
+            for f in integrand.constraints
+        ]
+        # each constraint's coefficient on each contour variable
+        self.slopes = [[float(f.gamma.get(v, 0)) for v in variables] for f in integrand.constraints]
+        self.consts, groups = [], {}
+        for sign, forms in ((1.0, integrand.num), (-1.0, integrand.den)):
+            for f in forms:
+                support = tuple(sorted(axes[v] for v in f.gamma if v in axes))
+                if support:
+                    groups.setdefault(support, []).append(
+                        _Factor(sign, f, support, variables, fixed_names)
+                    )
+                else:
+                    self.consts.append((sign, _offset_terms(f, fixed_names)))
+        self.shared = tuple(s for s in groups if len(s) > 1)
+        # the factors by support: the shared ones, then one per axis
+        supports = [*self.shared, *((k,) for k in range(self.d) if (k,) in groups)]
+        self.factors = [f for s in supports for f in groups[s]]
+        self.plans = _axis_plans(self.shared, self.d, ((), None)) if self.d else ()
+
+    def slacks(self, base, fixed):
+        """constraint_slacks at the base point `base` (a dict)."""
+        out = []
+        for acc, terms in self.constraints:
+            for v, a, held in terms:
+                acc += a * (complex(fixed[v]).real if held else base[v])
+            out.append(acc)
+        return out
+
+    def _logs(self, bases, lam, fixed, halves, step):
+        """The log of the constant factors' product, and for each base
+        point of `bases` a dict: support -> its (line, index) pairs, one
+        per direction (see the class)."""
+        consts = [_offset(terms, lam, fixed) for _, terms in self.consts]
+        z = [np.array(consts, dtype=complex)]
+        reaches = [sum(abs(b) * halves[k] for b, k in zip(f.p, f.support)) for f in self.factors]
+        lengths = [2 * r + 1 for r in reaches]
+        if self.factors:
+            offsets = [_offset(f.terms, lam, fixed) for f in self.factors]
+            c0 = []
+            for base in bases:
+                for off, f in zip(offsets, self.factors):
+                    for a, v in f.base:
+                        off += a * base[v]
+                    c0.append(off)
+            # c0 + i step (g / lcm) m on every line, for each base point
+            slopes = [1j * (step * f.g / f.lcm) for f in self.factors]
+            m = np.concatenate([np.arange(-r, r + 1) for r in reaches])
+            lines = np.repeat(c0, lengths * len(bases)) + np.tile(np.repeat(slopes, lengths) * m, len(bases))
+            z.append(lines)
+        z = np.concatenate(z)
+        indices = {}
+
+        def index(support, p):
+            # position m + reach on the line of each node, summed axis by axis
+            if (support, p) not in indices:
+                idx = 0
+                for pos, (b, k) in enumerate(zip(p, support)):
+                    j = np.arange(-halves[k], halves[k] + 1)
+                    idx = idx + _shaped(b * j + abs(b) * halves[k], pos, len(support))
+                indices[support, p] = idx
+            return indices[support, p]
+
+        try:
+            values = log_gamma_array(z)
+        except PoleHit:
+            reached = np.zeros(z.size, dtype=bool)
+            reached[: len(consts)] = True
+            start = len(consts)
+            for _ in bases:
+                for f, n in zip(self.factors, lengths):
+                    reached[start + index(f.support, f.p)] = True
+                    start += n
+            values = np.zeros(z.size, dtype=complex)
+            values[reached] = log_gamma_array(z[reached])
+        const = 0j
+        for (sign, _), value in zip(self.consts, values):
+            const += sign * complex(value)
+        out, start = [], len(consts)
+        for _ in bases:
+            logs = {}
+            for f, n in zip(self.factors, lengths):
+                lines = logs.setdefault(f.support, {})
+                lines[f.p] = lines.get(f.p, 0.0) + f.sign * values[start : start + n]
+                start += n
+            out.append({s: [(v, index(s, p)) for p, v in lines.items()] for s, lines in logs.items()})
+        return const, out
+
+    def _weights(self, base, hx, logs, halves, step):
+        """The log of each axis' weight vector: z_k hx_k on the axis plus
+        the log of the factors on that axis alone."""
+        out = []
+        for k, v in enumerate(self.variables):
+            weight = (base[v] + 1j * (np.arange(-halves[k], halves[k] + 1) * step)) * hx.get(v, 0.0)
+            if (k,) in logs:
+                ((line, idx),) = logs[(k,)]
+                weight = weight + line[idx]
+            out.append(weight)
+        return out
+
+    def sums(self, base, lam, hx, halves, fixed, step):
+        """_contour_sum with this program."""
+        if not self.d:
+            val = complex(np.exp(self._logs([base], lam, fixed, halves, step)[0]))
+            return val, val, val, [0.0], 1, abs(val)
+        sizes = [2 * m + 1 for m in halves]
+        plans = _budgeted_plans("contour", self.plans, sizes)
+        const, (logs,) = self._logs([base], lam, fixed, halves, step)
+        tables, moduli = [], []
+        for s in self.shared:
+            table, modulus = _support_tables(logs[s])
+            tables.append(table)
+            moduli.append(modulus)
+        weights, selectors = [], []
+        for weight in self._weights(base, hx, logs, halves, step):
+            weights.append(np.exp(weight))
+            selectors.append(_face_columns(np.exp(weight.real)))
+        scale = complex(np.exp(const)) * step**self.d
+        sums, mass, faces = _strided_sums(plans, tables, weights, moduli, selectors)
+        fine, coarse, coarse4 = (complex(s) * stride**self.d * scale for s, stride in zip(sums, (1, 2, 4)))
+        face_abs = [face * abs(scale) for face in faces]
+        return fine, coarse, coarse4, face_abs, math.prod(sizes), mass * abs(scale)
+
+    def masses(self, bases, lam, fixed, halves, step):
+        """The mass of _contour_sum without torus weight at each point of
+        `bases`: one log_gamma_array call for all of them, and the
+        selector contraction alone."""
+        sizes = [2 * m + 1 for m in halves]
+        _, select = _budgeted_plans("contour", self.plans, sizes)
+        const, logs = self._logs(bases, lam, fixed, halves, step)
+        scale = abs(complex(np.exp(const)) * step**self.d)
+        out = []
+        for base, at in zip(bases, logs):
+            moduli = [_support_moduli(at[s]) for s in self.shared]
+            weights = self._weights(base, {}, at, halves, step)
+            selectors = [_face_columns(np.exp(weight.real)) for weight in weights]
+            out.append(_selected(select(*moduli, *selectors))[0] * scale)
+        return out
+
+
+class _Same:
+    """A cache key that stands for `obj` itself: it hashes and compares by
+    identity and keeps `obj` alive while the key lives, so the id of an
+    object in the cache is never another object's."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __hash__(self):
+        return id(self.obj)
+
+    def __eq__(self, other):
+        return self.obj is other.obj
+
+
+@functools.lru_cache(maxsize=64)
+def _compiled(key, fixed_names):
+    return _ContourProgram(key.obj, fixed_names)
+
+
+def _contour_program(integrand, fixed):
+    """The _ContourProgram of `integrand` with the symbols of `fixed` held
+    fixed, compiled on first use and kept for the 64 latest integrands.
+    The key is the integrand object itself (each shipped integrand is one
+    frozen object per process), so an integrand made with
+    dataclasses.replace gets its own program."""
+    return _compiled(_Same(integrand), tuple(sorted(fixed or ())))
+
+
+def _contour_sum(integrand, base, lam, hx, halves, fixed=None, *, step):
     """Trapezoid sum of prod Gamma(num)/prod Gamma(den) * exp(sum z_v hx_v)
     over the tensor grid z_k = base_k + i step j, |j| <= halves[k],
-    contracted factor by factor.
+    contracted factor by factor, on the program of the integrand
+    (_contour_program).
 
-    Each factor's table is gathered from its log Gamma on one line
-    (_support_lines).  Factors that share a support of two or more axes
-    make one table, exp'd on the line when they all share one direction
-    and on the gathered log table otherwise; those on one axis are added
-    to the log of that axis' weight vector exp(z_k hx_k) before exp, and
-    each weight vector is its axis' own operand, the layout _cone_sum
-    shares (_axis_plans, _strided_sums).  The sums on the grids of every
-    second and every fourth node contract the same operands sliced.  One
-    more contraction takes the moduli with each weight vector's moduli w
-    as [w, w * ends] columns (_face_columns): it gives the mass and the
-    mass on each axis' pair of boundary faces.
+    Each factor's table is gathered from its log Gamma on one line.
+    Factors that share a support of two or more axes make one table,
+    exp'd on the line when they all share one direction and on the
+    gathered log table otherwise; those on one axis are added to the log
+    of that axis' weight vector exp(z_k hx_k) before exp, and each weight
+    vector is its axis' own operand, the layout _cone_sum shares
+    (_axis_plans, _strided_sums).  The sums on the grids of every second
+    and every fourth node contract the same operands sliced.  One more
+    contraction takes the moduli with each weight vector's moduli w as
+    [w, w * ends] columns (_face_columns): it gives the mass and the mass
+    on each axis' pair of boundary faces.
     Returns (fine, coarse, coarse4, face_abs, n_evals, mass), n_evals
     being the node count of the dense grid and mass the sum of the
     moduli of all terms.  Raises DimensionTooLarge, before any node vector
     is built, when the plans exceed the budget.
     """
-    d = len(variables)
-    axes = {v: k for k, v in enumerate(variables)}
-    const = 0j
-    groups = {}
-    for sign, forms in ((1.0, num), (-1.0, den)):
-        for f in forms:
-            support = tuple(sorted(axes[v] for v in f.gamma if v in axes))
-            if support:
-                groups.setdefault(support, []).append((sign, f))
-            else:
-                const += sign * complex(log_gamma_array(_form_offset(f, lam, fixed)))
-    if d == 0:
-        val = complex(np.exp(const))
-        return val, val, val, [0.0], 1, abs(val)
-
-    sizes = [2 * m + 1 for m in halves]
-    shared = [s for s in groups if len(s) > 1]
-    plans = _axis_plans("contour", shared, sizes, [(), None])
-
-    nodes = [np.arange(-m, m + 1) * step for m in halves]
-    grid = (variables, base, lam, fixed, halves, step)
-    tables, moduli = [], []
-    for s in shared:
-        table, modulus = _support_tables(_support_lines(groups[s], s, *grid))
-        tables.append(table)
-        moduli.append(modulus)
-    weights, selectors = [], []
-    for k, v in enumerate(variables):
-        weight = (base[v] + 1j * nodes[k]) * hx.get(v, 0.0)
-        if (k,) in groups:
-            ((line, idx),) = _support_lines(groups[(k,)], (k,), *grid)
-            weight = weight + line[idx]
-        weights.append(np.exp(weight))
-        selectors.append(_face_columns(np.exp(weight.real)))
-
-    scale = complex(np.exp(const)) * step**d
-    sums, mass, faces = _strided_sums(plans, tables, weights, moduli, selectors)
-    fine, coarse, coarse4 = (complex(s) * stride**d * scale for s, stride in zip(sums, (1, 2, 4)))
-    face_abs = [face * abs(scale) for face in faces]
-    return fine, coarse, coarse4, face_abs, math.prod(sizes), mass * abs(scale)
+    return _contour_program(integrand, fixed).sums(base, lam, hx, halves, fixed, step)
 
 
 def _torus_slopes(integrand: MBIntegrand, x):
@@ -660,10 +994,11 @@ def plan_contour(integrand: MBIntegrand, lam, tol, x=None, base=None, fixed=None
     variables = integrand.variables
     if base is None:
         base = contour_base_point(integrand.constraints, variables=variables, fixed=fixed)
-    rates = _axis_rates(integrand.num, integrand.den, variables)
+    program = _contour_program(integrand, fixed)
+    rates = program.rates
     if any(r <= 0 for r in rates):
         raise NotConverged("integrand does not decay along some contour axis")
-    slack = min(constraint_slacks(integrand.constraints, base, fixed), default=1.0)
+    slack = min(program.slacks(base, fixed), default=1.0)
     lt = math.log(10.0 / tol)
     lammax = max((abs(l) for l in lam), default=0.0)
     smax = max((abs(complex(v).imag) for v in (fixed or {}).values()), default=0.0)
@@ -687,9 +1022,10 @@ def _half_panels(t, h):
     """Nodes on each side of the centre for half-width t at step h: ceil(t / h),
     rounded up to even so that the grids of every second and fourth node
     end on the faces.  Raises DimensionTooLarge where the axis would take
-    more than MAX_ENTRIES nodes: every contraction has its weight vector
-    as an operand, so no plan of such a grid is within the budget."""
-    m = t / h
+    more than MAX_ENTRIES nodes, or h is 0: every contraction has its
+    weight vector as an operand, so no plan of such a grid is within the
+    budget."""
+    m = t / h if h > 0 else math.inf
     if not 2.0 * m + 1.0 <= MAX_ENTRIES:  # NaN too
         raise DimensionTooLarge(
             f"a grid axis of {2.0 * m + 1.0:.3g} nodes exceeds the budget of {MAX_ENTRIES} entries"
@@ -736,14 +1072,14 @@ def _integrate(
     variables = integrand.variables
     spec = plan_contour(integrand, lam, tol, x=x, base=base, fixed=fixed)
     base = dict(zip(variables, spec.base_point))
-    rates = _axis_rates(integrand.num, integrand.den, variables)
+    rates = _contour_program(integrand, fixed).rates
     hx = _torus_slopes(integrand, x)
 
     def attempt(spec):
         h = spec.step
         halves = [p // 2 for p in spec.panels]
         fine, coarse, coarse4, face_abs, evals, mass = _contour_sum(
-            integrand.num, integrand.den, variables, base, lam, hx, halves, fixed, step=h
+            integrand, base, lam, hx, halves, fixed, step=h
         )
         tail = 0.0
         for k in range(len(variables)):
@@ -774,26 +1110,31 @@ def _strip_bound(integrand: MBIntegrand, base, lam, halves, fixed, step):
     has the mass M, and the aliases from that side are at most
     M / (exp(2 pi a / step) - 1).  M is summed on the grid of every
     second node, which the estimate already uses, so a bound costs 2^-d
-    of an attempt's table per axis and side.
+    of an attempt's table per axis and side; the 2d masses take one
+    log_gamma_array call and one selector contraction each
+    (_ContourProgram.masses).
     """
-    variables = integrand.variables
-    slacks = constraint_slacks(integrand.constraints, base, fixed)
-    coarse = [m // 2 for m in halves]
-    total = 0.0
-    for v in variables:
+    program = _contour_program(integrand, fixed)
+    slacks = program.slacks(base, fixed)
+    moved, shares = [], []
+    for k, v in enumerate(integrand.variables):
         for side in (1.0, -1.0):
             reach = _STRIP_FREE
-            for f, slack in zip(integrand.constraints, slacks):
-                c = side * float(f.gamma.get(v, 0))
+            for slopes, slack in zip(program.slopes, slacks):
+                c = side * slopes[k]
                 if c < 0:
                     reach = min(reach, slack / -c)
             a = _STRIP_SHARE * reach
-            moved = dict(base)
-            moved[v] += side * a
-            mass = _contour_sum(
-                integrand.num, integrand.den, variables, moved, lam, {}, coarse, fixed, step=2 * step
-            )[5]
-            total += mass / math.expm1(2.0 * math.pi * a / step)
+            point = dict(base)
+            point[v] += side * a
+            moved.append(point)
+            shares.append(a)
+    if not moved:
+        return 0.0
+    masses = program.masses(moved, lam, fixed, [m // 2 for m in halves], 2 * step)
+    total = 0.0
+    for mass, a in zip(masses, shares):
+        total += mass / math.expm1(2.0 * math.pi * a / step)
     return total
 
 
@@ -903,10 +1244,13 @@ def eval_mellin_transform(split: MellinSplit, s_values, lam, tol: float = 1e-7) 
 
 def _cone_phase_coeffs(family, n, lam):
     mu = Weight(enumerate(lam, 1))
-    return {
-        label: float(coroot_pairing(mu, label, family))
-        for label in build_root_system(family, n).positive_roots
-    }
+    out = {}
+    for label in build_root_system(family, n).positive_roots:
+        try:
+            out[label] = float(coroot_pairing(mu, label, family))
+        except OverflowError:  # its grid step is then 0, over the budget (_half_panels)
+            out[label] = math.inf
+    return out
 
 
 def _cone_exponent(family, n, x):
@@ -1092,17 +1436,25 @@ def _cone_layout(family, n, labels, sizes):
     the distinct supports of two or more axes, one table each, and the
     _axis_plans of the sums and of the selector, which contract those
     tables with per-axis columns and so share one plan (see _cone_sum).
-    Raises DimensionTooLarge when the plan exceeds the budget."""
+    The supports and the plan are made once per family and rank
+    (_cone_supports, _axis_plans); the plan is held against the budget at
+    `sizes`, and DimensionTooLarge raised when it is over."""
+    supports, shared = _cone_supports(family, n, tuple(labels))
+    (plan,) = _budgeted_plans("cone", _axis_plans(shared, len(labels), (None,)), sizes)
+    return supports, shared, (plan, plan)
+
+
+@functools.lru_cache(maxsize=64)
+def _cone_supports(family, n, labels):
+    """The axes each image coordinate runs over, from a grid of two nodes
+    per axis, and the distinct supports of two or more axes."""
     d = len(labels)
-    # the axes each image coordinate runs over, from a grid of two nodes per axis
     probe = {lab: _shaped(np.ones(2), k, d) for k, lab in enumerate(labels)}
     supports = {
         key: tuple(k for k, size in enumerate(np.shape(val)) if size == 2)
         for key, val in bz_map_coords(family, n, probe).items()
     }
-    shared = list(dict.fromkeys(s for s in supports.values() if len(s) > 1))
-    (plan,) = _axis_plans("cone", shared, sizes, [None])
-    return supports, shared, (plan, plan)
+    return supports, tuple(dict.fromkeys(s for s in supports.values() if len(s) > 1))
 
 
 def _cone_sum(family, n, labels, efac, phase, nodes, s_shift, layout):
@@ -1173,8 +1525,8 @@ def _cone_sum(family, n, labels, efac, phase, nodes, s_shift, layout):
         sums.append(complex(part) * stride**d * scale)
 
     def marginals():
-        plans = _axis_plans("cone", shared, sizes, [(k,) for k in range(d)])
-        return [np.einsum(p[0], *factors, *vecs, optimize=p[1]) * scale for p in plans]
+        plans = _axis_plans(shared, d, tuple((k,) for k in range(d)))
+        return [plan(*factors, *vecs) * scale for plan in _budgeted_plans("cone", plans, sizes)]
 
     return (*sums, [face * scale for face in faces], math.prod(sizes), mass * scale, marginals)
 

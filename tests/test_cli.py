@@ -205,6 +205,23 @@ class TestEval:
         assert captured.err.startswith("error: ") and captured.out == ""
         assert peak < 2**20
 
+    @pytest.mark.parametrize(
+        "group,rank,lam,x",
+        [("so-odd", "1", "1e308", "0.1"), ("gl", "2", "1e308,-1e308", "0,0"),
+         ("sp", "2", "1e308,1e308", "0,0")],
+    )
+    def test_cone_pairing_out_of_range_is_over_budget(self, group, rank, lam, x, capsys):
+        """A pairing (lambda, gamma^vee) beyond the floating-point range
+        needs a grid step of 0: the cone route ends with the budget error
+        that the MB route gives for the same lambda, not a traceback."""
+        for method in ("cone", "mb", "cross"):
+            code = run(["eval", "--group", group, "--rank", rank, f"--lambda={lam}", f"--x={x}",
+                        "--method", method])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and "exceeds the budget" in captured.err
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("method,x", [("cone", "50,-50"), ("cone", "800,0"), ("mb", "-800,0")])
     def test_large_x_ends_finite_or_typed(self, method, x, capsys):
@@ -452,18 +469,21 @@ class TestRuntimeDependencies:
 class TestCallHistory:
     def test_outputs_do_not_depend_on_earlier_calls(self, tmp_path):
         """What one process keeps between calls (the parser, integrands,
-        splits and the base-point LP models with their active sets) never
-        changes an output: each call of a mixed sequence writes what a
+        splits, the base-point LP models with their active sets, and the
+        compiled contour programs, contraction plans and their lowered
+        steps) never changes an output: each call of a mixed sequence, and
+        of the same sequence run again in reverse order, writes what a
         fresh process writes for its argv.  The gl 3 grid has rows with
         s1 < s2, s1 = s2 and s1 > s2, and runs after a row with s1 > s2,
         so its first row meets a model that holds only the other side's
-        active sets."""
+        active sets; the gl 3 row at a larger |lambda| meets the split's
+        program at other panel counts."""
         import os
         import subprocess
         import sys
 
         import whittaker_mb
-        from whittaker_mb.quadrature import _lp_model
+        from whittaker_mb.quadrature import _axis_plans, _compiled, _cone_supports, _lowered, _lp_model
 
         eval_sp2 = ["eval", "--group", "sp", "--rank", "2", "--lambda=0.9,-0.5",
                     "--x=0.3,-0.2", "--method", "cross"]
@@ -477,13 +497,17 @@ class TestCallHistory:
             (eval_sp2, 0),
             (gl3 + ["--s-grid=1.3:1.3:1;0.7:0.7:1"], 0),
             (gl3 + ["--s-grid=0.6:1.4:3"], 0),
+            (["mellin-table", "--group", "gl", "--rank", "3", "--lambda=1.9,-1.6,-0.3",
+              "--s-grid=0.9:0.9:1;1.2:1.2:1"], 0),
         ]
-        _lp_model.cache_clear()
+        for cache in (_lp_model, _compiled, _axis_plans, _lowered, _cone_supports):
+            cache.cache_clear()
         src = os.path.dirname(os.path.dirname(os.path.abspath(whittaker_mb.__file__)))
 
         def written(path):
             return path.read_bytes() if path.exists() else None
 
+        fresh_outputs = []
         for k, (argv, code) in enumerate(sequence):
             here, fresh = tmp_path / f"here{k}", tmp_path / f"fresh{k}"
             assert run(argv + ["--output", str(here)]) == code
@@ -494,6 +518,11 @@ class TestCallHistory:
             assert proc.returncode == code, proc.stderr.decode()
             assert written(here) == written(fresh)
             assert (written(here) is None) == (code == 2)
+            fresh_outputs.append(written(fresh))
+        for k in reversed(range(len(sequence))):
+            (argv, code), again = sequence[k], tmp_path / f"again{k}"
+            assert run(argv + ["--output", str(again)]) == code
+            assert written(again) == fresh_outputs[k]
 
     def test_rebound_command_reaches_later_calls(self, tmp_path, monkeypatch):
         """The parser is built once per process, but the command function

@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from whittaker_mb import _lp_seeds
-from whittaker_mb.mellin import AffineForm, assemble_mb_integrand, bump_gl3, mellin_of_whittaker
+from whittaker_mb.mellin import (
+    AffineForm,
+    MBIntegrand,
+    assemble_mb_integrand,
+    bump_gl3,
+    mellin_of_whittaker,
+)
 from whittaker_mb.gammafn import PoleHit, log_gamma_array
 from whittaker_mb.quadrature import (
     _cone_action,
@@ -22,10 +28,9 @@ from whittaker_mb.quadrature import (
     _cone_phase_coeffs,
     _cone_sum,
     _cone_trim,
+    _axis_plans,
     _contour_sum,
     _lp_model,
-    _greedy_path,
-    _plan,
     _strip_bound,
     _support_tables,
     DimensionTooLarge,
@@ -536,9 +541,7 @@ class TestStripBound:
         spec = plan_contour(inner, lam, 1e-7, fixed=fixed)
         base = dict(zip(inner.variables, spec.base_point))
         halves = [p // 2 for p in spec.panels]
-        fine = _contour_sum(
-            inner.num, inner.den, inner.variables, base, lam, {}, halves, fixed, step=spec.step
-        )[0]
+        fine = _contour_sum(inner, base, lam, {}, halves, fixed, step=spec.step)[0]
         scale = float(split.jacobian) / (2.0 * math.pi)
         ref = bump_gl3(lam, *s)
         error = abs(scale * fine - ref)
@@ -690,6 +693,12 @@ def _close(got, ref, rel=1e-13):
     return abs(got - ref) <= rel * abs(ref)
 
 
+def _integrand(num, den, variables):
+    """An integrand of the Gamma factors num / den on the contour
+    `variables`, without torus exponent or constraints."""
+    return MBIntegrand("test", 0, tuple(variables), tuple(num), tuple(den), {})
+
+
 def _dense_contour(num, den, variables, base, lam, hx, nodes, fixed):
     """The contour sums of _contour_sum, from the whole grid at once."""
     d = len(variables)
@@ -749,7 +758,7 @@ class TestContractedKernels:
         hx = {g[0]: 0.3, g[d - 1]: -0.2}
         fixed = {s1: 0.7 + 0.2j}
         nodes = [np.arange(-m, m + 1) * 0.3 for m in self.HALF[:d]]
-        got = _contour_sum(num, den, g, base, lam, hx, self.HALF[:d], fixed, step=0.3)
+        got = _contour_sum(_integrand(num, den, g), base, lam, hx, self.HALF[:d], fixed, step=0.3)
         ref = _dense_contour(num, den, g, base, lam, hx, nodes, fixed)
         for a, b in zip(got[:3], ref[:3]):
             assert _close(a, b)
@@ -850,11 +859,12 @@ class TestCommonStepLattice:
         with `dense` the dense-grid reference."""
         g = [("g", k + 1, k + 2) for k in range(len(half))]
         base = {v: 0.25 + 0.125 * k for k, v in enumerate(g)}  # exact in binary
-        args = (num, den, g, base, (0.4, -0.7), hx or {})
-        got = _contour_sum(*args, half, fixed, step=step)
+        args = (base, (0.4, -0.7), hx or {})
+        got = _contour_sum(_integrand(num, den, g), *args, half, fixed, step=step)
         if not dense:
             return got
-        return got, _dense_contour(*args, [np.arange(-m, m + 1) * step for m in half], fixed)
+        nodes = [np.arange(-m, m + 1) * step for m in half]
+        return got, _dense_contour(num, den, g, *args, nodes, fixed)
 
     def test_integer_and_rational_coefficients_match_dense_grid(self):
         g = [("g", k + 1, k + 2) for k in range(3)]
@@ -947,18 +957,18 @@ class TestCommonStepLattice:
         real_lg, real_sum = quad.log_gamma_array, quad._contour_sum
         real_plans = quad._budgeted_plans
 
-        def contour_sum(num, den, variables, base, lam, hx, halves, fixed=None, *, step):
+        def contour_sum(integrand, base, lam, hx, halves, fixed=None, *, step):
             calls.append([])
-            sizes = {v: 2 * m + 1 for v, m in zip(variables, halves)}
+            sizes = {v: 2 * m + 1 for v, m in zip(integrand.variables, halves)}
             bounds.append(sum(
-                sum(abs(a) * (sizes[v] - 1) for v, a in f.gamma.items()) + 1 for f in num + den
+                sum(abs(a) * (sizes[v] - 1) for v, a in f.gamma.items()) + 1
+                for f in integrand.num + integrand.den
             ))
-            return real_sum(num, den, variables, base, lam, hx, halves, fixed, step=step)
+            return real_sum(integrand, base, lam, hx, halves, fixed, step=step)
 
-        def plans(what, jobs):
-            out = real_plans(what, jobs)
-            subs.append(out[0][0])
-            return out
+        def plans(what, plans, sizes):
+            subs.append(plans[0].subs)
+            return real_plans(what, plans, sizes)
 
         def log_gamma(z):
             calls[-1].append(np.shape(z))
@@ -969,9 +979,10 @@ class TestCommonStepLattice:
         monkeypatch.setattr(quad, "log_gamma_array", log_gamma)
         eval_mb(mb, (0.3, -0.2), (0.9, -0.5), tol=1e-4)
         assert calls
+        # one log_gamma_array call per sum, on the lines of all its factors
         for shapes, bound in zip(calls, bounds):
-            assert all(len(shape) == 1 for shape in shapes)
-            assert sum(shape[0] for shape in shapes) <= bound
+            assert len(shapes) == 1 and len(shapes[0]) == 1
+            assert shapes[0][0] <= bound
         # one-axis Gamma factors fold into the weight vectors: 8 operands, not 11
         assert subs and all(s == "bd,bc,ab,cd,a,b,c,d->" for s in subs)
 
@@ -980,10 +991,9 @@ class TestCommonStepLattice:
 
         subs, real_plans = [], quad._budgeted_plans
 
-        def plans(what, jobs):
-            out = real_plans(what, jobs)
-            subs.extend(p[0] for p in out)
-            return out
+        def plans(what, plans, sizes):
+            subs.extend(p.subs for p in plans)
+            return real_plans(what, plans, sizes)
 
         monkeypatch.setattr(quad, "_budgeted_plans", plans)
         eval_cone("sp", 2, (0.7, -0.4), (0.3, -0.2), tol=1e-8)  # trims, so marginals run
@@ -1014,9 +1024,8 @@ def _recount(subs, path, sizes):
 
 
 class TestContractionPlans:
-    # the supports of the sp rank 2 contour sum with every Gamma support
-    # its own operand, one-axis ones included
-    SUPPORTS = [(1, 3), (1, 2), (0,), (1,), (0, 1), (2, 3), (3,), (0,), (1,), (2,), (3,)]
+    # the shared tables of the sp rank 2 contour sum
+    SHARED = ((1, 3), (1, 2), (0, 1), (2, 3))
 
     def test_one_path_per_support_structure(self, monkeypatch):
         real, calls = np.einsum_path, []
@@ -1025,40 +1034,43 @@ class TestContractionPlans:
             calls.append(args[0])
             return real(*args, **kwargs)
 
-        _greedy_path.cache_clear()
+        _axis_plans.cache_clear()
         monkeypatch.setattr(np, "einsum_path", counting)
-        first = _plan(self.SUPPORTS, (73, 45, 73, 45), (0,))
-        second = _plan(self.SUPPORTS, (61, 33, 97, 41), (0,))
-        assert len(calls) == 1
-        assert first[:2] == second[:2]
-        for plan, sizes in ((first, (73, 45, 73, 45)), (second, (61, 33, 97, 41))):
-            assert plan[2:] == _recount(plan[0], plan[1], sizes)
+        outputs = ((0,), None)
+        first = _axis_plans(self.SHARED, 4, outputs)
+        assert _axis_plans(self.SHARED, 4, outputs) is first
+        assert len(calls) == 2  # one path per contraction, whatever the grid
+        for sizes in ((73, 45, 73, 45), (61, 33, 97, 41)):
+            full = [*sizes, 2, 2, 2, 2]
+            for plan in first:
+                assert plan.cost(full) == _recount(plan.subs, plan.path, full)
 
     @pytest.mark.parametrize("family", ["sp", "so_odd"])
     def test_cone_sum_matches_size_aware_plans(self, monkeypatch, family):
         import whittaker_mb.quadrature as quad
 
-        real = quad._plan
-
-        def size_aware(supports, sizes, output=()):
-            """_plan with the greedy path planned at the true sizes."""
-            subs, _, flops, largest = real(supports, sizes, output)
-            operands = [np.broadcast_to(0.0, tuple(sizes[a] for a in s)) for s in supports]
-            path = np.einsum_path(subs, *operands, optimize=("greedy", quad.MAX_ENTRIES))[0]
-            return subs, tuple(path), flops, largest
-
+        real = quad._axis_plans
         labels = list(build_root_system(family, 2).positive_roots)
         efac = _cone_exponent(family, 2, (0.2, -0.1))
         phase = _cone_phase_coeffs(family, 2, (0.5, -0.8))
         nodes = [np.linspace(-2.0, 1.0, m) for m in (61, 36, 41, 39)]
         sizes = [nd.size for nd in nodes]
+        full = [*sizes, 2, 2, 2, 2]
+
+        def size_aware(shared, d, outputs):
+            """_axis_plans with each greedy path planned at the true sizes."""
+            return tuple(
+                quad._Contraction(p.supports, p.output, [tuple(full[a] for a in s) for s in p.supports])
+                for p in real(shared, d, outputs)
+            )
+
         layout = _cone_layout(family, 2, labels, sizes)
         got = _cone_sum(family, 2, labels, efac, phase, nodes, 1.5, layout)
         got_marginals = got[6]()
-        monkeypatch.setattr(quad, "_plan", size_aware)
+        monkeypatch.setattr(quad, "_axis_plans", size_aware)
         aware = _cone_layout(family, 2, labels, sizes)
         # at these sizes the greedy order differs from the nominal one
-        assert aware[2][0][1] != layout[2][0][1]
+        assert aware[2][0].path != layout[2][0].path
         ref = _cone_sum(family, 2, labels, efac, phase, nodes, 1.5, aware)
         for a, b in zip(got[:3], ref[:3]):
             assert abs(a - b) <= 1e-13 * abs(b)
@@ -1066,6 +1078,158 @@ class TestContractionPlans:
         assert got[4:6] == pytest.approx(ref[4:6], rel=1e-13)
         for a, b in zip(got_marginals, ref[6]()):
             assert np.all(np.abs(a - b) <= 1e-13 * b)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _contour_grids(integrand, lam, tol, x=None, fixed=None):
+    """Panel counts of the first attempt of _integrate and of the refined one."""
+    import whittaker_mb.quadrature as quad
+
+    spec = plan_contour(integrand, lam, tol, x=x, fixed=fixed)
+    return [spec.panels, quad._refine_spec(spec).panels]
+
+
+def _cone_grids(family, n, lam, x, tol):
+    """Node counts per axis of eval_cone's first attempt and of a trimmed
+    attempt after it that keeps the whole box."""
+    import whittaker_mb.quadrature as quad
+
+    labels = list(build_root_system(family, n).positive_roots)
+    efac = _cone_exponent(family, n, x)
+    nu = max(abs(v) for v in _cone_phase_coeffs(family, n, lam).values())
+    _, bounds = _cone_box(family, n, labels, efac, math.log(10.0 / tol) + 6.0)
+    h = min(0.34, 2.0 * math.pi / (12.0 + 2.0 * nu))
+    return [
+        [2 * quad._half_panels((hi - lo) / 2 + quad._WIDEN, step) + 1 for lo, hi in bounds]
+        for step in (h, 0.65 * h)
+    ]
+
+
+class TestCompiledContractions:
+    """Every contraction the engine runs equals np.einsum(subs, *operands,
+    optimize=path) bit for bit."""
+
+    @staticmethod
+    def _check(plans, d, grids, dtypes):
+        import whittaker_mb.quadrature as quad
+
+        rng = np.random.default_rng(7)
+        checked = 0
+        for sizes in grids:
+            full = [*sizes] + [2] * d
+            if max(p.cost(full)[1] for p in plans) > quad.MAX_ENTRIES:
+                # a grid over the budget is never contracted
+                with pytest.raises(DimensionTooLarge):
+                    quad._budgeted_plans("test", plans, sizes)
+                continue
+            for plan, dtype in zip(plans, dtypes):
+                operands = []
+                for s in plan.supports:
+                    shape = tuple(full[a] for a in s)
+                    op = rng.standard_normal(shape)
+                    operands.append(op + 1j * rng.standard_normal(shape) if dtype is complex else op)
+                for stride in (1, 2, 4):
+                    # each grid axis sliced, as _strided_sums slices tables and axis operands
+                    sliced = [
+                        op[tuple(slice(None, None, stride) if a < d else slice(None) for a in s)]
+                        for op, s in zip(operands, plan.supports)
+                    ]
+                    got = plan(*sliced)
+                    ref = np.einsum(plan.subs, *sliced, optimize=plan.path)
+                    assert _same_bits(got, ref), (plan.subs, sizes, stride)
+                    checked += 1
+        return checked
+
+    @pytest.mark.parametrize("family,n", MB_STRUCTURES)
+    def test_eval_mb_structures(self, family, n):
+        import whittaker_mb.quadrature as quad
+
+        mb = assemble_mb_integrand(family, n)
+        lam, x = (0.9, -0.4, 0.3)[:n], (0.3, -0.2, 0.1)[:n]
+        grids = _contour_grids(mb, lam, 1e-6, x=x)
+        # the sums of the complex tables and weights; the selector of their moduli
+        plans = quad._contour_program(mb, None).plans
+        assert self._check(plans, mb.dimension, grids, (complex, float)) == 12
+
+    @pytest.mark.parametrize("family,n", _lp_seeds.SPLITS)
+    def test_mellin_splits(self, family, n):
+        import whittaker_mb.quadrature as quad
+
+        inner = mellin_of_whittaker(family, n).inner
+        fixed = {("s", j + 1): complex(1.0 + 0.1 * j) for j in range(n if family != "gl" else n - 1)}
+        grids = _contour_grids(inner, (0.3, -0.2, 0.1, 0.05)[:n], 1e-7, fixed=fixed)
+        plans = quad._contour_program(inner, fixed).plans
+        # so_even 3 refines past the budget
+        assert self._check(plans, inner.dimension, grids, (complex, float)) >= 6
+
+    @pytest.mark.parametrize("family,n", MB_STRUCTURES)
+    def test_cone_layouts(self, family, n):
+        import whittaker_mb.quadrature as quad
+
+        labels = list(build_root_system(family, n).positive_roots)
+        d = len(labels)
+        _, shared = quad._cone_supports(family, n, tuple(labels))
+        grids = _cone_grids(family, n, (0.9, -0.4, 0.3)[:n], (0.3, -0.2, 0.1)[:n], 1e-6)
+        # the sums and the selector share one plan; the marginals have one per axis
+        (columns,) = _axis_plans(shared, d, (None,))
+        marginals = _axis_plans(shared, d, tuple((k,) for k in range(d)))
+        assert self._check((columns,), d, grids, (float,)) == 6
+        assert self._check(marginals, d, grids, (float,) * d) == 6 * d
+
+    def test_no_module_imports_numpy_internals(self):
+        import ast
+
+        import whittaker_mb
+
+        for path in Path(whittaker_mb.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    assert not (isinstance(node, ast.Attribute) and node.attr == "_core"), path
+                    continue
+                assert not any(name.startswith(("numpy._core", "numpy.core")) for name in names), path
+
+
+class TestProgramCache:
+    def test_replaced_integrands_never_reach_another_program(self):
+        """Integrands made with dataclasses.replace and dropped at once, so
+        that a new one mostly takes a dropped one's id, each get their own
+        program: every sum equals the sum of a program compiled for it."""
+        import whittaker_mb.quadrature as quad
+
+        inner = mellin_of_whittaker("gl", 3).inner
+        fixed = {("s", 1): 0.8 + 0.1j, ("s", 2): 1.1 - 0.2j}
+        lam = (0.5, 0.0, -0.5)
+        base = dict(zip(inner.variables, plan_contour(inner, lam, 1e-7, fixed=fixed).base_point))
+        names = tuple(sorted(fixed))
+        bound = quad._compiled.cache_info().maxsize
+        values = set()
+        for k in range(2000):
+            num = tuple(AffineForm(f.gamma, f.ilam, f.const + Fraction(k, 1000)) for f in inner.num)
+            integrand = replace(inner, num=num)
+            cold = quad._ContourProgram(integrand, names).sums(base, lam, {}, [4], fixed, 0.25)
+            got = _contour_sum(integrand, base, lam, {}, [4], fixed, step=0.25)
+            del integrand
+            assert got == cold
+            values.add(got[0])
+            assert quad._compiled.cache_info().currsize <= bound
+        assert len(values) == 2000
+
+    def test_barnes_lemma_as_on_a_cold_cache(self):
+        import whittaker_mb.quadrature as quad
+
+        args = [(0.3, 0.4, 0.5, 0.6), (0.7 + 0.2j, 0.4, 0.5 - 0.1j, 0.9), (1.2, 0.3, 0.8, 0.35)]
+        warm = [barnes_first_lemma_quad(*a) for a in args * 2]
+        for a, value in zip(args * 2, warm):
+            quad._compiled.cache_clear()
+            assert barnes_first_lemma_quad(*a) == value
 
 
 def _scalar_cone_box(family, n, labels, efac, lt):
@@ -1362,9 +1526,9 @@ class TestContractionBudget:
         args = ("sp", 2, (0.7, -0.4), (0.3, -0.2))
         real_plans, real_trim, outputs, trims = quad._budgeted_plans, quad._cone_trim, [], []
 
-        def plans(what, jobs):
-            outputs.append([job[2] for job in jobs])
-            return real_plans(what, jobs)
+        def plans(what, plans, sizes):
+            outputs.append([p.output for p in plans])
+            return real_plans(what, plans, sizes)
 
         monkeypatch.setattr(quad, "_budgeted_plans", plans)
         monkeypatch.setattr(quad, "_cone_trim", lambda *a: trims.append(a) or real_trim(*a))
@@ -1377,10 +1541,10 @@ class TestContractionBudget:
         assert trims and marginal_jobs == [[(0,), (1,), (2,), (3,)]] * len(trims)
 
         # marginals over budget end the attempts with the last result
-        def marginals_over_budget(what, jobs):
-            if len(jobs) > 1:
+        def marginals_over_budget(what, plans, sizes):
+            if len(plans) > 1:
                 raise DimensionTooLarge("marginals")
-            return real_plans(what, jobs)
+            return real_plans(what, plans, sizes)
 
         monkeypatch.setattr(quad, "_budgeted_plans", marginals_over_budget)
         with pytest.raises(NotConverged) as exc:
