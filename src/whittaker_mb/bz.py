@@ -3,7 +3,7 @@
 The transform sends a chart matrix X(t) to the unipotent Gauss factor of
 X(-t) * w0bar; the twist is the diagonal factor.  Closed forms exist for
 all four families and are implemented generically over any scalar type
-supporting field arithmetic (exact rationals, dual numbers, numpy
+supporting field arithmetic (exact rationals, integer jets, numpy
 arrays).  The oracle computes the same data by building X(-t) * w0bar
 exactly and running the LDU decomposition; closed form and oracle must
 agree exactly, which is the backbone correctness check of the package.
@@ -78,7 +78,7 @@ def bz_map_coords(family: str, n: int, c: dict) -> dict:
     """Closed-form image coordinates of the transform, by family.
 
     Input and output are dicts keyed by root labels; works for exact
-    scalars, dual numbers and numpy arrays alike.  The same formulas with
+    scalars, integer jets and numpy arrays alike.  The same formulas with
     image coordinates as input give the inverse map (the transform is an
     involution).
     """

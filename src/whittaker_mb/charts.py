@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ExactMatrix, jacobian_exact
+from .exact import ExactMatrix, jet_forward
 from .roots import (
     RootSystem,
     build_realization,
@@ -344,18 +344,18 @@ def monomial_weight(chart: LusztigChart, mu) -> Fraction:
 def measure_jacobian_logdet(map_func, point):
     """|det| of the Jacobian of a rational map in log coordinates, exactly.
 
-    The map is differentiated with exact dual numbers; the log-coordinate
-    Jacobian is diag(1/f) . J . diag(x), so the result is
-    |det J| * prod(x_j) / prod(f_i).
+    One pass of integer jets (exact.jet_forward) gives each component
+    f_i = n_i/q_i and its gradient G_i/q_i.  The log-coordinate Jacobian
+    diag(1/f) . J . diag(x) has the entries G_ij x_j / n_i, free of the
+    q_i; each is reduced once, and ExactMatrix.det eliminates without
+    fractions.
     """
     point = tuple(Fraction(v) for v in point)
-    values = map_func(point)
-    jac = jacobian_exact(lambda p: map_func(p), point)
-    d = len(point)
-    if len(values) != d:
+    out = jet_forward(map_func, point)
+    if len(out) != len(point):
         raise ChartError("map must be dimension-preserving")
     scaled = [
-        [jac[i][j] * point[j] / values[i] for j in range(d)] for i in range(d)
+        [Fraction(g * x.numerator, y.v * x.denominator) for g, x in zip(y.g, point)]
+        for y in out
     ]
-    det = ExactMatrix(scaled).det()
-    return abs(det)
+    return abs(ExactMatrix(scaled).det())

@@ -2,8 +2,10 @@
 
 Everything here is exact: scalars are arbitrary-precision rationals
 (every family's realization has rational entries, see roots), matrices
-are dense grids of them, and the Gauss (LDU) decomposition runs plain
-elimination with exact pivots.  Floats appear only as an export format.
+are dense grids of them, the Gauss (LDU) decomposition runs plain
+elimination with exact pivots, determinants run fraction-free, and
+derivatives of rational maps come from one unreduced pass of integer
+jets.  Floats appear only as an export format.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ class ExactError(ArithmeticError):
     pass
 
 
-class DivisionByZero(ExactError):
+class DivisionByZero(ExactError, ZeroDivisionError):
     pass
 
 
@@ -141,29 +143,31 @@ class ExactMatrix:
             [self.rows[r] if s > 0 else [-v for v in self.rows[r]] for r, s in perm]
         )
 
-    def det(self):
-        """Exact determinant via elimination with row pivoting."""
+    def det(self) -> Fraction:
+        """Exact determinant by fraction-free (Bareiss) elimination: rows
+        cleared of denominators, exact division by the previous pivot, and
+        a row swap (with a sign flip) past a zero pivot."""
+        from math import lcm, prod
+
         n = self.nrows
         if n != self.ncols:
             raise ValueError("determinant of non-square matrix")
-        a = [list(r) for r in self.rows]
-        sign = 1
-        det = Fraction(1)
+        dens = [lcm(*(v.denominator for v in row)) for row in self.rows]
+        a = [[v.numerator * (d // v.denominator) for v in row] for row, d in zip(self.rows, dens)]
+        sign, prev = 1, 1
         for k in range(n):
-            piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+            piv = next((i for i in range(k, n) if a[i][k]), None)
             if piv is None:
                 return Fraction(0)
             if piv != k:
                 a[k], a[piv] = a[piv], a[k]
                 sign = -sign
-            p = a[k][k]
-            det = det * p
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    m = a[i][k] / p
-                    for j in range(k, n):
-                        a[i][j] = a[i][j] - m * a[k][j]
-        return det * sign
+            top, p = a[k], a[k][k]
+            for row in a[k + 1:]:
+                m = row[k]
+                row[k + 1:] = [(p * x - m * y) // prev for x, y in zip(row[k + 1:], top[k + 1:])]
+            prev = p
+        return Fraction(sign * a[-1][-1], prod(dens))
 
     def __repr__(self):
         return "ExactMatrix(" + repr(self.rows) + ")"
@@ -250,104 +254,100 @@ def lu_gauss_decompose(m: ExactMatrix) -> GaussDecomposition:
     return GaussDecomposition(lower, diag, upper)
 
 
-class Dual:
-    """First-order dual number over exact scalars (forward-mode derivative).
+class Jet:
+    """Value v/q and gradient g/q of a rational function at a point, with
+    v, g[j] and q > 0 plain ints.  Field operations and integer powers
+    follow the forward-mode rules unreduced (no gcd), so a map runs in one
+    pass over all directions; `value` and `grad` reduce once.  A jet
+    equals a scalar when its value does, as a map's zero tests need."""
 
-    Used to differentiate the rational chart maps exactly; `eps` carries
-    d(value)/d(seed direction).
-    """
+    __slots__ = ("v", "g", "q")
 
-    __slots__ = ("val", "eps")
+    def __init__(self, v, g, q):
+        self.v, self.g, self.q = v, g, q
 
-    def __init__(self, val, eps=0):
-        self.val = val
-        self.eps = eps
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.v, self.q)
 
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, Dual):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Dual(x, 0)
-        return None
+    @property
+    def grad(self) -> list:
+        return [Fraction(x, self.q) for x in self.g]
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def __add__(self, o):
+        if type(o) is Jet:
+            q, r = self.q, o.q
+            return Jet(self.v * r + o.v * q, [a * r + b * q for a, b in zip(self.g, o.g)], q * r)
+        if not isinstance(o, (int, Fraction)):
             return NotImplemented
-        return Dual(self.val + o.val, self.eps + o.eps)
+        n, m = o.numerator, o.denominator
+        return Jet(self.v * m + n * self.q, [a * m for a in self.g], self.q * m)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Dual(self.val - o.val, self.eps - o.eps)
+    def __neg__(self):
+        return Jet(-self.v, [-a for a in self.g], self.q)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Dual(o.val - self.val, o.eps - self.eps)
+    def __sub__(self, o):
+        return self + -o
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if type(o) is Jet:
+            a, b = self.v, o.v
+            return Jet(a * b, [a * y + b * x for x, y in zip(self.g, o.g)], self.q * o.q)
+        if not isinstance(o, (int, Fraction)):
             return NotImplemented
-        return Dual(self.val * o.val, self.val * o.eps + self.eps * o.val)
+        n = o.numerator
+        return Jet(self.v * n, [a * n for a in self.g], self.q * o.denominator)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.val == 0:
-            raise DivisionByZero("dual division by zero")
-        v = self.val / o.val
-        return Dual(v, (self.eps - v * o.eps) / o.val)
+    def __truediv__(self, o):
+        # (v/q) / (b/r) = v r b / (q b^2), gradient (g b - v h) r / (q b^2) with h = o.g
+        if type(o) is not Jet:
+            return self * (Fraction(1) / o) if isinstance(o, (int, Fraction)) else NotImplemented
+        v, b, r = self.v, o.v, o.q
+        if b == 0:
+            raise DivisionByZero("jet division by zero")
+        return Jet(v * r * b, [(x * b - v * y) * r for x, y in zip(self.g, o.g)], self.q * b * b)
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+    def __rtruediv__(self, o):
+        # c / (v/q) = c q v / v^2, gradient -c q g / v^2
+        if not isinstance(o, (int, Fraction)):
             return NotImplemented
-        return o.__truediv__(self)
+        if self.v == 0:
+            raise DivisionByZero("jet division by zero")
+        v, q, n = self.v, self.q, o.numerator
+        return Jet(n * q * v, [-n * q * x for x in self.g], o.denominator * v * v)
 
     def __pow__(self, k: int):
-        """(v, e)**k = (v**k, k * v**(k-1) * e)."""
+        """(v/q)^k = v^k / q^k with gradient k v^(k-1) g / q^k; 1 / x^-k for k < 0."""
         if not isinstance(k, int):
             return NotImplemented
-        if k == 0:
-            return Dual(Fraction(1))
-        if k < 0 and self.val == 0:
-            raise DivisionByZero("dual division by zero")
-        v = Fraction(self.val) if isinstance(self.val, int) else self.val
-        p = v ** (k - 1)
-        return Dual(p * v, k * p * self.eps)
+        if k < 0:
+            return 1 / self**-k
+        p = self.v ** (k - 1) if k else 0
+        return Jet(p * self.v if k else 1, [k * p * x for x in self.g], self.q**k)
 
-    def __neg__(self):
-        return Dual(-self.val, -self.eps)
+    def __eq__(self, o):
+        if isinstance(o, (int, Fraction)):
+            return self.v * o.denominator == o.numerator * self.q
+        return NotImplemented
 
-    def __repr__(self):
-        return f"Dual({self.val}, {self.eps})"
+
+def jet_forward(func, point) -> tuple:
+    """Outputs of `func` on the jets seeded at `point`, in one pass:
+    coordinate j = a/b is the jet with value a/b and gradient b e_j / b."""
+    d = len(point)
+    seeds = [Jet(x.numerator, [x.denominator * (k == j) for k in range(d)], x.denominator)
+             for j, x in enumerate(point)]
+    return tuple(func(tuple(seeds)))
 
 
 def jacobian_exact(func, point):
-    """Exact Jacobian of a rational map via dual numbers.
-
-    `func` maps a tuple of scalars to a tuple of scalars using only
-    field operations; `point` is a tuple of Fractions.  Returns a list of
-    rows J[i][j] = d func_i / d x_j as Fractions.
-    """
-    point = tuple(point)
-    d = len(point)
-    cols = []
-    for j in range(d):
-        seeded = tuple(
-            Dual(x, Fraction(1) if k == j else Fraction(0))
-            for k, x in enumerate(point)
-        )
-        out = func(seeded)
-        cols.append([y.eps for y in out])
-    return [[cols[j][i] for j in range(d)] for i in range(len(cols[0]))]
+    """Exact Jacobian J[i][j] = d func_i / d x_j (Fractions) of a map made
+    of field operations and integer powers, from one pass of jets."""
+    return [y.grad for y in jet_forward(func, point)]

@@ -1200,7 +1200,8 @@ def eval_mb(
     Includes the e^{-i(lambda, x)} prefactor and the (2 pi i)^{-d}
     normalization.  `base_point` overrides the feasibility shift (used by
     the contour-independence checks); must satisfy the constraint set.
-    Raises DimensionTooLarge for d > 4; the budget rules are _attempts'.
+    Raises DimensionTooLarge for d > 4 or a phase (lambda, x) beyond the
+    float range (_phase); the budget rules are _attempts'.
     """
     d = integrand.dimension
     if d > 4:
@@ -1211,14 +1212,21 @@ def eval_mb(
         base = dict(pairs)
         if min(constraint_slacks(integrand.constraints, base)) <= 0:
             raise Infeasible("provided base point violates the constraint set")
-    pref = complex(math.cos(-_dotf(lam, x)), math.sin(-_dotf(lam, x)))
+    pref = _phase(lam, x)
     return _integrate(
         integrand, lam, tol, (2.0 * math.pi) ** (-d), max_refine + 1, x=x, base=base, phase=pref
     )
 
 
-def _dotf(a, b):
-    return sum(float(u) * float(v) for u, v in zip(a, b))
+def _phase(lam, x):
+    """The prefactor e^{-i(lambda, x)}; DimensionTooLarge (over the budget, as
+    for any lambda too large to resolve) when (lambda, x) leaves the float range."""
+    dot = sum(float(u) * float(v) for u, v in zip(lam, x))
+    if not math.isfinite(dot):
+        raise DimensionTooLarge(
+            f"the phase (lambda, x) = {dot} is outside the floating-point range"
+        )
+    return complex(math.cos(-dot), math.sin(-dot))
 
 
 # ---------------------------------------------------------------------------
@@ -1308,7 +1316,8 @@ def eval_cone(
     integrand over the box as a contraction of small tables (see
     _cone_sum), whose axes take a multiple of 4 panels, so that the sums
     on the grids of every second and fourth node, from the same tables,
-    cover the same box.  The route is limited to d <= 4: beyond that
+    cover the same box.  The route is limited to d <= 4: beyond that, or
+    for a phase (lambda, x) beyond the float range (_phase),
     DimensionTooLarge is raised before any work.
 
     Each attempt is checked first: if the mass on the boundary faces
@@ -1331,13 +1340,13 @@ def eval_cone(
     d = len(labels)
     if d > 4:
         raise DimensionTooLarge(f"cone quadrature limited to d <= 4, got {d}")
+    pref = _phase(lam, x)
     efac = _cone_exponent(family, n, x)
     phase = _cone_phase_coeffs(family, n, lam)
     lt = math.log(10.0 / tol) + 6.0
     s_center, bounds = _cone_box(family, n, labels, efac, lt)
     bounds = [(lo - _WIDEN, hi + _WIDEN) for lo, hi in bounds]
 
-    pref = complex(math.cos(-_dotf(lam, x)), math.sin(-_dotf(lam, x)))
     nu_mag = max((abs(v) for v in phase.values()), default=0.0)
     h = min(0.34, 2.0 * math.pi / (12.0 + 2.0 * nu_mag))
     scale = math.exp(-s_center)

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whittaker_mb.exact import ExactMatrix
+from whittaker_mb.exact import ExactMatrix, jacobian_exact
 from whittaker_mb.charts import (
+    ChartError,
+    DegenerateDenominator,
     NotInChartDomain,
     RANK2_LENGTH_CLASSES,
     RANK2_MONOMIALS,
@@ -196,3 +198,117 @@ class TestMeasure:
             return tuple(img[l] for l in labels)
 
         assert measure_jacobian_logdet(as_map, pt) == 1
+
+    def test_square_map_has_log_jacobian_two(self):
+        pt = (Fraction(3, 7), Fraction(-5, 2))
+        assert measure_jacobian_logdet(lambda p: (p[0] ** 2, p[1]), pt) == 2
+        assert measure_jacobian_logdet(lambda p: (p[0] * p[0], p[1]), pt) == 2
+
+    @pytest.mark.parametrize("x", [Fraction(2, 3), Fraction(-9, 4), Fraction(5)])
+    def test_moebius_map_has_log_jacobian_one_over_one_plus_x(self, x):
+        assert measure_jacobian_logdet(lambda p: (p[0] / (1 + p[0]),), (x,)) == abs(1 / (1 + x))
+
+    def test_non_square_map_raises(self):
+        with pytest.raises(ChartError):
+            measure_jacobian_logdet(lambda p: (p[0], p[1], p[0] * p[1]), (Fraction(1), Fraction(2)))
+
+    @pytest.mark.parametrize(
+        "f,pt,exc",
+        [
+            (mutate_a2, (1, 2, -1), DegenerateDenominator),  # the map's own guard
+            (lambda p: (1 / p[0], p[1]), (0, 1), ZeroDivisionError),
+            (lambda p: (p[0] ** -2, p[1]), (0, 1), ZeroDivisionError),
+            (lambda p: (p[1] / (p[0] - 1), p[1]), (1, 2), ZeroDivisionError),
+            (lambda p: (p[0] - 1, p[1]), (1, 2), ZeroDivisionError),  # a zero value
+        ],
+    )
+    def test_zero_denominator_raises(self, f, pt, exc):
+        with pytest.raises(exc):
+            measure_jacobian_logdet(f, tuple(Fraction(v) for v in pt))
+
+
+class _Dual:
+    """Scalar dual number over Fractions: the reference for the jets."""
+
+    def __init__(self, val, eps=Fraction(0)):
+        self.val, self.eps = Fraction(val), Fraction(eps)
+
+    @staticmethod
+    def lift(o):
+        return o if isinstance(o, _Dual) else _Dual(o)
+
+    def __add__(self, o):
+        o = self.lift(o)
+        return _Dual(self.val + o.val, self.eps + o.eps)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Dual(-self.val, -self.eps)
+
+    def __sub__(self, o):
+        return self + -self.lift(o)
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        o = self.lift(o)
+        return _Dual(self.val * o.val, self.val * o.eps + self.eps * o.val)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        o = self.lift(o)
+        v = self.val / o.val
+        return _Dual(v, (self.eps - v * o.eps) / o.val)
+
+    def __rtruediv__(self, o):
+        return self.lift(o) / self
+
+    def __pow__(self, k):
+        out = _Dual(1)
+        for _ in range(abs(k)):
+            out = out * self
+        return out if k >= 0 else 1 / out
+
+    def __eq__(self, o):
+        return self.val == o
+
+
+def reference_jacobian(func, point):
+    """d scalar passes, one per seed direction."""
+    d = len(point)
+    cols = [
+        [y.eps for y in func(tuple(_Dual(x, int(k == j)) for k, x in enumerate(point)))]
+        for j in range(d)
+    ]
+    return [[cols[j][i] for j in range(d)] for i in range(len(cols[0]))]
+
+
+ALL_RANKS = [("gl", n) for n in (2, 3, 4, 5, 6)] + [("so_even", n) for n in (2, 3, 4)] + [
+    (family, n) for family in ("so_odd", "sp") for n in (1, 2, 3, 4)
+]
+
+
+class TestJetAgainstScalarDuals:
+    @pytest.mark.parametrize("pattern", ["a2", "b2", "g2"])
+    def test_rank2_mutations(self, pattern):
+        mut, size = MUTATIONS[pattern]
+        rng = random.Random(zlib.crc32(pattern.encode()))
+        for _ in range(3):
+            pt = tuple(Fraction(rng.randint(1, 100), rng.randint(1, 100)) for _ in range(size))
+            assert jacobian_exact(mut, pt) == reference_jacobian(mut, pt)
+
+    @pytest.mark.parametrize("family,n", ALL_RANKS)
+    def test_bz_map(self, family, n):
+        labels = build_root_system(family, n).positive_roots
+
+        def as_map(vals):
+            img = bz_map_coords(family, n, dict(zip(labels, vals)))
+            return tuple(img[l] for l in labels)
+
+        rng = random.Random(zlib.crc32(f"{family}{n}".encode()))
+        for _ in range(3):
+            pt = random_positive_chart(family, n, rng).values_in_order()
+            assert jacobian_exact(as_map, pt) == reference_jacobian(as_map, pt)

@@ -222,6 +222,22 @@ class TestEval:
             assert captured.out == ""
             assert captured.err.startswith("error: ") and "exceeds the budget" in captured.err
 
+    @pytest.mark.parametrize("method", ["mb", "cone", "cross"])
+    @pytest.mark.parametrize(
+        "group,rank,lam,x",
+        [("so-odd", "1", "1e308", "10"), ("gl", "2", "1e308,-1e308", "5,0")],
+    )
+    def test_phase_out_of_range_is_over_budget(self, group, rank, lam, x, method, capsys):
+        """A phase (lambda, x) beyond the floating-point range has no
+        prefactor e^{-i(lambda, x)}: every route ends with an error naming
+        the range, not a traceback."""
+        code = run(["eval", "--group", group, "--rank", rank, f"--lambda={lam}", f"--x={x}",
+                    "--method", method])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "floating-point range" in captured.err
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("method,x", [("cone", "50,-50"), ("cone", "800,0"), ("mb", "-800,0")])
     def test_large_x_ends_finite_or_typed(self, method, x, capsys):

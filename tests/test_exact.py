@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from whittaker_mb.exact import (
-    Dual,
     DivisionByZero,
     ExactMatrix,
+    Jet,
     SingularLeadingMinor,
     jacobian_exact,
     lu_gauss_decompose,
@@ -122,7 +122,62 @@ class TestSignedPermutation:
             signed_permutation(ExactMatrix(rows))
 
 
+def cofactor_det(rows):
+    """Determinant by Laplace expansion along the first row."""
+    if len(rows) == 1:
+        return Fraction(rows[0][0])
+    return sum(
+        (-1) ** j * v * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, v in enumerate(rows[0])
+        if v
+    )
+
+
+class TestDeterminant:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 2, 3], [2, 4, 6], [Fraction(1, 3), 5, -7]],  # rows 1 and 2 dependent
+            [[0, 0, 1], [0, 0, 2], [3, 4, 5]],  # zero column
+            [[0, 1, 2], [3, 4, 5], [6, 7, 9]],  # zero first pivot
+            [[1, 2, 3, 4], [2, 4, 7, 1], [0, 1, -1, 2], [5, 3, 0, -2]],  # zero pivot mid-way
+            [[Fraction(-3, 4), 2, Fraction(-1, 6)], [Fraction(5, 9), -7, 1],
+             [-2, Fraction(-4, 3), Fraction(1, 2)]],
+            [[Fraction(-7, 3)]],
+        ],
+    )
+    def test_matches_cofactor_expansion(self, rows):
+        m = ExactMatrix(rows)
+        assert m.det() == cofactor_det(m.rows)
+
+    def test_singular_is_zero_and_swap_flips_sign(self):
+        assert ExactMatrix([[1, 2, 3], [2, 4, 6], [7, 8, 9]]).det() == 0
+        m = [[0, 2, 1], [3, Fraction(-1, 2), 4], [1, 1, Fraction(5, 7)]]
+        swapped = [m[1], m[0], m[2]]
+        assert ExactMatrix(m).det() == -ExactMatrix(swapped).det() == cofactor_det(m)
+
+    def test_random_negative_entries_match_cofactor_expansion(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            rows = [
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) * rng.randint(0, 1)
+                 for _ in range(n)]
+                for _ in range(n)
+            ]
+            assert ExactMatrix(rows).det() == cofactor_det(rows)
+
+
+def jet(val, eps):
+    """Jet in one direction with value `val` and derivative `eps`."""
+    val, eps = Fraction(val), Fraction(eps)
+    q = val.denominator * eps.denominator
+    return Jet(val.numerator * eps.denominator, [eps.numerator * val.denominator], q)
+
+
 class TestDualNumbers:
+    """The jets are dual numbers in every direction at once."""
+
     def test_rational_map_derivative(self):
         def f(p):
             (x, y) = p
@@ -135,10 +190,10 @@ class TestDualNumbers:
         assert jac[1] == [1, 1]
 
     def test_power_and_division(self):
-        x = Dual(Fraction(3), Fraction(1))
+        x = jet(Fraction(3), Fraction(1))
         y = x**3 / (1 + x)
-        assert y.val == Fraction(27, 4)
-        assert y.eps == Fraction(27, 4) * (Fraction(3, 3) - Fraction(1, 4))
+        assert y.value == Fraction(27, 4)
+        assert y.grad == [Fraction(27, 4) * (Fraction(3, 3) - Fraction(1, 4))]
 
     @pytest.mark.parametrize("k", range(-3, 5))
     @pytest.mark.parametrize(
@@ -147,14 +202,14 @@ class TestDualNumbers:
          (Fraction(-5, 2), Fraction(0)), (Fraction(1), Fraction(7, 3))],
     )
     def test_power_matches_repeated_multiplication(self, k, val, eps):
-        x = Dual(val, eps)
-        base = x if k >= 0 else Dual(Fraction(1)) / x
-        want = Dual(Fraction(1))
+        x = jet(val, eps)
+        base = x if k >= 0 else 1 / x
+        want = jet(1, 0)
         for _ in range(abs(k)):
             want = want * base
         got = x**k
-        assert got.val == want.val and got.eps == want.eps
+        assert got.value == want.value and got.grad == want.grad
 
     def test_negative_power_of_zero_raises(self):
         with pytest.raises(DivisionByZero):
-            Dual(Fraction(0), Fraction(1)) ** -2
+            jet(Fraction(0), Fraction(1)) ** -2
