@@ -5,8 +5,9 @@ X(-t) * w0bar; the twist is the diagonal factor.  Closed forms exist for
 all four families and are implemented generically over any scalar type
 supporting field arithmetic (exact rationals, integer jets, numpy
 arrays).  The oracle computes the same data by building X(-t) * w0bar
-exactly and running the LDU decomposition; closed form and oracle must
-agree exactly, which is the backbone correctness check of the package.
+exactly and running the LDU decomposition, all on row-scaled integer
+matrices (exact.IntRows); closed form and oracle must agree exactly,
+which is the backbone correctness check of the package.
 
 No dense matrix product or inverse is formed.  The lifts w0bar (and the
 lift of the embedded rank-(n-1) subgroup) are signed permutation
@@ -24,13 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import ExactMatrix, SingularLeadingMinor, lu_gauss_decompose, signed_permutation
-from .charts import (
-    LusztigChart,
-    chart_to_matrix,
-    extract_coordinates,
-    monomial_weight,
-)
+from .exact import ExactMatrix, SingularLeadingMinor, signed_permutation
+from .charts import LusztigChart, _word_rows, extract_coordinates, monomial_weight
 from .roots import _eps, build_realization, build_root_system, w0_lift, w0_lift_embedded
 
 
@@ -191,27 +187,26 @@ def _lift_perm(family: str, n: int, embedded: bool = False) -> tuple:
 def bz_oracle(chart: LusztigChart) -> BZResult:
     """Ground truth: LDU of X(-t) * w0bar, coordinates peeled off the U factor.
 
-    X(-t) * w0bar is X(-t) with its columns permuted and negated by the
-    signed permutation map of w0bar; no product is formed.
+    Everything runs on IntRows, with no Fraction matrix: the integer chart
+    product X(-t), its columns permuted and negated by the signed
+    permutation map of w0bar (no product is formed), one Bareiss LDU, and
+    the peel of U.  Only the image coordinates and the diagonal D are
+    Fractions.
     """
     rs = chart.root_system
-    m = chart_to_matrix(chart, negate=True)
-    g = m.permute_columns(_lift_perm(rs.family, rs.n))
+    g = _word_rows(chart, rs.word, negate=True).permute_columns(_lift_perm(rs.family, rs.n))
     try:
-        dec = lu_gauss_decompose(g)
+        diag, upper = g.ldu()
     except SingularLeadingMinor as exc:
         raise OutsideBigCell(str(exc)) from exc
-    image = extract_coordinates(dec.upper, rs)
-    diag = dec.diag_entries()
+    image = extract_coordinates(upper, rs)
     family, n = rs.family, rs.n
     if family == "gl":
         return BZResult(image, diag)
     size = rs.matrix_size
     for k in range(n):
         if diag[size - 1 - k] * diag[k] != 1:
-            raise StructureViolation(
-                f"twist diagonal not hat-reciprocal at position {k + 1}"
-            )
+            raise StructureViolation(f"twist diagonal not hat-reciprocal at position {k + 1}")
     if family == "so_odd" and diag[n] != 1:
         raise StructureViolation("middle twist entry differs from 1")
     return BZResult(image, diag[:n])
@@ -228,24 +223,16 @@ def _string1_word(rs):
 
 def string1_matrix(chart: LusztigChart, negate: bool = False) -> ExactMatrix:
     """Product of the one-parameter factors of the last simple-root string."""
-    rs = chart.root_system
-    real = build_realization(rs.family, rs.n)
-    m = ExactMatrix.identity(real.matrix_size)
-    for letter, label in _string1_word(rs):
-        cval = chart.coords[label]
-        if negate:
-            cval = -cval
-        m.apply_right_sparse(real.exp_terms(letter, cval))
-    return m
+    return _word_rows(chart, _string1_word(chart.root_system), negate).to_exact()
 
 
-def _times_string1_inverse(m: ExactMatrix, chart: LusztigChart) -> None:
-    """In-place M <- M * string1_matrix(chart)^{-1}, as the factors
-    exp(-c * e_letter) of the first string in reverse order."""
+def _times_string1_inverse(m, chart: LusztigChart) -> None:
+    """In-place M <- M * string1_matrix(chart)^{-1} on IntRows, as the
+    factors exp(-c * e_letter) of the first string in reverse order."""
     rs = chart.root_system
     real = build_realization(rs.family, rs.n)
     for letter, label in reversed(_string1_word(rs)):
-        m.apply_right_sparse(real.exp_terms(letter, -chart.coords[label]))
+        m.times(real.exp_terms(letter, -chart.coords[label]))
 
 
 def u_matrix_check(chart: LusztigChart) -> dict:
@@ -257,16 +244,17 @@ def u_matrix_check(chart: LusztigChart) -> dict:
     entries built from the first-string coordinates.  Returns the
     diagnostic report; raises StructureViolation on any failed entry.
 
-    Both lifts act as signed permutations (the inverse of w0bar' is its
+    U is built on IntRows, without a dense product or a matrix inverse:
+    both lifts act as signed permutations (the inverse of w0bar' is its
     transpose), and A(p)^{-1} is applied as exp(-p * e_letter) over the
-    first string in reverse order, so U is built without a dense product
-    or a matrix inverse.
+    first string in reverse order.  Each entry is compared with its
+    expected value by cross-multiplication.
     """
     rs = chart.root_system
     family, n = rs.family, rs.n
     image = bz_closed_form(chart).image_chart
     u = (
-        string1_matrix(chart, negate=True)
+        _word_rows(chart, _string1_word(rs), negate=True)
         .permute_columns(_lift_perm(family, n))
         .permute_rows(_lift_perm(family, n, embedded=True))
     )
@@ -296,21 +284,17 @@ def u_matrix_check(chart: LusztigChart) -> dict:
             expected[(n + 1, n + 1)] = Fraction(1)
         free = {(i, 1) for i in range(2, size + 1)}
         free |= {(size, j) for j in range(1, size + 1)}
-        free.add((size, size))
     report = {"family": family, "n": n, "entries": {}, "ok": True}
-    for i in range(1, size + 1):
-        for j in range(1, size + 1):
-            v = u[i - 1, j - 1]
+    for i, (row, den) in enumerate(zip(u.rows, u.dens), 1):
+        for j, v in enumerate(row, 1):
             if (i, j) in expected:
                 want = expected[(i, j)]
-                if v != want:
-                    raise StructureViolation(
-                        f"U[{i},{j}] = {v!r}, expected {want!r}"
-                    )
+                if v * want.denominator != want.numerator * den:
+                    raise StructureViolation(f"U[{i},{j}] = {Fraction(v, den)!r}, expected {want!r}")
                 report["entries"][f"U[{i},{j}]"] = str(want)
             elif i != j and (i, j) not in free:
                 if v != 0:
-                    raise StructureViolation(f"U[{i},{j}] = {v!r}, expected 0")
+                    raise StructureViolation(f"U[{i},{j}] = {Fraction(v, den)!r}, expected 0")
     return report
 
 

@@ -17,15 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ExactMatrix, jet_forward
-from .roots import (
-    RootSystem,
-    build_realization,
-    build_root_system,
-    coroot_pairing,
-    _eps,
-    _min_rank,
-)
+from .exact import ExactMatrix, IntRows, jet_forward
+from .roots import RootSystem, build_realization, build_root_system, coroot_pairing, _eps, _min_rank
 
 
 class ChartError(ValueError):
@@ -69,10 +62,7 @@ class LusztigChart:
         return (
             isinstance(other, LusztigChart)
             and self.root_system == other.root_system
-            and all(
-                self.coords[r] == other.coords[r]
-                for r in self.root_system.positive_roots
-            )
+            and all(self.coords[r] == other.coords[r] for r in self.root_system.positive_roots)
         )
 
 
@@ -89,17 +79,21 @@ def constant_chart(family: str, n: int, value=Fraction(1)) -> LusztigChart:
     return LusztigChart(rs, {r: value for r in rs.positive_roots})
 
 
-def chart_to_matrix(chart: LusztigChart, negate: bool = False) -> ExactMatrix:
-    """Ordered product of exp(coordinate * generator) along the family word."""
+def _word_rows(chart: LusztigChart, word, negate: bool = False) -> IntRows:
+    """Integer product of exp(+-coordinate * generator) over the
+    (letter, label) pairs of `word`, in order."""
     rs = chart.root_system
     real = build_realization(rs.family, rs.n)
-    m = ExactMatrix.identity(real.matrix_size)
-    for letter, label in rs.word:
+    m = IntRows.identity(real.matrix_size)
+    for letter, label in word:
         c = chart.coords[label]
-        if negate:
-            c = -c
-        m.apply_right_sparse(real.exp_terms(letter, c))
+        m.times(real.exp_terms(letter, -c if negate else c))
     return m
+
+
+def chart_to_matrix(chart: LusztigChart, negate: bool = False) -> ExactMatrix:
+    """Ordered product of exp(coordinate * generator) along the family word."""
+    return _word_rows(chart, chart.root_system.word, negate).to_exact()
 
 
 # ---------------------------------------------------------------------------
@@ -109,55 +103,52 @@ def chart_to_matrix(chart: LusztigChart, negate: bool = False) -> ExactMatrix:
 def _ratio(num, den):
     if den == 0:
         raise NotInChartDomain("vanishing first-row entry")
-    return num / den
+    return Fraction(num, den)
 
 
-def _string1_params(x: ExactMatrix, family: str, r: int) -> dict:
-    """Coordinates of the last string (labels with first index 1) at rank r.
+def _string1_params(x: IntRows, lo: int, family: str, r: int) -> dict:
+    """Coordinates of the last string (labels with first index 1) at rank r,
+    from the first row of the diagonal block of x that starts at lo.
 
-    Solves the triangular system formed by the first row of the chart
-    matrix: the plain columns carry products of s-coordinates times the
-    mixed sums t+s, the reflected columns carry pure t-products.
+    Solves the triangular system formed by that row: the plain columns
+    carry products p of s-coordinates times the mixed sums t+s, the
+    reflected columns carry pure t-products.  Each coordinate is a ratio
+    of two numerators of the row, or of one entry over p.
     """
-    row = x.rows[0]
+    row, den = x.rows[lo][lo:], x.dens[lo]
     out = {}
     if family == "gl":
         for m in range(r, 1, -1):
             out[("m", 1, m)] = _ratio(row[r + 1 - m], row[r - m])
         return out
-    if family == "so_even":
-        for j in range(2, r):
-            out[("m", 1, j)] = -_ratio(row[2 * r + 1 - j], row[2 * r - j])
-        p = Fraction(1)
-        for j in range(2, r):
-            u_j = _ratio(row[j - 1], p)
-            s_j = u_j - out[("m", 1, j)]
-            out[("p", 1, j)] = s_j
-            p *= s_j
-        a = _ratio(row[r - 1], p)
-        b = _ratio(row[r], p)
+    # so_odd has one more column than so_even and sp: the middle one holds
+    # p * t_1, the next -p * t_1^2 (checked below)
+    top = r if family == "so_even" else r + 1
+    shift = 2 * r + 2 if family == "so_odd" else 2 * r + 1
+    for j in range(2, top):
+        out[("m", 1, j)] = -_ratio(row[shift - j], row[shift - 1 - j])
+    p = Fraction(1)
+
+    def over_p(j):
+        return _ratio(row[j] * p.denominator, den * p.numerator)
+
+    for j in range(2, top):
+        out[("p", 1, j)] = s_j = over_p(j - 1) - out[("m", 1, j)]
+        p *= s_j
+    if family == "sp":
+        out[("s", 1)] = over_p(r)
+        return out
+    if family == "so_odd":
+        a = b = out[("s", 1)] = over_p(r)
+    else:
+        a, b = over_p(r - 1), over_p(r)
         if _eps(r - 1) == 1:  # r odd: plain column r holds s, next holds t
             out[("p", 1, r)], out[("m", 1, r)] = a, b
         else:
             out[("m", 1, r)], out[("p", 1, r)] = a, b
-        if row[r + 1] != -p * out[("p", 1, r)] * out[("m", 1, r)]:
-            raise ReconstructionMismatch("first-row consistency check failed")
-        return out
-    # so_odd / sp share the string shape; so_odd has one more column: the
-    # middle one holds p * t_1, the next -p * t_1^2 (checked below)
-    for j in range(2, r + 1):
-        col_hi = (2 * r + 3 - j) if family == "so_odd" else (2 * r + 2 - j)
-        out[("m", 1, j)] = -_ratio(row[col_hi - 1], row[col_hi - 2])
-    p = Fraction(1)
-    for j in range(2, r + 1):
-        u_j = _ratio(row[j - 1], p)
-        s_j = u_j - out[("m", 1, j)]
-        out[("p", 1, j)] = s_j
-        p *= s_j
-    t1 = _ratio(row[r], p)
-    if family == "so_odd" and row[r + 1] != -p * t1 * t1:
+    want = -p * a * b
+    if row[r + 1] * want.denominator != want.numerator * den:
         raise ReconstructionMismatch("first-row consistency check failed")
-    out[("s", 1)] = t1
     return out
 
 
@@ -167,66 +158,55 @@ def _shift_label(label, k: int):
     return (label[0], label[1] + k, label[2] + k)
 
 
-def _submatrix(x: ExactMatrix, lo: int, hi: int) -> ExactMatrix:
-    return ExactMatrix([row[lo:hi] for row in x.rows[lo:hi]])
-
-
-def _border_trivial(x: ExactMatrix, family: str) -> bool:
-    n = x.nrows
-    idx = [0] if family == "gl" else [0, n - 1]
-    for k in idx:
-        if any(x.rows[k][j] != (1 if j == k else 0) for j in range(n)):
+def _border_trivial(x: IntRows, lo: int, hi: int, family: str) -> bool:
+    """Whether the first (and, outside gl, last) row and column of the
+    diagonal block [lo, hi) of x are those of the identity."""
+    for k in (lo,) if family == "gl" else (lo, hi - 1):
+        if any(x.rows[k][j] != (x.dens[k] if j == k else 0) for j in range(lo, hi)):
             return False
-        if any(x.rows[i][k] != (1 if i == k else 0) for i in range(n)):
+        if any(x.rows[i][k] != (x.dens[i] if i == k else 0) for i in range(lo, hi)):
             return False
     return True
 
 
-def extract_coordinates(x_bar: ExactMatrix, root_system: RootSystem) -> LusztigChart:
-    """Chart coordinates of a unipotent chart matrix; exact inverse of
-    chart_to_matrix, self-validated by rebuilding the input."""
+def extract_coordinates(x_bar, root_system: RootSystem) -> LusztigChart:
+    """Chart coordinates of a unipotent chart matrix (an ExactMatrix or
+    IntRows); exact inverse of chart_to_matrix, self-validated by
+    rebuilding the input.
+
+    The strings are peeled off a copy in IntRows: string parameters are
+    ratios within one row, border and identity tests compare numerators
+    with their row's denominator, and the integer chart product of the
+    result is compared with the input by cross-multiplication.
+    """
     family, n = root_system.family, root_system.n
     real = build_realization(family, n)
-    if x_bar.nrows != real.matrix_size:
+    x = x_bar if isinstance(x_bar, IntRows) else IntRows.from_exact(x_bar)
+    size = real.matrix_size
+    if len(x.rows) != size:
         raise ChartError("matrix size does not match the realization")
     coords = {}
-    work = x_bar.copy()
-    lo = 0
-
-    def current_block():
-        hi = work.nrows if family == "gl" else work.nrows - lo
-        return _submatrix(work, lo, hi) if lo else work
-
-    r = n
-    while r >= _min_rank(family):
-        sub = current_block()
-        if sub.is_identity():
-            rs_level = build_root_system(family, r)
+    work = IntRows([list(row) for row in x.rows], list(x.dens))
+    for lo, r in enumerate(range(n, _min_rank(family) - 1, -1)):
+        hi = size if family == "gl" else size - lo
+        rs_level = build_root_system(family, r)
+        if work.is_identity(lo, hi):
             for label in rs_level.positive_roots:
                 coords[_shift_label(label, n - r)] = Fraction(0)
-            chart = LusztigChart(root_system, coords)
-            _validate_roundtrip(chart, x_bar)
-            return chart
-        params = _string1_params(sub, family, r)
+            break
+        params = _string1_params(work, lo, family, r)
         for label, v in params.items():
             coords[_shift_label(label, n - r)] = v
         # multiply by the inverse of the peeled string, in place
-        rs_level = build_root_system(family, r)
         string1 = [(lt, lb) for lt, lb in rs_level.word if lb[1] == 1]
         for letter, label in reversed(string1):
-            work.apply_right_sparse(real.exp_terms(letter + (n - r), -params[label]))
-        if not _border_trivial(current_block(), family):
+            work.times(real.exp_terms(letter + (n - r), -params[label]))
+        if not _border_trivial(work, lo, hi, family):
             raise ReconstructionMismatch("peeled matrix has nontrivial border")
-        lo += 1
-        r -= 1
     chart = LusztigChart(root_system, coords)
-    _validate_roundtrip(chart, x_bar)
-    return chart
-
-
-def _validate_roundtrip(chart: LusztigChart, x_bar: ExactMatrix) -> None:
-    if chart_to_matrix(chart) != x_bar:
+    if _word_rows(chart, root_system.word) != x:
         raise ReconstructionMismatch("chart does not rebuild the input matrix")
+    return chart
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +334,9 @@ def measure_jacobian_logdet(map_func, point):
     out = jet_forward(map_func, point)
     if len(out) != len(point):
         raise ChartError("map must be dimension-preserving")
+    zero = next((i for i, y in enumerate(out) if y.v == 0), None)
+    if zero is not None:
+        raise NotInChartDomain(f"component {zero} of the map vanishes")
     scaled = [
         [Fraction(g * x.numerator, y.v * x.denominator) for g, x in zip(y.g, point)]
         for y in out

@@ -2,15 +2,17 @@
 
 Everything here is exact: scalars are arbitrary-precision rationals
 (every family's realization has rational entries, see roots), matrices
-are dense grids of them, the Gauss (LDU) decomposition runs plain
-elimination with exact pivots, determinants run fraction-free, and
-derivatives of rational maps come from one unreduced pass of integer
-jets.  Floats appear only as an export format.
+are dense grids of them.  Chart products, the Gauss (LDU) decomposition
+and determinants run on row-scaled integer matrices (IntRows: int
+numerators over one int denominator per row) with one fraction-free
+(Bareiss) elimination, and derivatives of rational maps come from one
+unreduced pass of integer jets.  Floats appear only as an export format.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 
 
 class ExactError(ArithmeticError):
@@ -36,23 +38,17 @@ class ExactMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = [
-            [Fraction(v) if isinstance(v, int) else v for v in r] for r in rows
-        ]
-        m = len(self.rows[0])
-        if any(len(r) != m for r in self.rows):
+        self.rows = [[Fraction(v) if isinstance(v, int) else v for v in r] for r in rows]
+        if any(len(r) != len(self.rows[0]) for r in self.rows):
             raise ValueError("ragged rows")
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        z, o = Fraction(0), Fraction(1)
-        return cls([[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, n: int, m: int | None = None) -> "ExactMatrix":
-        m = n if m is None else m
-        z = Fraction(0)
-        return cls([[z] * m for _ in range(n)])
+    def zeros(cls, n: int) -> "ExactMatrix":
+        return cls([[0] * n for _ in range(n)])
 
     @property
     def nrows(self) -> int:
@@ -66,31 +62,21 @@ class ExactMatrix:
         i, j = ij
         return self.rows[i][j]
 
-    def copy(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows)
-
     def __mul__(self, other):
         if isinstance(other, ExactMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch")
-            bt = list(zip(*other.rows))
-            return ExactMatrix(
-                [[_dot(row, col) for col in bt] for row in self.rows]
-            )
+            cols = list(zip(*other.rows))
+            return ExactMatrix([[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows])
         return ExactMatrix([[v * other for v in row] for row in self.rows])
 
-    def __rmul__(self, other):
-        return ExactMatrix([[other * v for v in row] for row in self.rows])
+    __rmul__ = __mul__
 
     def __add__(self, other):
-        return ExactMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        return ExactMatrix([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
-        return ExactMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        return self + -other
 
     def __neg__(self):
         return ExactMatrix([[-v for v in row] for row in self.rows])
@@ -98,76 +84,25 @@ class ExactMatrix:
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            return False
-        return all(
-            a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-        )
+        return self.rows == other.rows
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(list(zip(*self.rows)))
 
     def is_identity(self) -> bool:
-        return all(
-            v == (1 if i == j else 0)
-            for i, row in enumerate(self.rows)
-            for j, v in enumerate(row)
-        )
-
-    def apply_right_sparse(self, terms) -> None:
-        """In-place M <- M * (Id + S) for sparse S = [(a, b, v), ...].
-
-        The (a, b) pairs must be distinct; the update reads original
-        columns, so simultaneous terms are handled correctly.  Rows whose
-        entry in column a is zero get nothing from that term.
-        """
-        adds = [
-            [(row, row[a] * v) for row in self.rows if row[a]] for (a, b, v) in terms
-        ]
-        for (a, b, v), col in zip(terms, adds):
-            for row, x in col:
-                row[b] = row[b] + x
-
-    def permute_columns(self, perm) -> "ExactMatrix":
-        """M * W for a signed permutation W with perm = signed_permutation(W):
-        column j of the product is sign * (column r of M) for perm[j] = (r, sign)."""
-        return ExactMatrix(
-            [[row[r] if s > 0 else -row[r] for r, s in perm] for row in self.rows]
-        )
-
-    def permute_rows(self, perm) -> "ExactMatrix":
-        """W^T * M = W^{-1} * M for a signed permutation W with
-        perm = signed_permutation(W): row i of the product is
-        sign * (row r of M) for perm[i] = (r, sign)."""
-        return ExactMatrix(
-            [self.rows[r] if s > 0 else [-v for v in self.rows[r]] for r, s in perm]
-        )
+        return self == ExactMatrix.identity(self.nrows)
 
     def det(self) -> Fraction:
-        """Exact determinant by fraction-free (Bareiss) elimination: rows
-        cleared of denominators, exact division by the previous pivot, and
-        a row swap (with a sign flip) past a zero pivot."""
-        from math import lcm, prod
-
-        n = self.nrows
-        if n != self.ncols:
+        """Exact determinant: Bareiss elimination of the row-cleared
+        matrix with row swaps (IntRows.eliminate)."""
+        if self.nrows != self.ncols:
             raise ValueError("determinant of non-square matrix")
-        dens = [lcm(*(v.denominator for v in row)) for row in self.rows]
-        a = [[v.numerator * (d // v.denominator) for v in row] for row, d in zip(self.rows, dens)]
-        sign, prev = 1, 1
-        for k in range(n):
-            piv = next((i for i in range(k, n) if a[i][k]), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                sign = -sign
-            top, p = a[k], a[k][k]
-            for row in a[k + 1:]:
-                m = row[k]
-                row[k + 1:] = [(p * x - m * y) // prev for x, y in zip(row[k + 1:], top[k + 1:])]
-            prev = p
-        return Fraction(sign * a[-1][-1], prod(dens))
+        a = IntRows.from_exact(self)
+        try:
+            sign = a.eliminate(pivoting=True)
+        except SingularLeadingMinor:
+            return Fraction(0)
+        return Fraction(sign * a.rows[-1][-1], prod(a.dens))
 
     def __repr__(self):
         return "ExactMatrix(" + repr(self.rows) + ")"
@@ -195,24 +130,13 @@ def signed_permutation(m: ExactMatrix) -> tuple:
     return tuple(perm)
 
 
-def _dot(row, col):
-    it = iter(zip(row, col))
-    a, b = next(it)
-    acc = a * b
-    for a, b in it:
-        acc = acc + a * b
-    return acc
-
-
 class GaussDecomposition:
     """Triple (L, D, U) with M = L*D*U, L unit-lower, D diagonal, U unit-upper."""
 
     __slots__ = ("lower", "diag", "upper")
 
     def __init__(self, lower: ExactMatrix, diag: ExactMatrix, upper: ExactMatrix):
-        self.lower = lower
-        self.diag = diag
-        self.upper = upper
+        self.lower, self.diag, self.upper = lower, diag, upper
 
     def recompose(self) -> ExactMatrix:
         return self.lower * self.diag * self.upper
@@ -222,36 +146,139 @@ class GaussDecomposition:
 
 
 def lu_gauss_decompose(m: ExactMatrix) -> GaussDecomposition:
-    """Exact LDU decomposition without pivoting.
+    """Exact LDU decomposition without pivoting: one Bareiss elimination
+    of the row-cleared matrix (IntRows.ldu).
 
     D[k,k] equals the ratio of consecutive leading principal minors, so a
     zero pivot means the k-th leading minor vanishes and the input is
-    outside the big Bruhat cell.
+    outside the big Bruhat cell.  L[i,k] = a_ik s_k / (p_k s_i), with s_i
+    the denominator that clears row i, p_k the pivot and a_ik the entry
+    that step k eliminated.
     """
     n = m.nrows
     if n != m.ncols:
         raise ValueError("LDU needs a square matrix")
-    u = [list(r) for r in m.rows]
-    lower = ExactMatrix.identity(n)
-    for k in range(n):
-        p = u[k][k]
-        if p == 0:
-            raise SingularLeadingMinor(k + 1)
-        for i in range(k + 1, n):
-            if u[i][k] != 0:
-                f = u[i][k] / p
-                lower.rows[i][k] = f
-                for j in range(k, n):
-                    u[i][j] = u[i][j] - f * u[k][j]
-    diag = ExactMatrix.identity(n)
-    upper = ExactMatrix.identity(n)
-    for k in range(n):
-        p = u[k][k]
-        diag.rows[k][k] = p
-        pinv = 1 / p
-        for j in range(k, n):
-            upper.rows[k][j] = u[k][j] * pinv
-    return GaussDecomposition(lower, diag, upper)
+    a = IntRows.from_exact(m)
+    diag, upper = a.ldu()
+    s, rows = a.dens, a.rows
+    lower = [[Fraction(rows[i][k] * s[k], rows[k][k] * s[i]) if k < i else int(k == i)
+              for k in range(n)] for i in range(n)]
+    diag = [[v if i == j else 0 for j in range(n)] for i, v in enumerate(diag)]
+    return GaussDecomposition(ExactMatrix(lower), ExactMatrix(diag), upper.to_exact())
+
+
+class IntRows:
+    """Row-scaled integer matrix: entry (i, j) is rows[i][j] / dens[i],
+    with int numerators and one positive int denominator per row.  No
+    operation takes a gcd: products scale rows, eliminations divide
+    exactly, and equality cross-multiplies."""
+
+    __slots__ = ("rows", "dens")
+
+    def __init__(self, rows, dens):
+        self.rows, self.dens = rows, dens
+
+    @classmethod
+    def identity(cls, n: int) -> "IntRows":
+        return cls([[int(i == j) for j in range(n)] for i in range(n)], [1] * n)
+
+    @classmethod
+    def from_exact(cls, m: ExactMatrix) -> "IntRows":
+        """Each row over the lcm of its denominators."""
+        dens = [lcm(*(v.denominator for v in row)) for row in m.rows]
+        return cls([[v.numerator * (d // v.denominator) for v in row] for row, d in zip(m.rows, dens)], dens)
+
+    def to_exact(self) -> ExactMatrix:
+        return ExactMatrix([[Fraction(v, d) for v in row] for row, d in zip(self.rows, self.dens)])
+
+    def __eq__(self, other):
+        if not isinstance(other, IntRows):
+            return NotImplemented
+        return len(self.rows) == len(other.rows) and all(
+            len(a) == len(b) and all(x * e == y * d for x, y in zip(a, b))
+            for a, d, b, e in zip(self.rows, self.dens, other.rows, other.dens)
+        )
+
+    def is_identity(self, lo: int = 0, hi: int | None = None) -> bool:
+        """Whether the diagonal block [lo, hi) is the identity."""
+        block = range(lo, len(self.rows) if hi is None else hi)
+        return all(self.rows[i][j] == (self.dens[i] if i == j else 0) for i in block for j in block)
+
+    def times(self, terms) -> None:
+        """In-place M <- M * (Id + S) for sparse rational S = [(a, b, v), ...].
+
+        The (a, b) pairs must be distinct; the update reads original
+        columns, so simultaneous terms are handled correctly.  A row with
+        a nonzero entry in a column a is scaled by the lcm L of the term
+        denominators and gets v L times that entry in column b.
+        """
+        big = lcm(*(v.denominator for _, _, v in terms))
+        ints = [(a, b, v.numerator * (big // v.denominator)) for a, b, v in terms]
+        for i, row in enumerate(self.rows):
+            adds = [(b, row[a] * k) for a, b, k in ints if row[a]]
+            if not adds:
+                continue
+            if big != 1:
+                row[:] = [x * big for x in row]
+                self.dens[i] *= big
+            for b, x in adds:
+                row[b] += x
+
+    def permute_columns(self, perm) -> "IntRows":
+        """M * W for a signed permutation W with perm = signed_permutation(W):
+        column j of the product is sign * (column r of M) for perm[j] = (r, sign)."""
+        rows = [[row[r] if s > 0 else -row[r] for r, s in perm] for row in self.rows]
+        return IntRows(rows, list(self.dens))
+
+    def permute_rows(self, perm) -> "IntRows":
+        """W^T * M = W^{-1} * M for a signed permutation W with
+        perm = signed_permutation(W): row i of the product is
+        sign * (row r of M) for perm[i] = (r, sign)."""
+        rows = [list(self.rows[r]) if s > 0 else [-v for v in self.rows[r]] for r, s in perm]
+        return IntRows(rows, [self.dens[r] for r, _ in perm])
+
+    def eliminate(self, pivoting: bool = False) -> int:
+        """Fraction-free (Bareiss, Math. Comp. 22, 1968) elimination of the
+        row-cleared matrix in place; returns the sign of the row swaps.
+
+        Step k sets a_ij = (p_k a_ij - a_ik a_kj) / p_(k-1) below and right
+        of the pivot, an exact division.  Then rows[k][k] = p_k is the
+        (k+1)-th leading minor, rows[k][k:] the Bareiss row and
+        rows[i > k][k] the entry step k eliminated.  A zero pivot raises
+        SingularLeadingMinor(k + 1), unless `pivoting` finds a row below to
+        swap in (with its denominator).
+        """
+        a, dens, n = self.rows, self.dens, len(self.rows)
+        sign, prev = 1, 1
+        for k in range(n):
+            if not a[k][k]:
+                piv = next((i for i in range(k + 1, n) if a[i][k]), None) if pivoting else None
+                if piv is None:
+                    raise SingularLeadingMinor(k + 1)
+                a[k], a[piv] = a[piv], a[k]
+                dens[k], dens[piv] = dens[piv], dens[k]
+                sign = -sign
+            top, p = a[k], a[k][k]
+            for row in a[k + 1:]:
+                m = row[k]
+                row[k + 1:] = [(p * x - m * y) // prev for x, y in zip(row[k + 1:], top[k + 1:])]
+            prev = p
+        return sign
+
+    def ldu(self) -> tuple:
+        """(D, U) of M = L D U, by eliminate() without pivoting in place.
+
+        Scaling rows leaves U alone: row k of U is the Bareiss row k over
+        the pivot p_k.  D_k = p_k / (p_(k-1) s_k) is a Fraction, with s_k
+        the row's own denominator.
+        """
+        self.eliminate()
+        diag, rows, prev = [], [], 1
+        for k, (row, s) in enumerate(zip(self.rows, self.dens)):
+            diag.append(Fraction(row[k], prev * s))
+            prev = row[k]
+            rows.append([0] * k + (row[k:] if prev > 0 else [-x for x in row[k:]]))
+        return diag, IntRows(rows, [abs(row[k]) for k, row in enumerate(self.rows)])
 
 
 class Jet:
@@ -340,11 +367,15 @@ class Jet:
 
 def jet_forward(func, point) -> tuple:
     """Outputs of `func` on the jets seeded at `point`, in one pass:
-    coordinate j = a/b is the jet with value a/b and gradient b e_j / b."""
+    coordinate j = a/b is the jet with value a/b and gradient b e_j / b.
+    An int or Fraction output is a constant jet, with gradient 0."""
     d = len(point)
     seeds = [Jet(x.numerator, [x.denominator * (k == j) for k in range(d)], x.denominator)
              for j, x in enumerate(point)]
-    return tuple(func(tuple(seeds)))
+    return tuple(
+        y if type(y) is Jet else Jet(y.numerator, [0] * d, y.denominator)
+        for y in func(tuple(seeds))
+    )
 
 
 def jacobian_exact(func, point):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import ExactMatrix
+from .exact import ExactMatrix, IntRows
 
 FAMILIES = ("gl", "so_even", "so_odd", "sp")
 
@@ -244,12 +244,12 @@ def weyl_lift(word, real: ChevalleyRealization) -> ExactMatrix:
 
     Independent of the choice of reduced word for the same Weyl element.
     """
-    m = ExactMatrix.identity(real.matrix_size)
+    m = IntRows.identity(real.matrix_size)
     for letter in word:
-        m.apply_right_sparse(real.exp_terms(letter, Fraction(1)))
-        m.apply_right_sparse(real.exp_terms_f(letter, Fraction(-1)))
-        m.apply_right_sparse(real.exp_terms(letter, Fraction(1)))
-    return m
+        m.times(real.exp_terms(letter, Fraction(1)))
+        m.times(real.exp_terms_f(letter, Fraction(-1)))
+        m.times(real.exp_terms(letter, Fraction(1)))
+    return m.to_exact()
 
 
 @lru_cache(maxsize=None)

@@ -20,7 +20,7 @@ from whittaker_mb.bz import (
     u_matrix_check,
 )
 from whittaker_mb.charts import chart_to_matrix, constant_chart, monomial_weight
-from whittaker_mb.exact import ExactMatrix, lu_gauss_decompose
+from whittaker_mb.exact import ExactMatrix, IntRows
 from whittaker_mb.roots import Weight, build_realization, w0_lift, w0_lift_embedded
 
 SMALL_RANKS = [("gl", 2), ("gl", 3), ("gl", 4), ("so_even", 2), ("so_even", 3),
@@ -49,8 +49,9 @@ class TestStructuredFactors:
         lift = w0_lift_embedded(family, n) if embedded else w0_lift(family, n)
         perm = _lift_perm(family, n, embedded)
         m = _dense_matrix(family, n, random.Random(zlib.crc32(repr((family, n)).encode())))
-        assert m.permute_columns(perm) == m * lift
-        assert m.permute_rows(perm) == lift.transpose() * m
+        rows = IntRows.from_exact(m)
+        assert rows.permute_columns(perm).to_exact() == m * lift
+        assert rows.permute_rows(perm).to_exact() == lift.transpose() * m
         assert lift.transpose() * lift == ExactMatrix.identity(lift.nrows)
 
     @pytest.mark.parametrize("family,n", ALL_RANKS)
@@ -58,7 +59,7 @@ class TestStructuredFactors:
         rng = random.Random(zlib.crc32(repr((family, n, "a")).encode()))
         for chart in (random_positive_chart(family, n, rng),
                       bz_closed_form(random_positive_chart(family, n, rng)).image_chart):
-            a = string1_matrix(chart)
+            a = IntRows.from_exact(string1_matrix(chart))
             _times_string1_inverse(a, chart)
             assert a.is_identity()
 
@@ -92,22 +93,38 @@ class TestOracle:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_so_odd_entries_are_rational(self, n, monkeypatch):
-        """The so_odd realization, a chart matrix and the LDU factors inside
-        the oracle hold Fractions only: the basis carries no sqrt(2)."""
+        """The so_odd realization and a chart matrix hold Fractions only, the
+        oracle's integer matrices hold ints only, and the oracle returns
+        Fractions: the basis carries no sqrt(2)."""
         real = build_realization("so_odd", n)
         matrices = [*real.e.values(), *real.f.values(), *real.h.values(), real.form]
         chart = random_positive_chart("so_odd", n, random.Random(n))
         matrices.append(chart_to_matrix(chart))
-
-        def decompose(m):
-            dec = lu_gauss_decompose(m)
-            matrices.extend((dec.lower, dec.diag, dec.upper))
-            return dec
-
-        monkeypatch.setattr("whittaker_mb.bz.lu_gauss_decompose", decompose)
-        bz_oracle(chart)
-        assert len(matrices) == 3 * n + 5
         assert all(type(v) is Fraction for m in matrices for row in m.rows for v in row)
+
+        kernels = {}
+        times, ldu = IntRows.times, IntRows.ldu
+
+        def record_times(self, terms):
+            times(self, terms)
+            kernels[id(self)] = self
+
+        def record_ldu(self):
+            kernels[id(self)] = self
+            diag, upper = ldu(self)
+            kernels[id(upper)] = upper
+            return diag, upper
+
+        monkeypatch.setattr(IntRows, "times", record_times)
+        monkeypatch.setattr(IntRows, "ldu", record_ldu)
+        res = bz_oracle(chart)
+        # X(-t), X(-t) w0bar after the LDU, U, the peeled copy of U and the
+        # rebuilt chart
+        assert len(kernels) == 5
+        assert all(
+            type(v) is int for m in kernels.values() for row in [*m.rows, m.dens] for v in row
+        )
+        assert all(type(v) is Fraction for v in [*res.image_chart.coords.values(), *res.twist])
 
     def test_outside_big_cell(self):
         # zero chart: X(0) w0bar is the bare lift, whose leading minors vanish

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whittaker_mb.exact import ExactMatrix, jacobian_exact
+from whittaker_mb.exact import ExactMatrix, IntRows, jacobian_exact
 from whittaker_mb.charts import (
     ChartError,
     DegenerateDenominator,
     NotInChartDomain,
     RANK2_LENGTH_CLASSES,
     RANK2_MONOMIALS,
+    ReconstructionMismatch,
     chart_from_values,
     chart_to_matrix,
     constant_chart,
@@ -22,13 +23,31 @@ from whittaker_mb.charts import (
     mutate_a2,
     mutate_b2,
     mutate_g2,
+    _word_rows,
 )
 from whittaker_mb.bz import bz_map_coords, random_positive_chart
-from whittaker_mb.roots import Weight, build_root_system
+from whittaker_mb.roots import Weight, build_realization, build_root_system
 
 positive_fractions = st.fractions(min_value=Fraction(1, 40), max_value=50, max_denominator=40)
 
 MUTATIONS = {"a2": (mutate_a2, 3), "b2": (mutate_b2, 4), "g2": (mutate_g2, 6)}
+
+# every family and rank of the verify sweep (test_acceptance.BZ_RANKS)
+ALL_RANKS = [("gl", n) for n in (2, 3, 4, 5, 6)] + [("so_even", n) for n in (2, 3, 4)] + [
+    (family, n) for family in ("so_odd", "sp") for n in (1, 2, 3, 4)
+]
+
+
+def dense_exp(x: ExactMatrix) -> ExactMatrix:
+    """exp(x) of a nilpotent matrix, summed until a power vanishes."""
+    size = x.nrows
+    total = power = ExactMatrix.identity(size)
+    k = 1
+    while True:
+        power = power * x * Fraction(1, k)
+        if power == ExactMatrix.zeros(size):
+            return total
+        total, k = total + power, k + 1
 
 
 class TestChartToMatrix:
@@ -68,6 +87,20 @@ class TestChartToMatrix:
                 assert m.transpose() * g * m == g
 
 
+class TestIntegerChartProduct:
+    @pytest.mark.parametrize("family,n", ALL_RANKS)
+    def test_matches_dense_exponentials(self, family, n):
+        chart = random_positive_chart(family, n, random.Random(zlib.crc32(repr((family, n, "e")).encode())))
+        real = build_realization(family, n)
+        want = ExactMatrix.identity(real.matrix_size)
+        for letter, label in chart.root_system.word:
+            want = want * dense_exp(chart.coords[label] * real.e[letter])
+        rows = _word_rows(chart, chart.root_system.word)
+        assert all(type(v) is int for row in [*rows.rows, rows.dens] for v in row)
+        assert rows.to_exact() == want
+        assert chart_to_matrix(chart) == want
+
+
 class TestExtraction:
     def test_gl3_hand_example(self):
         rs = build_root_system("gl", 3)
@@ -94,6 +127,35 @@ class TestExtraction:
             ch = random_positive_chart(family, n, rng)
             back = extract_coordinates(chart_to_matrix(ch), ch.root_system)
             assert back == ch
+
+    @pytest.mark.parametrize("family,n", ALL_RANKS)
+    def test_corrupted_matrix_is_rejected(self, family, n):
+        chart = random_positive_chart(family, n, random.Random(zlib.crc32(repr((family, n, "c")).encode())))
+        rs = chart.root_system
+        good = _word_rows(chart, rs.word)
+        assert extract_coordinates(good, rs) == chart
+        last = len(good.rows) - 1
+        # the last diagonal entry and an entry below the diagonal; outside
+        # gl (where every unitriangular matrix is a chart matrix), also an
+        # entry above it that the group fixes
+        for i, j in ((last, last), (last, 0)) + (((1, last),) if family != "gl" else ()):
+            bad = IntRows([list(row) for row in good.rows], list(good.dens))
+            bad.rows[i][j] += 7 * bad.dens[i]
+            with pytest.raises(ReconstructionMismatch):
+                extract_coordinates(bad, rs)
+
+    @pytest.mark.parametrize(
+        "family,n,col",
+        [("gl", 3, 1), ("gl", 6, 1), ("so_even", 3, 4), ("so_even", 4, 6), ("so_odd", 2, 3),
+         ("so_odd", 4, 7), ("sp", 2, 2), ("sp", 4, 6)],
+    )
+    def test_vanishing_first_row_entry_is_out_of_domain(self, family, n, col):
+        # col is the entry the first ratio of the first string divides by
+        chart = random_positive_chart(family, n, random.Random(n))
+        x = _word_rows(chart, chart.root_system.word)
+        x.rows[0][col] = 0
+        with pytest.raises(NotInChartDomain):
+            extract_coordinates(x, chart.root_system)
 
     def test_out_of_domain(self):
         rs = build_root_system("gl", 3)
@@ -208,6 +270,14 @@ class TestMeasure:
     def test_moebius_map_has_log_jacobian_one_over_one_plus_x(self, x):
         assert measure_jacobian_logdet(lambda p: (p[0] / (1 + p[0]),), (x,)) == abs(1 / (1 + x))
 
+    def test_constant_component_has_log_jacobian_zero(self):
+        assert measure_jacobian_logdet(lambda p: (p[0], 1), (2, 3)) == 0
+        assert measure_jacobian_logdet(lambda p: (Fraction(1, 2), p[1]), (2, 3)) == 0
+
+    def test_vanishing_component_is_named(self):
+        with pytest.raises(NotInChartDomain, match="component 1 "):
+            measure_jacobian_logdet(lambda p: (p[0], p[1] * 0), (2, 3))
+
     def test_non_square_map_raises(self):
         with pytest.raises(ChartError):
             measure_jacobian_logdet(lambda p: (p[0], p[1], p[0] * p[1]), (Fraction(1), Fraction(2)))
@@ -219,7 +289,7 @@ class TestMeasure:
             (lambda p: (1 / p[0], p[1]), (0, 1), ZeroDivisionError),
             (lambda p: (p[0] ** -2, p[1]), (0, 1), ZeroDivisionError),
             (lambda p: (p[1] / (p[0] - 1), p[1]), (1, 2), ZeroDivisionError),
-            (lambda p: (p[0] - 1, p[1]), (1, 2), ZeroDivisionError),  # a zero value
+            (lambda p: (p[0] - 1, p[1]), (1, 2), NotInChartDomain),  # a zero value
         ],
     )
     def test_zero_denominator_raises(self, f, pt, exc):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from whittaker_mb.exact import (
     DivisionByZero,
     ExactMatrix,
+    IntRows,
     Jet,
     SingularLeadingMinor,
     jacobian_exact,
@@ -22,6 +23,43 @@ def frac_matrix(n, rng):
             for _ in range(n)
         ]
     )
+
+
+def reference_ldu(m):
+    """(L, D, U) of M = L D U by plain Fraction elimination without
+    pivoting; raises SingularLeadingMinor(k + 1) at a zero pivot k."""
+    n = m.nrows
+    u = [list(r) for r in m.rows]
+    lower = ExactMatrix.identity(n)
+    for k in range(n):
+        p = u[k][k]
+        if p == 0:
+            raise SingularLeadingMinor(k + 1)
+        for i in range(k + 1, n):
+            if u[i][k] != 0:
+                f = u[i][k] / p
+                lower.rows[i][k] = f
+                for j in range(k, n):
+                    u[i][j] = u[i][j] - f * u[k][j]
+    diag = ExactMatrix.identity(n)
+    upper = ExactMatrix.identity(n)
+    for k in range(n):
+        p = u[k][k]
+        diag.rows[k][k] = p
+        for j in range(k, n):
+            upper.rows[k][j] = u[k][j] / p
+    return lower, diag, upper
+
+
+def singular_at(m, k, rng):
+    """m with its k-th leading principal minor made to vanish: the first k
+    entries of row k - 1 become a combination of the rows above."""
+    rows = [list(r) for r in m.rows]
+    coef = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k - 1)]
+    rows[k - 1][:k] = [
+        sum((c * rows[i][j] for i, c in enumerate(coef)), Fraction(0)) for j in range(k)
+    ]
+    return ExactMatrix(rows)
 
 
 class TestGaussDecomposition:
@@ -63,6 +101,32 @@ class TestGaussDecomposition:
             assert det == m.det()
             done += 1
 
+    def test_matches_fraction_elimination(self):
+        rng = random.Random(20261021)
+        done = 0
+        for n in range(1, 9):
+            for _ in range(12):
+                m = frac_matrix(n, rng)
+                try:
+                    want = reference_ldu(m)
+                except SingularLeadingMinor:
+                    continue
+                dec = lu_gauss_decompose(m)
+                assert (dec.lower, dec.diag, dec.upper) == want
+                done += 1
+        assert done > 80
+
+    def test_vanishing_leading_minor_at_each_k(self):
+        rng = random.Random(7)
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                m = singular_at(frac_matrix(n, rng), k, rng)
+                with pytest.raises(SingularLeadingMinor) as want:
+                    reference_ldu(m)
+                with pytest.raises(SingularLeadingMinor) as got:
+                    lu_gauss_decompose(m)
+                assert got.value.k == want.value.k <= k
+
 
 class TestMatrixAlgebra:
     @given(st.integers(2, 4), st.integers(0, 10**6))
@@ -85,9 +149,9 @@ class TestMatrixAlgebra:
         for i, j, v in terms:
             s.rows[i][j] = v
         expected = m * (ExactMatrix.identity(4) + s)
-        got = m.copy()
-        got.apply_right_sparse(terms)
-        assert got == expected
+        got = IntRows.from_exact(m)
+        got.times(terms)
+        assert got.to_exact() == expected
 
     def test_apply_right_sparse_matches_dense(self):
         rng = random.Random(3)
@@ -97,9 +161,9 @@ class TestMatrixAlgebra:
         for i, j, v in terms:
             s.rows[i][j] = v
         expected = m * (ExactMatrix.identity(4) + s)
-        got = m.copy()
-        got.apply_right_sparse(terms)
-        assert got == expected
+        got = IntRows.from_exact(m)
+        got.times(terms)
+        assert got.to_exact() == expected
 
 
 class TestSignedPermutation:
@@ -209,6 +273,10 @@ class TestDualNumbers:
             want = want * base
         got = x**k
         assert got.value == want.value and got.grad == want.grad
+
+    def test_constant_component_has_zero_gradient(self):
+        jac = jacobian_exact(lambda p: (p[0], 1, Fraction(2, 3)), (2, 3, 5))
+        assert jac == [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
 
     def test_negative_power_of_zero_raises(self):
         with pytest.raises(DivisionByZero):
