@@ -2,12 +2,20 @@
 
 The transform sends a chart matrix X(t) to the unipotent Gauss factor of
 X(-t) * w0bar; the twist is the diagonal factor.  Closed forms exist for
-all four families and are implemented generically over any scalar type
+all four families and are written once, generically over any scalar type
 supporting field arithmetic (exact rationals, integer jets, numpy
-arrays).  The oracle computes the same data by building X(-t) * w0bar
-exactly and running the LDU decomposition, all on row-scaled integer
-matrices (exact.IntRows); closed form and oracle must agree exactly,
-which is the backbone correctness check of the package.
+arrays): `bz_map_coords` and `bz_twist_coords`.  Every image coordinate
+and twist entry is a Laurent monomial in the chart coordinates and in
+pair sums c_(m,i,j) + c_(p,i,j), so for exact charts each formula is
+traced once per family and rank into an exact.MonomialProgram
+(`bz_map_program`, `bz_twist_program`): `bz_closed_form` and
+`bz_inverse` build each output from one integer product of the atoms'
+numerators and denominators, with one Fraction per output.  Jets and
+numpy arrays keep calling the formulas.  The oracle computes the same
+data by building X(-t) * w0bar exactly and running the LDU
+decomposition, all on row-scaled integer matrices (exact.IntRows);
+closed form and oracle must agree exactly, which is the backbone
+correctness check of the package.
 
 No dense matrix product or inverse is formed.  The lifts w0bar (and the
 lift of the embedded rank-(n-1) subgroup) are signed permutation
@@ -25,7 +33,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import ExactMatrix, SingularLeadingMinor, signed_permutation
+from .exact import (
+    ExactMatrix,
+    MonomialProgram,
+    SingularLeadingMinor,
+    compile_monomials,
+    signed_permutation,
+)
 from .charts import LusztigChart, _word_rows, extract_coordinates, monomial_weight
 from .roots import _eps, build_realization, build_root_system, w0_lift, w0_lift_embedded
 
@@ -159,18 +173,40 @@ def bz_twist_coords(family: str, n: int, c: dict) -> list:
     return out
 
 
+@lru_cache(maxsize=None)
+def bz_map_program(family: str, n: int) -> MonomialProgram:
+    """`bz_map_coords` of one family and rank, traced once into a program."""
+    return compile_monomials(
+        lambda c: bz_map_coords(family, n, c), build_root_system(family, n).positive_roots
+    )
+
+
+@lru_cache(maxsize=None)
+def bz_twist_program(family: str, n: int) -> MonomialProgram:
+    """`bz_twist_coords` of one family and rank, traced once into a program."""
+    return compile_monomials(
+        lambda c: bz_twist_coords(family, n, c), build_root_system(family, n).positive_roots
+    )
+
+
 def bz_closed_form(chart: LusztigChart) -> BZResult:
+    """Image chart and twist of an exact chart, from the compiled closed forms.
+
+    Each image coordinate and twist entry is one integer product over the
+    chart coordinates and their pair sums, made a Fraction once; the
+    values equal those of `bz_map_coords` and `bz_twist_coords`.
+    """
     rs = chart.root_system
-    img = bz_map_coords(rs.family, rs.n, chart.coords)
-    twist = bz_twist_coords(rs.family, rs.n, chart.coords)
+    img = bz_map_program(rs.family, rs.n)(chart.coords)
+    twist = bz_twist_program(rs.family, rs.n)(chart.coords)
     return BZResult(LusztigChart(rs, img), twist)
 
 
 def bz_inverse(family: str, image_chart: LusztigChart) -> LusztigChart:
-    """Closed-form inverse; same shape as the forward map (involution)."""
+    """Closed-form inverse of an exact image chart: the compiled forward
+    map of the same family and rank, since the transform is an involution."""
     rs = image_chart.root_system
-    back = bz_map_coords(family, rs.n, image_chart.coords)
-    return LusztigChart(rs, back)
+    return LusztigChart(rs, bz_map_program(family, rs.n)(image_chart.coords))
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ def _verify_report(group: str, rank: int, trials: int, seed: int) -> dict:
     from .bz import (
         bz_inverse,
         bz_oracle,
-        bz_twist_coords,
+        bz_twist_program,
         random_positive_chart,
         u_matrix_check,
     )
@@ -143,7 +143,7 @@ def _verify_report(group: str, rank: int, trials: int, seed: int) -> dict:
         ch = random_positive_chart(family, rank, rng)
         res = bzmod.bz_closed_form(ch)
         recip = {k: 1 / v for k, v in res.image_chart.coords.items()}
-        ok = bz_twist_coords(family, rank, recip) == res.twist
+        ok = bz_twist_program(family, rank)(recip) == res.twist
         return ok, None if ok else chart_json(ch)
 
     def u_structure(_):
@@ -461,15 +461,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    from .quadrature import DimensionTooLarge, Infeasible, PoleHit
     from .roots import UnsupportedRank
 
+    typed = (UsageError, UnsupportedRank)
+    if args.command != "verify":
+        # only the numerical commands load the quadrature (and numpy)
+        from .quadrature import DimensionTooLarge, Infeasible, PoleHit
+
+        typed += (DimensionTooLarge, Infeasible, PoleHit)
     try:
         # looked up per call, not bound into the cached parser, so that a
         # rebinding of a command function reaches every later call
         command = {"verify": cmd_verify, "eval": cmd_eval, "mellin-table": cmd_mellin_table}
         return command[args.command](args)
-    except (UsageError, UnsupportedRank, DimensionTooLarge, Infeasible, PoleHit) as exc:
+    except typed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,8 +5,10 @@ Everything here is exact: scalars are arbitrary-precision rationals
 are dense grids of them.  Chart products, the Gauss (LDU) decomposition
 and determinants run on row-scaled integer matrices (IntRows: int
 numerators over one int denominator per row) with one fraction-free
-(Bareiss) elimination, and derivatives of rational maps come from one
-unreduced pass of integer jets.  Floats appear only as an export format.
+(Bareiss) elimination, derivatives of rational maps come from one
+unreduced pass of integer jets, and a map whose outputs are Laurent
+monomials is traced once into a program of int products
+(MonomialProgram).  Floats appear only as an export format.
 """
 
 from __future__ import annotations
@@ -382,3 +384,160 @@ def jacobian_exact(func, point):
     """Exact Jacobian J[i][j] = d func_i / d x_j (Fractions) of a map made
     of field operations and integer powers, from one pass of jets."""
     return [y.grad for y in jet_forward(func, point)]
+
+
+class NotMonomial(ExactError, TypeError):
+    """A traced map added or subtracted values other than two atoms, so it
+    is not a Laurent monomial in its atoms and cannot be compiled."""
+
+
+class _Trace:
+    """Atoms met while tracing one map: its inputs, then each distinct sum
+    of two earlier atoms; and the atoms it divides by."""
+
+    def __init__(self, n_inputs: int):
+        self.n_inputs = n_inputs
+        self.pairs = {}  # (a, b) with a < b -> atom index
+        self.divisors = set()
+
+    def sum_atom(self, a: int, b: int) -> "_Monomial":
+        key = (min(a, b), max(a, b))
+        k = self.pairs.setdefault(key, self.n_inputs + len(self.pairs))
+        return _Monomial(self, Fraction(1), {k: 1})
+
+
+class _Monomial:
+    """Tracer scalar coef * prod(atom_k ** e_k) with a Fraction coef and int
+    exponents.  Products, quotients and integer powers only add exponents;
+    a sum is allowed only of two bare atoms, and makes a new atom."""
+
+    __slots__ = ("trace", "coef", "exps")
+
+    def __init__(self, trace, coef, exps):
+        self.trace, self.coef, self.exps = trace, coef, exps
+
+    def _bare_atom(self):
+        if self.coef == 1 and len(self.exps) == 1:
+            ((k, e),) = self.exps.items()
+            if e == 1:
+                return k
+        return None
+
+    def __add__(self, o):
+        a = self._bare_atom()
+        b = o._bare_atom() if type(o) is _Monomial else None
+        if a is None or b is None:
+            raise NotMonomial("a compiled map may only add two atoms")
+        return self.trace.sum_atom(a, b)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        raise NotMonomial("a compiled map may not subtract")
+
+    __rsub__ = __sub__
+
+    def __mul__(self, o):
+        if type(o) is _Monomial:
+            exps = dict(self.exps)
+            for k, e in o.exps.items():
+                e += exps.get(k, 0)
+                if e:
+                    exps[k] = e
+                else:
+                    del exps[k]
+            return _Monomial(self.trace, self.coef * o.coef, exps)
+        if isinstance(o, (int, Fraction)):
+            return _Monomial(self.trace, self.coef * o, self.exps)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def _inverse(self) -> "_Monomial":
+        # the map divides by this value: it is zero where one of its atoms
+        # with a positive exponent is (an atom with a negative one was a
+        # divisor already)
+        self.trace.divisors.update(k for k, e in self.exps.items() if e > 0)
+        return _Monomial(self.trace, 1 / self.coef, {k: -e for k, e in self.exps.items()})
+
+    def __truediv__(self, o):
+        if type(o) is _Monomial:
+            return self * o._inverse()
+        if isinstance(o, (int, Fraction)):
+            return self * (1 / Fraction(o))
+        return NotImplemented
+
+    def __rtruediv__(self, o):
+        if isinstance(o, (int, Fraction)):
+            return self._inverse() * o
+        return NotImplemented
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            return 1 / self**-k
+        return _Monomial(self.trace, self.coef**k, {a: e * k for a, e in self.exps.items()} if k else {})
+
+
+class MonomialProgram:
+    """A map whose every output is a Laurent monomial in atoms: the inputs
+    (read as int or Fraction) and sums of two earlier atoms.  A call
+    computes each atom's numerator and denominator once, multiplies them
+    as ints, and makes one Fraction per output.
+
+    `labels` are the input keys (atoms 0..len-1), `pairs` the (a, b)
+    operands of each sum atom, `checked` the atoms the traced map divides
+    by (a zero one raises ZeroDivisionError, as the map does), `keys` the
+    output keys (None for a list output), and `rows` one (coef numerator,
+    coef denominator, ((atom, exponent), ...)) per output.
+    """
+
+    __slots__ = ("labels", "pairs", "checked", "keys", "rows", "_plan")
+
+    def __init__(self, labels, pairs, checked, keys, rows):
+        self.labels, self.pairs, self.checked, self.keys = labels, pairs, checked, keys
+        self.rows = rows
+        # the values of a call are the atoms' numerators, then their
+        # denominators: a positive exponent e takes e numerators into the
+        # output's numerator and e denominators into its denominator
+        size = len(labels) + len(pairs)
+        plan = []
+        for cn, cd, factors in rows:
+            num = [k + (e < 0) * size for k, e in factors for _ in range(abs(e))]
+            den = [k + (e > 0) * size for k, e in factors for _ in range(abs(e))]
+            plan.append((cn, cd, tuple(num), tuple(den)))
+        self._plan = tuple(plan)
+
+    def __call__(self, c):
+        vals = [c[label] for label in self.labels]
+        nums = [v.numerator for v in vals]
+        dens = [v.denominator for v in vals]
+        for a, b in self.pairs:
+            nums.append(nums[a] * dens[b] + nums[b] * dens[a])
+            dens.append(dens[a] * dens[b])
+        if not all(map(nums.__getitem__, self.checked)):
+            raise ZeroDivisionError("monomial program divides by a zero atom")
+        get = (nums + dens).__getitem__
+        out = [Fraction(prod(map(get, num), start=cn), prod(map(get, den), start=cd))
+               for cn, cd, num, den in self._plan]
+        return out if self.keys is None else dict(zip(self.keys, out))
+
+
+def compile_monomials(func, labels) -> MonomialProgram:
+    """Trace `func` once on a dict of tracer scalars keyed by `labels` and
+    return its program.  `func` returns a dict or a list of values built
+    by field operations and integer powers; it must add only pairs of
+    atoms and never subtract, or NotMonomial is raised."""
+    labels = tuple(labels)
+    trace = _Trace(len(labels))
+    out = func({label: _Monomial(trace, Fraction(1), {k: 1}) for k, label in enumerate(labels)})
+    keys = tuple(out) if isinstance(out, dict) else None
+    rows = []
+    for v in out.values() if keys is not None else out:
+        if isinstance(v, (int, Fraction)):
+            v = _Monomial(trace, Fraction(v), {})
+        elif type(v) is not _Monomial:
+            raise NotMonomial(f"output {v!r} is not a monomial of the traced atoms")
+        rows.append((v.coef.numerator, v.coef.denominator, tuple(sorted(v.exps.items()))))
+    return MonomialProgram(labels, tuple(trace.pairs), tuple(sorted(trace.divisors)), keys, tuple(rows))

@@ -33,7 +33,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gammafn import log_gamma_complex
 from .roots import _eps, build_root_system, cartan_scaling_exponent
 
 
@@ -701,6 +700,8 @@ def int_identity(a, b, c) -> complex:
         raise DomainViolation("need Re a > 0, Re b > 0, Re(a+b+c) > 0")
     import numpy as np
 
+    from .gammafn import log_gamma_complex
+
     return complex(
         np.exp(
             log_gamma_complex(a)
@@ -714,6 +715,8 @@ def int_identity(a, b, c) -> complex:
 def bump_gl3(lam, s1, s2) -> complex:
     """Rank-three Gamma-product Mellin transform (Bump's formula)."""
     import numpy as np
+
+    from .gammafn import log_gamma_complex
 
     if len(lam) != 3:
         raise DomainViolation("rank-three formula needs three spectral values")

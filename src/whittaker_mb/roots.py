@@ -1,4 +1,4 @@
-"""Root systems and exact matrix realizations of the four classical split families.
+"""Root systems and sparse exact realizations of the four classical split families.
 
 Families are named by the split real group they realize:
 
@@ -24,6 +24,10 @@ integral Chevalley basis of a split group (Steinberg, Lectures on
 Chevalley Groups, 1967), and halves the centre of the form.  The
 conjugation leaves h, every zero pattern, the Gauss diagonal and the
 chart coordinates as they were.
+
+A realization is held sparse: each generator is its (row, col, int
+weight) entries, and chart products read the nonzero entries of
+exp(c * generator) from them.  No dense generator matrix is built.
 
 Each family comes with one fixed normal ordering of the positive roots
 and the matching reduced word for the longest Weyl element; the word is
@@ -139,14 +143,12 @@ def build_root_system(family: str, n: int) -> RootSystem:
 
 @dataclass(frozen=True)
 class ChevalleyRealization:
+    """The generators e_letter, f_letter of a family and rank, held sparse:
+    chart products read only the nonzero entries of their exponentials."""
+
     family: str
     n: int
     matrix_size: int
-    e: dict  # letter -> ExactMatrix
-    f: dict
-    h: dict
-    form: ExactMatrix | None  # preserved bilinear form, None for gl
-    form_kind: str  # "none" | "sym" | "skew"
 
     def exp_terms(self, letter: int, c):
         """Sparse non-identity part of exp(c * e_letter) as (row, col, value) triples.
@@ -161,82 +163,63 @@ class ChevalleyRealization:
 
 
 def _gen_pairs(family: str, n: int, letter: int):
-    """(row, col) index pairs (1-based) and scalar weights of e_letter."""
+    """(row, col) index pairs (1-based) and int weights of e_letter."""
     if family == "gl":
-        return [((letter, letter + 1), Fraction(1))]
+        return [((letter, letter + 1), 1)]
     if family == "so_even":
         N = 2 * n
         if letter <= n - 2:
             i = letter
-            return [((i, i + 1), Fraction(1)), ((N - i, N + 1 - i), Fraction(-1))]
+            return [((i, i + 1), 1), ((N - i, N + 1 - i), -1)]
         if letter == n - 1:  # e^+
-            return [((n - 1, n), Fraction(1)), ((n + 1, n + 2), Fraction(-1))]
-        return [((n - 1, n + 1), Fraction(1)), ((n, n + 2), Fraction(-1))]  # e^-
+            return [((n - 1, n), 1), ((n + 1, n + 2), -1)]
+        return [((n - 1, n + 1), 1), ((n, n + 2), -1)]  # e^-
     if family == "so_odd":
         if letter <= n - 1:
             i = letter
-            return [((i, i + 1), Fraction(1)), ((2 * n + 1 - i, 2 * n + 2 - i), Fraction(-1))]
-        return [((n, n + 1), Fraction(1)), ((n + 1, n + 2), Fraction(-2))]
+            return [((i, i + 1), 1), ((2 * n + 1 - i, 2 * n + 2 - i), -1)]
+        return [((n, n + 1), 1), ((n + 1, n + 2), -2)]
     if family == "sp":
         if letter <= n - 1:
             i = letter
-            return [((i, i + 1), Fraction(1)), ((2 * n - i, 2 * n + 1 - i), Fraction(-1))]
-        return [((n, n + 1), Fraction(1))]
+            return [((i, i + 1), 1), ((2 * n - i, 2 * n + 1 - i), -1)]
+        return [((n, n + 1), 1)]
     raise ValueError(family)
 
 
 def _f_pairs(family: str, n: int, letter: int):
-    """(row, col) index pairs (1-based) and scalar weights of f_letter: the
+    """(row, col) index pairs (1-based) and int weights of f_letter: the
     transpose of e_letter, except at the short letter of so_odd, where
     f_n = 2 E_{n+1,n} - E_{n+2,n+1} pairs with e_n = E_{n,n+1} - 2 E_{n+1,n+2}."""
     if family == "so_odd" and letter == n:
-        return [((n + 1, n), Fraction(2)), ((n + 2, n + 1), Fraction(-1))]
+        return [((n + 1, n), 2), ((n + 2, n + 1), -1)]
     return [((j, i), w) for (i, j), w in _gen_pairs(family, n, letter)]
 
 
-def _exp_terms(family, n, letter, c, neg):
+@lru_cache(maxsize=None)
+def _exp_pairs(family: str, n: int, letter: int, neg: bool) -> tuple:
+    """0-based (row, col, weight) triples of f_letter (neg) or e_letter, and
+    the (row, col) of the quadratic term of exp(c * generator), or None:
+    e_n^2 = -2 E_{n,n+2} at the short letter of so_odd (the f side mirrors)."""
     pairs = _f_pairs(family, n, letter) if neg else _gen_pairs(family, n, letter)
-    terms = [(i - 1, j - 1, w * c) for (i, j), w in pairs]
+    quad = None
     if family == "so_odd" and letter == n:
-        # quadratic term of exp(c*e_n): e_n^2 = -2 E_{n,n+2} (f side mirrors)
-        if neg:
-            terms.append((n + 2 - 1, n - 1, -c * c))
-        else:
-            terms.append((n - 1, n + 2 - 1, -c * c))
+        quad = (n + 1, n - 1) if neg else (n - 1, n + 1)
+    return tuple((i - 1, j - 1, w) for (i, j), w in pairs), quad
+
+
+def _exp_terms(family, n, letter, c, neg):
+    pairs, quad = _exp_pairs(family, n, letter, neg)
+    minus = -c
+    terms = [(i, j, c if w == 1 else minus if w == -1 else w * c) for i, j, w in pairs]
+    if quad is not None:
+        terms.append((*quad, minus * c))
     return terms
 
 
 @lru_cache(maxsize=None)
 def build_realization(family: str, n: int) -> ChevalleyRealization:
-    rs = build_root_system(family, n)
-    size = rs.matrix_size
-    e, f, h = {}, {}, {}
-    for letter in rs.letters:
-        em = ExactMatrix.zeros(size)
-        fm = ExactMatrix.zeros(size)
-        for (i, j), w in _gen_pairs(family, n, letter):
-            em.rows[i - 1][j - 1] = w
-        for (i, j), w in _f_pairs(family, n, letter):
-            fm.rows[i - 1][j - 1] = w
-        e[letter] = em
-        f[letter] = fm
-        h[letter] = em * fm - fm * em
-    if family == "gl":
-        form, kind = None, "none"
-    elif family == "sp":
-        form = ExactMatrix.zeros(size)
-        for i in range(1, n + 1):
-            form.rows[i - 1][2 * n - i] = Fraction(1)
-            form.rows[2 * n - i][i - 1] = Fraction(-1)
-        kind = "skew"
-    else:
-        form = ExactMatrix.zeros(size)
-        for i in range(1, size + 1):
-            form.rows[i - 1][size - i] = Fraction(1)
-        if family == "so_odd":  # the middle basis vector is scaled by sqrt(2)
-            form.rows[n][n] = Fraction(1, 2)
-        kind = "sym"
-    return ChevalleyRealization(family, n, size, e, f, h, form, kind)
+    return ChevalleyRealization(family, n, build_root_system(family, n).matrix_size)
 
 
 def weyl_lift(word, real: ChevalleyRealization) -> ExactMatrix:

@@ -4,6 +4,7 @@ import zlib
 from fractions import Fraction
 
 import pytest
+from dense_realization import dense_realization
 
 from whittaker_mb.bz import (
     OutsideBigCell,
@@ -11,8 +12,11 @@ from whittaker_mb.bz import (
     _times_string1_inverse,
     bz_closed_form,
     bz_inverse,
+    bz_map_coords,
+    bz_map_program,
     bz_oracle,
     bz_twist_coords,
+    bz_twist_program,
     left_whittaker_value,
     random_positive_chart,
     right_whittaker_value,
@@ -20,8 +24,8 @@ from whittaker_mb.bz import (
     u_matrix_check,
 )
 from whittaker_mb.charts import chart_to_matrix, constant_chart, monomial_weight
-from whittaker_mb.exact import ExactMatrix, IntRows
-from whittaker_mb.roots import Weight, build_realization, w0_lift, w0_lift_embedded
+from whittaker_mb.exact import ExactMatrix, IntRows, NotMonomial, compile_monomials
+from whittaker_mb.roots import Weight, w0_lift, w0_lift_embedded
 
 SMALL_RANKS = [("gl", 2), ("gl", 3), ("gl", 4), ("so_even", 2), ("so_even", 3),
                ("so_odd", 1), ("so_odd", 2), ("so_odd", 3), ("sp", 1), ("sp", 2),
@@ -96,7 +100,7 @@ class TestOracle:
         """The so_odd realization and a chart matrix hold Fractions only, the
         oracle's integer matrices hold ints only, and the oracle returns
         Fractions: the basis carries no sqrt(2)."""
-        real = build_realization("so_odd", n)
+        real = dense_realization("so_odd", n)
         matrices = [*real.e.values(), *real.f.values(), *real.h.values(), real.form]
         chart = random_positive_chart("so_odd", n, random.Random(n))
         matrices.append(chart_to_matrix(chart))
@@ -199,6 +203,82 @@ class TestClosedForms:
         res = bz_closed_form(ch)
         recip = {k: 1 / v for k, v in res.image_chart.coords.items()}
         assert bz_twist_coords(family, n, recip) == res.twist
+
+
+class TestMonomialPrograms:
+    @pytest.mark.parametrize("family,n", ALL_RANKS)
+    def test_equal_to_the_formulas(self, family, n):
+        # on charts, their image charts and the reciprocal image coordinates,
+        # with the output keys in the formulas' order
+        rng = random.Random(zlib.crc32(repr((family, n, "mono")).encode()))
+        forward, twist = bz_map_program(family, n), bz_twist_program(family, n)
+        for _ in range(200):
+            coords = random_positive_chart(family, n, rng).coords
+            image = bz_map_coords(family, n, coords)
+            recip = {k: 1 / v for k, v in image.items()}
+            for c in (coords, image, recip):
+                got = forward(c)
+                assert list(got.items()) == list(bz_map_coords(family, n, c).items())
+                assert all(type(v) is Fraction for v in got.values())
+                assert twist(c) == bz_twist_coords(family, n, c)
+
+    @pytest.mark.parametrize("family,n", ALL_RANKS)
+    def test_zero_coordinate_raises_as_the_formulas_do(self, family, n):
+        base = random_positive_chart(family, n, random.Random(n)).coords
+        for label in base:
+            c = base | {label: Fraction(0)}
+            for formula, program in ((bz_map_coords, bz_map_program), (bz_twist_coords, bz_twist_program)):
+                try:
+                    want = formula(family, n, c)
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        program(family, n)(c)
+                else:
+                    assert program(family, n)(c) == want
+            with pytest.raises(ZeroDivisionError):
+                bz_map_coords(family, n, c)
+            with pytest.raises(ZeroDivisionError):
+                bz_map_program(family, n)(c)
+
+    @pytest.mark.parametrize("family,n", [("so_even", 3), ("so_odd", 2), ("sp", 4)])
+    def test_zero_pair_sum_raises(self, family, n):
+        c = dict(random_positive_chart(family, n, random.Random(5)).coords)
+        c[("p", 1, 2)] = -c[("m", 1, 2)]
+        with pytest.raises(ZeroDivisionError):
+            bz_map_coords(family, n, c)
+        with pytest.raises(ZeroDivisionError):
+            bz_map_program(family, n)(c)
+
+    def test_pair_sums_are_atoms(self):
+        program = bz_map_program("sp", 4)
+        assert len(program.pairs) == 6
+        assert not bz_map_program("gl", 6).pairs
+        assert not bz_twist_program("sp", 4).pairs
+
+    @pytest.mark.parametrize(
+        "func",
+        [
+            lambda c: [c["a"] * c["b"] + c["a"]],
+            lambda c: [c["a"] + 1],
+            lambda c: [2 * c["a"] + c["b"]],
+            lambda c: [c["a"] - c["b"]],
+            lambda c: [1 - c["a"]],
+            lambda c: {"x": c["a"] ** 2 + c["b"]},
+        ],
+    )
+    def test_tracer_raises_on_a_sum_of_non_atoms(self, func):
+        with pytest.raises(NotMonomial):
+            compile_monomials(func, "ab")
+
+    def test_sums_of_atoms_and_constants(self):
+        program = compile_monomials(
+            lambda c: [(c["a"] + c["b"]) / (c["a"] * 3), 2, (c["a"] + c["b"] + c["a"]) ** -2],
+            "ab",
+        )
+        a, b = Fraction(2, 7), Fraction(-5, 3)
+        assert program({"a": a, "b": b}) == [(a + b) / (a * 3), 2, (a + b + a) ** -2]
+        with pytest.raises(ZeroDivisionError):
+            program({"a": Fraction(1), "b": Fraction(-2)})
 
 
 class TestInverse:

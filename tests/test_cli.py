@@ -75,6 +75,31 @@ class TestVerify:
         bad = [c for c in report["checks"] if c["failed"]]
         assert bad and bad[0]["counterexample"] is not None
 
+    def test_tampered_program_detected(self, tmp_path, monkeypatch):
+        # one exponent of the compiled closed form is off: the oracle check
+        # must catch it
+        import whittaker_mb.bz as bzmod
+        from whittaker_mb.exact import MonomialProgram
+
+        good = bzmod.bz_map_program("gl", 3)
+        (cn, cd, factors), *rest = good.rows
+        (atom, e), *others = factors
+        bad = MonomialProgram(
+            good.labels, good.pairs, good.checked, good.keys,
+            ((cn, cd, ((atom, e - 1), *others)), *rest),
+        )
+        monkeypatch.setattr(bzmod, "bz_map_program", lambda family, n: bad)
+        out = tmp_path / "bad.json"
+        code = run(
+            ["verify", "--group", "gl", "--rank", "3", "--trials", "4",
+             "--seed", "0", "--output", str(out)]
+        )
+        assert code == 1
+        report = json.loads(out.read_text())
+        first = report["checks"][0]
+        assert first["name"] == "closed_form_equals_oracle"
+        assert first["failed"] > 0 and first["counterexample"] is not None
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_trials_below_one_is_usage_error(self, trials, capsys):
         code = run(["verify", "--group", "gl", "--rank", "2", f"--trials={trials}"])
@@ -436,6 +461,39 @@ class TestRuntimeDependencies:
             capture_output=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr.decode()
+
+    def test_verify_loads_only_the_exact_layer(self):
+        """A fresh verify imports neither numpy nor the quadrature; its usage
+        errors, and the typed errors of a later eval or mellin-table in the
+        same process, still exit 2."""
+        import os
+        import subprocess
+        import sys
+
+        import whittaker_mb
+
+        script = (
+            "import sys\n"
+            "from whittaker_mb import cli\n"
+            "assert cli.main(['verify', '--group', 'so-odd', '--rank', '2', '--trials', '2',\n"
+            "                 '--output', sys.argv[1]]) == 0\n"
+            "assert cli.main(['verify', '--group', 'gl', '--rank', '99']) == 2\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'numpy' or m == 'whittaker_mb.quadrature']\n"
+            "assert not loaded, loaded\n"
+            "assert cli.main(['eval', '--group', 'gl', '--rank', '5', '--method', 'mb',\n"
+            "                 '--lambda=0,0,0,0,0', '--x=0,0,0,0,0']) == 2\n"
+            "assert cli.main(['mellin-table', '--group', 'gl', '--rank', '2', '--lambda=0,0',\n"
+            "                 '--s-grid=0:0:1']) == 2\n"
+            "assert cli.main(['mellin-table', '--group', 'gl', '--rank', '3', '--lambda=0,0,0',\n"
+            "                 '--s-grid=0:1:2']) == 2\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(whittaker_mb.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, os.devnull],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stderr.decode().count("error: ") == 4
 
     @pytest.mark.parametrize("command", ["eval", "mellin-table"])
     def test_shipped_structures_load_no_scipy_optimize(self, command, tmp_path):

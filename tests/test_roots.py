@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from dense_realization import dense_realization
 
 from whittaker_mb.exact import ExactMatrix
 from whittaker_mb.roots import (
@@ -79,7 +80,7 @@ class TestOrdering:
 class TestRealization:
     @pytest.mark.parametrize("family,n", ALL_RANKS)
     def test_sl2_triples(self, family, n):
-        real = build_realization(family, n)
+        real = dense_realization(family, n)
         for letter in build_root_system(family, n).letters:
             e, f, h = real.e[letter], real.f[letter], real.h[letter]
             assert h * e - e * h == e + e
@@ -88,7 +89,7 @@ class TestRealization:
 
     @pytest.mark.parametrize("family,n", ALL_RANKS)
     def test_generators_preserve_form(self, family, n):
-        real = build_realization(family, n)
+        real = dense_realization(family, n)
         if real.form is None:
             return
         g = real.form
@@ -98,7 +99,7 @@ class TestRealization:
 
     @pytest.mark.parametrize("family,n", ALL_RANKS)
     def test_generators_nilpotent(self, family, n):
-        real = build_realization(family, n)
+        real = dense_realization(family, n)
         size = real.matrix_size
         for letter in build_root_system(family, n).letters:
             p = ExactMatrix.identity(size)
@@ -163,7 +164,7 @@ class TestWeylLifts:
 
     @pytest.mark.parametrize("family,n", ALL_RANKS)
     def test_w0_conjugation_sends_raising_to_lowering(self, family, n):
-        real = build_realization(family, n)
+        real = dense_realization(family, n)
         rs = build_root_system(family, n)
         w = w0_lift(family, n)
         aug = _inverse(w)
