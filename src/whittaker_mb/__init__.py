@@ -6,19 +6,11 @@ independent numerical presentations of the wave function (Mellin-Barnes
 contour integral and positive-cone pairing) that must agree.
 """
 
-from .exact import (
-    DivisionByZero,
-    ExactMatrix,
-    GaussDecomposition,
-    SingularLeadingMinor,
-    lu_gauss_decompose,
-)
+from .exact import DivisionByZero, IntRows, SingularLeadingMinor
 from .roots import (
-    ChevalleyRealization,
     RootSystem,
     UnsupportedRank,
     Weight,
-    build_realization,
     build_root_system,
     coroot_pairing,
     rho_of,

@@ -10,12 +10,13 @@ pair sums c_(m,i,j) + c_(p,i,j), so for exact charts each formula is
 traced once per family and rank into an exact.MonomialProgram
 (`bz_map_program`, `bz_twist_program`): `bz_closed_form` and
 `bz_inverse` build each output from one integer product of the atoms'
-numerators and denominators, with one Fraction per output.  Jets and
-numpy arrays keep calling the formulas.  The oracle computes the same
-data by building X(-t) * w0bar exactly and running the LDU
-decomposition, all on row-scaled integer matrices (exact.IntRows);
-closed form and oracle must agree exactly, which is the backbone
-correctness check of the package.
+numerators and denominators, with one Fraction per output; a caller
+that needs only the image runs only the map program.  Jets and numpy
+arrays keep calling the formulas.  The oracle computes the same data by
+building X(-t) * w0bar exactly and running the LDU decomposition, all
+on exact.IntRows, the package's one exact matrix type; closed form and
+oracle must agree exactly, which is the backbone correctness check of
+the package.
 
 No dense matrix product or inverse is formed.  The lifts w0bar (and the
 lift of the embedded rank-(n-1) subgroup) are signed permutation
@@ -33,15 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import (
-    ExactMatrix,
-    MonomialProgram,
-    SingularLeadingMinor,
-    compile_monomials,
-    signed_permutation,
-)
+from .exact import IntRows, MonomialProgram, SingularLeadingMinor, compile_monomials, signed_permutation
 from .charts import LusztigChart, _word_rows, extract_coordinates, monomial_weight
-from .roots import _eps, build_realization, build_root_system, w0_lift, w0_lift_embedded
+from .roots import _eps, build_root_system, w0_lift, w0_lift_embedded
 
 
 class OutsideBigCell(ValueError):
@@ -257,18 +252,17 @@ def _string1_word(rs):
     return [(letter, label) for letter, label in rs.word if label[1] == 1]
 
 
-def string1_matrix(chart: LusztigChart, negate: bool = False) -> ExactMatrix:
+def string1_matrix(chart: LusztigChart, negate: bool = False) -> IntRows:
     """Product of the one-parameter factors of the last simple-root string."""
-    return _word_rows(chart, _string1_word(chart.root_system), negate).to_exact()
+    return _word_rows(chart, _string1_word(chart.root_system), negate)
 
 
 def _times_string1_inverse(m, chart: LusztigChart) -> None:
     """In-place M <- M * string1_matrix(chart)^{-1} on IntRows, as the
     factors exp(-c * e_letter) of the first string in reverse order."""
     rs = chart.root_system
-    real = build_realization(rs.family, rs.n)
     for letter, label in reversed(_string1_word(rs)):
-        m.times(real.exp_terms(letter, -chart.coords[label]))
+        m.times(rs.exp_terms(letter, -chart.coords[label]))
 
 
 def u_matrix_check(chart: LusztigChart) -> dict:
@@ -288,7 +282,7 @@ def u_matrix_check(chart: LusztigChart) -> dict:
     """
     rs = chart.root_system
     family, n = rs.family, rs.n
-    image = bz_closed_form(chart).image_chart
+    image = LusztigChart(rs, bz_map_program(family, n)(chart.coords))
     u = (
         _word_rows(chart, _string1_word(rs), negate=True)
         .permute_columns(_lift_perm(family, n))
@@ -355,7 +349,7 @@ def left_whittaker_value(chart: LusztigChart, nu, form: str = "t") -> float:
     import math
 
     rs = chart.root_system
-    image = bz_closed_form(chart).image_chart
+    image = LusztigChart(rs, bz_map_program(rs.family, rs.n)(chart.coords))
     if form == "t":
         mono = monomial_weight(chart, nu)
     elif form == "p":

@@ -6,10 +6,11 @@ one-parameter subgroup elements exp(t_gamma * e_letter).  This module
 provides the chart -> matrix map, the inverse (inductive peeling of the
 first simple-root string off the first row), the three rank-two
 transition maps between adjacent normal orderings, the invariant
-monomials t^mu, and exact log-coordinate Jacobians.  Coordinates and
-chart matrices are rational in every family: the so_odd realization uses
-the basis with the middle vector scaled by sqrt(2) (see roots), in which
-its short generator has integer entries.
+monomials t^mu, and exact log-coordinate Jacobians.  Coordinates are
+rational in every family, and a chart matrix is an exact.IntRows (int
+numerators over one int denominator per row): the so_odd realization
+uses the basis with the middle vector scaled by sqrt(2) (see roots), in
+which its short generator has integer entries.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ExactMatrix, IntRows, jet_forward
-from .roots import RootSystem, build_realization, build_root_system, coroot_pairing, _eps, _min_rank
+from .exact import IntRows, jet_forward
+from .roots import RootSystem, build_root_system, coroot_pairing, _eps, _min_rank
 
 
 class ChartError(ValueError):
@@ -83,17 +84,16 @@ def _word_rows(chart: LusztigChart, word, negate: bool = False) -> IntRows:
     """Integer product of exp(+-coordinate * generator) over the
     (letter, label) pairs of `word`, in order."""
     rs = chart.root_system
-    real = build_realization(rs.family, rs.n)
-    m = IntRows.identity(real.matrix_size)
+    m = IntRows.identity(rs.matrix_size)
     for letter, label in word:
         c = chart.coords[label]
-        m.times(real.exp_terms(letter, -c if negate else c))
+        m.times(rs.exp_terms(letter, -c if negate else c))
     return m
 
 
-def chart_to_matrix(chart: LusztigChart, negate: bool = False) -> ExactMatrix:
+def chart_to_matrix(chart: LusztigChart, negate: bool = False) -> IntRows:
     """Ordered product of exp(coordinate * generator) along the family word."""
-    return _word_rows(chart, chart.root_system.word, negate).to_exact()
+    return _word_rows(chart, chart.root_system.word, negate)
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +169,17 @@ def _border_trivial(x: IntRows, lo: int, hi: int, family: str) -> bool:
     return True
 
 
-def extract_coordinates(x_bar, root_system: RootSystem) -> LusztigChart:
-    """Chart coordinates of a unipotent chart matrix (an ExactMatrix or
-    IntRows); exact inverse of chart_to_matrix, self-validated by
-    rebuilding the input.
+def extract_coordinates(x: IntRows, root_system: RootSystem) -> LusztigChart:
+    """Chart coordinates of a unipotent chart matrix; exact inverse of
+    chart_to_matrix, self-validated by rebuilding the input.
 
-    The strings are peeled off a copy in IntRows: string parameters are
-    ratios within one row, border and identity tests compare numerators
-    with their row's denominator, and the integer chart product of the
-    result is compared with the input by cross-multiplication.
+    The strings are peeled off a copy of x: string parameters are ratios
+    within one row, border and identity tests compare numerators with
+    their row's denominator, and the chart product of the result is
+    compared with x by cross-multiplication.
     """
     family, n = root_system.family, root_system.n
-    real = build_realization(family, n)
-    x = x_bar if isinstance(x_bar, IntRows) else IntRows.from_exact(x_bar)
-    size = real.matrix_size
+    size = root_system.matrix_size
     if len(x.rows) != size:
         raise ChartError("matrix size does not match the realization")
     coords = {}
@@ -200,7 +197,7 @@ def extract_coordinates(x_bar, root_system: RootSystem) -> LusztigChart:
         # multiply by the inverse of the peeled string, in place
         string1 = [(lt, lb) for lt, lb in rs_level.word if lb[1] == 1]
         for letter, label in reversed(string1):
-            work.times(real.exp_terms(letter + (n - r), -params[label]))
+            work.times(root_system.exp_terms(letter + (n - r), -params[label]))
         if not _border_trivial(work, lo, hi, family):
             raise ReconstructionMismatch("peeled matrix has nontrivial border")
     chart = LusztigChart(root_system, coords)
@@ -327,7 +324,7 @@ def measure_jacobian_logdet(map_func, point):
     One pass of integer jets (exact.jet_forward) gives each component
     f_i = n_i/q_i and its gradient G_i/q_i.  The log-coordinate Jacobian
     diag(1/f) . J . diag(x) has the entries G_ij x_j / n_i, free of the
-    q_i; each is reduced once, and ExactMatrix.det eliminates without
+    q_i; each is reduced once, and IntRows.det eliminates without
     fractions.
     """
     point = tuple(Fraction(v) for v in point)
@@ -341,4 +338,4 @@ def measure_jacobian_logdet(map_func, point):
         [Fraction(g * x.numerator, y.v * x.denominator) for g, x in zip(y.g, point)]
         for y in out
     ]
-    return abs(ExactMatrix(scaled).det())
+    return abs(IntRows.from_rows(scaled).det())

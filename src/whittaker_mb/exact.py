@@ -1,12 +1,12 @@
 """Exact scalar and matrix arithmetic.
 
 Everything here is exact: scalars are arbitrary-precision rationals
-(every family's realization has rational entries, see roots), matrices
-are dense grids of them.  Chart products, the Gauss (LDU) decomposition
-and determinants run on row-scaled integer matrices (IntRows: int
-numerators over one int denominator per row) with one fraction-free
-(Bareiss) elimination, derivatives of rational maps come from one
-unreduced pass of integer jets, and a map whose outputs are Laurent
+(every family's realization has rational entries, see roots), and the
+one matrix type is IntRows, a row-scaled integer matrix (int numerators
+over one int denominator per row).  Chart products run on it, and one
+fraction-free (Bareiss) elimination gives both the Gauss (LDU)
+decomposition and determinants.  Derivatives of rational maps come from
+one unreduced pass of integer jets, and a map whose outputs are Laurent
 monomials is traced once into a program of int products
 (MonomialProgram).  Floats appear only as an export format.
 """
@@ -34,139 +34,28 @@ class SingularLeadingMinor(ExactError):
         self.k = k
 
 
-class ExactMatrix:
-    """Dense matrix over exact rationals."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = [[Fraction(v) if isinstance(v, int) else v for v in r] for r in rows]
-        if any(len(r) != len(self.rows[0]) for r in self.rows):
-            raise ValueError("ragged rows")
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, n: int) -> "ExactMatrix":
-        return cls([[0] * n for _ in range(n)])
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def __mul__(self, other):
-        if isinstance(other, ExactMatrix):
-            if self.ncols != other.nrows:
-                raise ValueError("shape mismatch")
-            cols = list(zip(*other.rows))
-            return ExactMatrix([[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows])
-        return ExactMatrix([[v * other for v in row] for row in self.rows])
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return ExactMatrix([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __neg__(self):
-        return ExactMatrix([[-v for v in row] for row in self.rows])
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self.rows)))
-
-    def is_identity(self) -> bool:
-        return self == ExactMatrix.identity(self.nrows)
-
-    def det(self) -> Fraction:
-        """Exact determinant: Bareiss elimination of the row-cleared
-        matrix with row swaps (IntRows.eliminate)."""
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of non-square matrix")
-        a = IntRows.from_exact(self)
-        try:
-            sign = a.eliminate(pivoting=True)
-        except SingularLeadingMinor:
-            return Fraction(0)
-        return Fraction(sign * a.rows[-1][-1], prod(a.dens))
-
-    def __repr__(self):
-        return "ExactMatrix(" + repr(self.rows) + ")"
-
-
-def signed_permutation(m: ExactMatrix) -> tuple:
+def signed_permutation(m: IntRows) -> tuple:
     """Column map of a signed permutation matrix: perm[j] = (r, sign) where
-    m[r, j] = sign = +-1 is the only nonzero entry of column j.
+    m[r, j] = sign = +-1 is the only nonzero entry of column j, stored as a
+    numerator equal to sign times its row's denominator.
 
     Raises ValueError unless every column is monomial with entry +-1 and
     the rows r are distinct, so that m is orthogonal and its inverse is
     its transpose.
     """
-    if m.nrows != m.ncols:
+    n = len(m.rows)
+    if any(len(row) != n for row in m.rows):
         raise ValueError("signed permutation of a non-square matrix")
     perm = []
-    for j in range(m.ncols):
-        nonzero = [(r, row[j]) for r, row in enumerate(m.rows) if row[j]]
-        if len(nonzero) != 1 or nonzero[0][1] not in (1, -1):
+    for j in range(n):
+        nonzero = [(r, row[j], d) for r, (row, d) in enumerate(zip(m.rows, m.dens)) if row[j]]
+        if len(nonzero) != 1 or abs(nonzero[0][1]) != nonzero[0][2]:
             raise ValueError(f"column {j} is not monomial with entry +-1")
-        r, v = nonzero[0]
-        perm.append((r, 1 if v == 1 else -1))
+        r, v, _ = nonzero[0]
+        perm.append((r, 1 if v > 0 else -1))
     if len({r for r, _ in perm}) != len(perm):
         raise ValueError("columns share a row")
     return tuple(perm)
-
-
-class GaussDecomposition:
-    """Triple (L, D, U) with M = L*D*U, L unit-lower, D diagonal, U unit-upper."""
-
-    __slots__ = ("lower", "diag", "upper")
-
-    def __init__(self, lower: ExactMatrix, diag: ExactMatrix, upper: ExactMatrix):
-        self.lower, self.diag, self.upper = lower, diag, upper
-
-    def recompose(self) -> ExactMatrix:
-        return self.lower * self.diag * self.upper
-
-    def diag_entries(self):
-        return [self.diag[k, k] for k in range(self.diag.nrows)]
-
-
-def lu_gauss_decompose(m: ExactMatrix) -> GaussDecomposition:
-    """Exact LDU decomposition without pivoting: one Bareiss elimination
-    of the row-cleared matrix (IntRows.ldu).
-
-    D[k,k] equals the ratio of consecutive leading principal minors, so a
-    zero pivot means the k-th leading minor vanishes and the input is
-    outside the big Bruhat cell.  L[i,k] = a_ik s_k / (p_k s_i), with s_i
-    the denominator that clears row i, p_k the pivot and a_ik the entry
-    that step k eliminated.
-    """
-    n = m.nrows
-    if n != m.ncols:
-        raise ValueError("LDU needs a square matrix")
-    a = IntRows.from_exact(m)
-    diag, upper = a.ldu()
-    s, rows = a.dens, a.rows
-    lower = [[Fraction(rows[i][k] * s[k], rows[k][k] * s[i]) if k < i else int(k == i)
-              for k in range(n)] for i in range(n)]
-    diag = [[v if i == j else 0 for j in range(n)] for i, v in enumerate(diag)]
-    return GaussDecomposition(ExactMatrix(lower), ExactMatrix(diag), upper.to_exact())
 
 
 class IntRows:
@@ -185,13 +74,10 @@ class IntRows:
         return cls([[int(i == j) for j in range(n)] for i in range(n)], [1] * n)
 
     @classmethod
-    def from_exact(cls, m: ExactMatrix) -> "IntRows":
-        """Each row over the lcm of its denominators."""
-        dens = [lcm(*(v.denominator for v in row)) for row in m.rows]
-        return cls([[v.numerator * (d // v.denominator) for v in row] for row, d in zip(m.rows, dens)], dens)
-
-    def to_exact(self) -> ExactMatrix:
-        return ExactMatrix([[Fraction(v, d) for v in row] for row, d in zip(self.rows, self.dens)])
+    def from_rows(cls, rows) -> "IntRows":
+        """Rows of ints or Fractions, each over the lcm of its denominators."""
+        dens = [lcm(*(v.denominator for v in row)) for row in rows]
+        return cls([[v.numerator * (d // v.denominator) for v in row] for row, d in zip(rows, dens)], dens)
 
     def __eq__(self, other):
         if not isinstance(other, IntRows):
@@ -281,6 +167,17 @@ class IntRows:
             prev = row[k]
             rows.append([0] * k + (row[k:] if prev > 0 else [-x for x in row[k:]]))
         return diag, IntRows(rows, [abs(row[k]) for k, row in enumerate(self.rows)])
+
+    def det(self) -> Fraction:
+        """Exact determinant: eliminate() with row swaps, on a copy."""
+        if any(len(row) != len(self.rows) for row in self.rows):
+            raise ValueError("determinant of non-square matrix")
+        a = IntRows([list(row) for row in self.rows], list(self.dens))
+        try:
+            sign = a.eliminate(pivoting=True)
+        except SingularLeadingMinor:
+            return Fraction(0)
+        return Fraction(sign * a.rows[-1][-1], prod(a.dens))
 
 
 class Jet:

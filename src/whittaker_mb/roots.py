@@ -25,9 +25,10 @@ Chevalley Groups, 1967), and halves the centre of the form.  The
 conjugation leaves h, every zero pattern, the Gauss diagonal and the
 chart coordinates as they were.
 
-A realization is held sparse: each generator is its (row, col, int
-weight) entries, and chart products read the nonzero entries of
-exp(c * generator) from them.  No dense generator matrix is built.
+Each root system carries its realization, held sparse: a generator is
+its (row, col, int weight) entries, and RootSystem.exp_terms reads the
+nonzero entries of exp(c * generator) from them for the chart products.
+No dense generator matrix is built; the Weyl lifts are exact.IntRows.
 
 Each family comes with one fixed normal ordering of the positive roots
 and the matching reduced word for the longest Weyl element; the word is
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import ExactMatrix, IntRows
+from .exact import IntRows
 
 FAMILIES = ("gl", "so_even", "so_odd", "sp")
 
@@ -74,6 +75,20 @@ class RootSystem:
     @property
     def d(self) -> int:
         return len(self.positive_roots)
+
+    def exp_terms(self, letter: int, c, neg: bool = False) -> list:
+        """Sparse non-identity part of exp(c * e_letter), or of
+        exp(c * f_letter) if `neg`, as (row, col, value) triples.
+
+        All generators square to zero except the short generator of so_odd,
+        whose exponential picks up one quadratic term.
+        """
+        pairs, quad = _exp_pairs(self.family, self.n, letter, neg)
+        minus = -c
+        terms = [(i, j, c if w == 1 else minus if w == -1 else w * c) for i, j, w in pairs]
+        if quad is not None:
+            terms.append((*quad, minus * c))
+        return terms
 
 
 def _gl_word(n):
@@ -141,27 +156,6 @@ def build_root_system(family: str, n: int) -> RootSystem:
 # matrix realizations
 
 
-@dataclass(frozen=True)
-class ChevalleyRealization:
-    """The generators e_letter, f_letter of a family and rank, held sparse:
-    chart products read only the nonzero entries of their exponentials."""
-
-    family: str
-    n: int
-    matrix_size: int
-
-    def exp_terms(self, letter: int, c):
-        """Sparse non-identity part of exp(c * e_letter) as (row, col, value) triples.
-
-        All generators square to zero except the short generator of so_odd,
-        whose exponential picks up one quadratic term.
-        """
-        return _exp_terms(self.family, self.n, letter, c, neg=False)
-
-    def exp_terms_f(self, letter: int, c):
-        return _exp_terms(self.family, self.n, letter, c, neg=True)
-
-
 def _gen_pairs(family: str, n: int, letter: int):
     """(row, col) index pairs (1-based) and int weights of e_letter."""
     if family == "gl":
@@ -208,52 +202,37 @@ def _exp_pairs(family: str, n: int, letter: int, neg: bool) -> tuple:
     return tuple((i - 1, j - 1, w) for (i, j), w in pairs), quad
 
 
-def _exp_terms(family, n, letter, c, neg):
-    pairs, quad = _exp_pairs(family, n, letter, neg)
-    minus = -c
-    terms = [(i, j, c if w == 1 else minus if w == -1 else w * c) for i, j, w in pairs]
-    if quad is not None:
-        terms.append((*quad, minus * c))
-    return terms
-
-
-@lru_cache(maxsize=None)
-def build_realization(family: str, n: int) -> ChevalleyRealization:
-    return ChevalleyRealization(family, n, build_root_system(family, n).matrix_size)
-
-
-def weyl_lift(word, real: ChevalleyRealization) -> ExactMatrix:
+def weyl_lift(word, rs: RootSystem) -> IntRows:
     """Product of standard reflection lifts exp(e) exp(-f) exp(e) along a word.
 
     Independent of the choice of reduced word for the same Weyl element.
     """
-    m = IntRows.identity(real.matrix_size)
+    m = IntRows.identity(rs.matrix_size)
     for letter in word:
-        m.times(real.exp_terms(letter, Fraction(1)))
-        m.times(real.exp_terms_f(letter, Fraction(-1)))
-        m.times(real.exp_terms(letter, Fraction(1)))
-    return m.to_exact()
+        m.times(rs.exp_terms(letter, Fraction(1)))
+        m.times(rs.exp_terms(letter, Fraction(-1), neg=True))
+        m.times(rs.exp_terms(letter, Fraction(1)))
+    return m
 
 
 @lru_cache(maxsize=None)
-def w0_lift(family: str, n: int) -> ExactMatrix:
+def w0_lift(family: str, n: int) -> IntRows:
     rs = build_root_system(family, n)
-    real = build_realization(family, n)
-    return weyl_lift([letter for letter, _ in rs.word], real)
+    return weyl_lift([letter for letter, _ in rs.word], rs)
 
 
 @lru_cache(maxsize=None)
-def w0_lift_embedded(family: str, n: int) -> ExactMatrix:
+def w0_lift_embedded(family: str, n: int) -> IntRows:
     """Lift of the longest element of the embedded rank-(n-1) subgroup.
 
     The subgroup lives on the middle block; its letters are the rank-(n-1)
     letters shifted by one, acting in the rank-n realization.
     """
-    real = build_realization(family, n)
+    rs = build_root_system(family, n)
     if n - 1 < _min_rank(family):
-        return ExactMatrix.identity(real.matrix_size)
+        return IntRows.identity(rs.matrix_size)
     word = [letter + 1 for letter, _ in build_root_system(family, n - 1).word]
-    return weyl_lift(word, real)
+    return weyl_lift(word, rs)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ that check the realization itself."""
 from fractions import Fraction
 from types import SimpleNamespace
 
-from whittaker_mb.exact import ExactMatrix
+from dense_matrix import Dense
 from whittaker_mb.roots import _f_pairs, _gen_pairs, build_root_system
 
 
-def _dense(size, pairs) -> ExactMatrix:
-    m = ExactMatrix.zeros(size)
+def _dense(size, pairs) -> Dense:
+    m = Dense.zeros(size)
     for (i, j), w in pairs:
         m.rows[i - 1][j - 1] = Fraction(w)
     return m
@@ -26,12 +26,12 @@ def dense_realization(family: str, n: int) -> SimpleNamespace:
     h = {letter: e[letter] * f[letter] - f[letter] * e[letter] for letter in rs.letters}
     form = None
     if family == "sp":
-        form = ExactMatrix.zeros(size)
+        form = Dense.zeros(size)
         for i in range(1, n + 1):
             form.rows[i - 1][2 * n - i] = Fraction(1)
             form.rows[2 * n - i][i - 1] = Fraction(-1)
     elif family != "gl":
-        form = ExactMatrix.zeros(size)
+        form = Dense.zeros(size)
         for i in range(1, size + 1):
             form.rows[i - 1][size - i] = Fraction(1)
         if family == "so_odd":  # the middle basis vector is scaled by sqrt(2)

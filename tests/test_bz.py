@@ -4,6 +4,7 @@ import zlib
 from fractions import Fraction
 
 import pytest
+from dense_matrix import Dense
 from dense_realization import dense_realization
 
 from whittaker_mb.bz import (
@@ -24,8 +25,8 @@ from whittaker_mb.bz import (
     u_matrix_check,
 )
 from whittaker_mb.charts import chart_to_matrix, constant_chart, monomial_weight
-from whittaker_mb.exact import ExactMatrix, IntRows, NotMonomial, compile_monomials
-from whittaker_mb.roots import Weight, w0_lift, w0_lift_embedded
+from whittaker_mb.exact import IntRows, NotMonomial, compile_monomials
+from whittaker_mb.roots import Weight, build_root_system, w0_lift, w0_lift_embedded
 
 SMALL_RANKS = [("gl", 2), ("gl", 3), ("gl", 4), ("so_even", 2), ("so_even", 3),
                ("so_odd", 1), ("so_odd", 2), ("so_odd", 3), ("sp", 1), ("sp", 2),
@@ -39,8 +40,8 @@ ALL_RANKS = [("gl", n) for n in (2, 3, 4, 5, 6)] + [("so_even", n) for n in (2, 
 
 def _dense_matrix(family, n, rng):
     """Random exact matrix of the family's size with some zero entries."""
-    size = w0_lift(family, n).nrows
-    return ExactMatrix(
+    size = build_root_system(family, n).matrix_size
+    return Dense(
         [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(size)]
          for _ in range(size)]
     )
@@ -50,20 +51,20 @@ class TestStructuredFactors:
     @pytest.mark.parametrize("family,n", ALL_RANKS)
     @pytest.mark.parametrize("embedded", [False, True])
     def test_lift_permutation_matches_dense_product(self, family, n, embedded):
-        lift = w0_lift_embedded(family, n) if embedded else w0_lift(family, n)
+        lift = Dense.of(w0_lift_embedded(family, n) if embedded else w0_lift(family, n))
         perm = _lift_perm(family, n, embedded)
         m = _dense_matrix(family, n, random.Random(zlib.crc32(repr((family, n)).encode())))
-        rows = IntRows.from_exact(m)
-        assert rows.permute_columns(perm).to_exact() == m * lift
-        assert rows.permute_rows(perm).to_exact() == lift.transpose() * m
-        assert lift.transpose() * lift == ExactMatrix.identity(lift.nrows)
+        rows = IntRows.from_rows(m.rows)
+        assert Dense.of(rows.permute_columns(perm)) == m * lift
+        assert Dense.of(rows.permute_rows(perm)) == lift.transpose() * m
+        assert lift.transpose() * lift == Dense.identity(lift.nrows)
 
     @pytest.mark.parametrize("family,n", ALL_RANKS)
     def test_reversed_string_factors_invert_the_string(self, family, n):
         rng = random.Random(zlib.crc32(repr((family, n, "a")).encode()))
         for chart in (random_positive_chart(family, n, rng),
                       bz_closed_form(random_positive_chart(family, n, rng)).image_chart):
-            a = IntRows.from_exact(string1_matrix(chart))
+            a = string1_matrix(chart)
             _times_string1_inverse(a, chart)
             assert a.is_identity()
 
@@ -97,14 +98,15 @@ class TestOracle:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_so_odd_entries_are_rational(self, n, monkeypatch):
-        """The so_odd realization and a chart matrix hold Fractions only, the
+        """The so_odd realization holds Fractions only, a chart matrix and the
         oracle's integer matrices hold ints only, and the oracle returns
         Fractions: the basis carries no sqrt(2)."""
         real = dense_realization("so_odd", n)
         matrices = [*real.e.values(), *real.f.values(), *real.h.values(), real.form]
-        chart = random_positive_chart("so_odd", n, random.Random(n))
-        matrices.append(chart_to_matrix(chart))
         assert all(type(v) is Fraction for m in matrices for row in m.rows for v in row)
+        chart = random_positive_chart("so_odd", n, random.Random(n))
+        x = chart_to_matrix(chart)
+        assert all(type(v) is int for row in [*x.rows, x.dens] for v in row)
 
         kernels = {}
         times, ldu = IntRows.times, IntRows.ldu

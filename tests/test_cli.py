@@ -399,6 +399,28 @@ class TestMellinTable:
         assert len(doc["rows"]) == 2
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--group", "gl", "--rank", "2", "--trials", "1"],
+            ["eval", "--group", "sp", "--rank", "1", "--lambda", "0.5", "--x", "0.2",
+             "--method", "mb"],
+            ["mellin-table", "--group", "gl", "--rank", "2", "--lambda", "0.5,-0.5",
+             "--s-grid", "0.5:1.5:2"],
+        ],
+        ids=["verify", "eval", "mellin-table"],
+    )
+    def test_is_usage_error(self, argv, tmp_path, capsys):
+        # exit 1 would read as a verification failure
+        out = tmp_path / "missing" / "x.json"
+        assert run(argv + ["--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write --output ")
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestEvalCsv:
     def test_eval_csv_format(self, tmp_path):
         out = tmp_path / "e.csv"

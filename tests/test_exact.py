@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_matrix import Dense
 from whittaker_mb.exact import (
     DivisionByZero,
-    ExactMatrix,
     IntRows,
     Jet,
     SingularLeadingMinor,
     jacobian_exact,
-    lu_gauss_decompose,
     signed_permutation,
 )
 
+
 def frac_matrix(n, rng):
-    return ExactMatrix(
+    return Dense(
         [
             [Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(n)]
             for _ in range(n)
@@ -30,7 +30,7 @@ def reference_ldu(m):
     pivoting; raises SingularLeadingMinor(k + 1) at a zero pivot k."""
     n = m.nrows
     u = [list(r) for r in m.rows]
-    lower = ExactMatrix.identity(n)
+    lower = Dense.identity(n)
     for k in range(n):
         p = u[k][k]
         if p == 0:
@@ -41,14 +41,25 @@ def reference_ldu(m):
                 lower.rows[i][k] = f
                 for j in range(k, n):
                     u[i][j] = u[i][j] - f * u[k][j]
-    diag = ExactMatrix.identity(n)
-    upper = ExactMatrix.identity(n)
+    diag = Dense.identity(n)
+    upper = Dense.identity(n)
     for k in range(n):
         p = u[k][k]
         diag.rows[k][k] = p
         for j in range(k, n):
             upper.rows[k][j] = u[k][j] / p
     return lower, diag, upper
+
+
+def ldu(m):
+    """IntRows.ldu of the dense m: the diagonal entries and a dense U."""
+    diag, upper = IntRows.from_rows(m.rows).ldu()
+    return diag, Dense.of(upper)
+
+
+def diagonal(entries):
+    n = len(entries)
+    return Dense([[v if i == j else 0 for j in range(n)] for i, v in enumerate(entries)])
 
 
 def singular_at(m, k, rng):
@@ -59,29 +70,49 @@ def singular_at(m, k, rng):
     rows[k - 1][:k] = [
         sum((c * rows[i][j] for i, c in enumerate(coef)), Fraction(0)) for j in range(k)
     ]
-    return ExactMatrix(rows)
+    return Dense(rows)
+
+
+def sparse_terms(n, rng):
+    """Random sparse (a, b, v) terms with distinct (a, b) pairs."""
+    pairs = rng.sample([(a, b) for a in range(n) for b in range(n)], rng.randint(1, n))
+    return [(a, b, Fraction(rng.randint(-9, 9), rng.randint(1, 7))) for a, b in pairs]
+
+
+def times_dense(m, terms):
+    """m (Id + S) for the sparse S = [(a, b, v), ...], densely."""
+    s = Dense.zeros(m.nrows)
+    for i, j, v in terms:
+        s.rows[i][j] = v
+    return m * (Dense.identity(m.nrows) + s)
+
+
+def times_rows(m, *steps):
+    """Dense value of IntRows.times applied to m for each list of terms."""
+    got = IntRows.from_rows(m.rows)
+    for terms in steps:
+        got.times(terms)
+    return Dense.of(got)
 
 
 class TestGaussDecomposition:
     def test_two_by_two_closed_form(self):
         a, b, c, d = Fraction(3), Fraction(5), Fraction(2), Fraction(7)
-        m = ExactMatrix([[a, b], [c, d]])
-        dec = lu_gauss_decompose(m)
-        assert dec.lower == ExactMatrix([[1, 0], [c / a, 1]])
-        assert dec.diag_entries() == [a, (a * d - b * c) / a]
-        assert dec.upper == ExactMatrix([[1, b / a], [0, 1]])
+        diag, upper = ldu(Dense([[a, b], [c, d]]))
+        assert diag == [a, (a * d - b * c) / a]
+        assert upper == Dense([[1, b / a], [0, 1]])
 
     def test_hand_computed_three_by_three(self):
         # chart matrix times the longest-element lift at all-ones coordinates
-        m = ExactMatrix([[1, 1, 1], [-2, -1, 0], [1, 0, 0]])
-        dec = lu_gauss_decompose(m)
-        assert dec.diag_entries() == [1, 1, 1]
-        assert dec.upper == ExactMatrix([[1, 1, 1], [0, 1, 2], [0, 0, 1]])
-        assert dec.recompose() == m
+        m = Dense([[1, 1, 1], [-2, -1, 0], [1, 0, 0]])
+        diag, upper = ldu(m)
+        assert diag == [1, 1, 1]
+        assert upper == Dense([[1, 1, 1], [0, 1, 2], [0, 0, 1]])
+        assert reference_ldu(m)[0] * diagonal(diag) * upper == m
 
     def test_singular_leading_minor(self):
         with pytest.raises(SingularLeadingMinor) as exc:
-            lu_gauss_decompose(ExactMatrix([[0, 1], [1, 0]]))
+            IntRows.from_rows([[0, 1], [1, 0]]).ldu()
         assert exc.value.k == 1
 
     def test_roundtrip_and_determinant_1000_random(self):
@@ -91,14 +122,15 @@ class TestGaussDecomposition:
             n = rng.randint(1, 8)
             m = frac_matrix(n, rng)
             try:
-                dec = lu_gauss_decompose(m)
+                diag, upper = ldu(m)
             except SingularLeadingMinor:
                 continue
-            assert dec.recompose() == m
+            # D and U recompose m with the reference L
+            assert reference_ldu(m)[0] * diagonal(diag) * upper == m
             det = Fraction(1)
-            for v in dec.diag_entries():
+            for v in diag:
                 det *= v
-            assert det == m.det()
+            assert det == IntRows.from_rows(m.rows).det()
             done += 1
 
     def test_matches_fraction_elimination(self):
@@ -108,11 +140,11 @@ class TestGaussDecomposition:
             for _ in range(12):
                 m = frac_matrix(n, rng)
                 try:
-                    want = reference_ldu(m)
+                    _, want_diag, want_upper = reference_ldu(m)
                 except SingularLeadingMinor:
                     continue
-                dec = lu_gauss_decompose(m)
-                assert (dec.lower, dec.diag, dec.upper) == want
+                diag, upper = ldu(m)
+                assert (diagonal(diag), upper) == (want_diag, want_upper)
                 done += 1
         assert done > 80
 
@@ -124,7 +156,7 @@ class TestGaussDecomposition:
                 with pytest.raises(SingularLeadingMinor) as want:
                     reference_ldu(m)
                 with pytest.raises(SingularLeadingMinor) as got:
-                    lu_gauss_decompose(m)
+                    ldu(m)
                 assert got.value.k == want.value.k <= k
 
 
@@ -132,43 +164,34 @@ class TestMatrixAlgebra:
     @given(st.integers(2, 4), st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
     def test_associativity_and_distributivity(self, n, seed):
+        # IntRows.times is a linear right action: two steps are one step by
+        # the dense product, and it distributes over a sum of matrices
         rng = random.Random(seed)
-        a, b, c = (frac_matrix(n, rng) for _ in range(3))
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+        a, b = frac_matrix(n, rng), frac_matrix(n, rng)
+        s1, s2 = sparse_terms(n, rng), sparse_terms(n, rng)
+        assert times_rows(a, s1, s2) == times_dense(times_dense(a, s1), s2)
+        assert times_rows(a + b, s1) == times_rows(a, s1) + times_rows(b, s1)
 
     def test_apply_right_sparse_simultaneous_terms_match_dense(self):
         # a term's target column is another term's source column, and rows
         # with a zero source entry are skipped
-        m = ExactMatrix(
+        m = Dense(
             [[1, 0, 2, 0], [0, 3, 0, 1], [Fraction(1, 2), 0, 0, 5], [0, 0, Fraction(-2, 3), 1]]
         )
         terms = [(0, 1, Fraction(2)), (1, 2, Fraction(5, 7)), (2, 0, Fraction(-3, 4)),
                  (1, 3, Fraction(1, 3))]
-        s = ExactMatrix.zeros(4)
-        for i, j, v in terms:
-            s.rows[i][j] = v
-        expected = m * (ExactMatrix.identity(4) + s)
-        got = IntRows.from_exact(m)
-        got.times(terms)
-        assert got.to_exact() == expected
+        assert times_rows(m, terms) == times_dense(m, terms)
 
     def test_apply_right_sparse_matches_dense(self):
         rng = random.Random(3)
         m = frac_matrix(4, rng)
         terms = [(0, 2, Fraction(5)), (1, 3, Fraction(-2))]
-        s = ExactMatrix.zeros(4)
-        for i, j, v in terms:
-            s.rows[i][j] = v
-        expected = m * (ExactMatrix.identity(4) + s)
-        got = IntRows.from_exact(m)
-        got.times(terms)
-        assert got.to_exact() == expected
+        assert times_rows(m, terms) == times_dense(m, terms)
 
 
 class TestSignedPermutation:
     def test_map_of_a_signed_permutation(self):
-        w = ExactMatrix([[0, -1, 0], [0, 0, 1], [Fraction(1), 0, 0]])
+        w = IntRows.from_rows([[0, -1, 0], [0, 0, 1], [Fraction(1), 0, 0]])
         assert signed_permutation(w) == ((2, 1), (0, -1), (1, 1))
 
     @pytest.mark.parametrize(
@@ -183,7 +206,24 @@ class TestSignedPermutation:
     )
     def test_rejects_other_matrices(self, rows):
         with pytest.raises(ValueError):
-            signed_permutation(ExactMatrix(rows))
+            signed_permutation(IntRows.from_rows(rows))
+
+    def test_unit_entry_over_its_row_denominator(self):
+        # [0, 3, 0] over 3 is a unit entry
+        w = IntRows([[0, 3, 0], [1, 0, 0], [0, 0, -1]], [3, 1, 1])
+        assert signed_permutation(w) == ((1, 1), (0, 1), (2, -1))
+
+    @pytest.mark.parametrize(
+        "rows,dens",
+        [
+            ([[0, 2, 0], [1, 0, 0], [0, 0, 1]], [1, 1, 1]),  # entry 2
+            ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], [2, 1, 1]),  # entry 1/2
+            ([[0, 3, 0], [1, 3, 0], [0, 0, 1]], [3, 1, 1]),  # column 1 has two nonzero entries
+        ],
+    )
+    def test_rejects_row_scaled_non_units(self, rows, dens):
+        with pytest.raises(ValueError):
+            signed_permutation(IntRows(rows, dens))
 
 
 def cofactor_det(rows):
@@ -211,14 +251,13 @@ class TestDeterminant:
         ],
     )
     def test_matches_cofactor_expansion(self, rows):
-        m = ExactMatrix(rows)
-        assert m.det() == cofactor_det(m.rows)
+        assert IntRows.from_rows(rows).det() == cofactor_det(rows)
 
     def test_singular_is_zero_and_swap_flips_sign(self):
-        assert ExactMatrix([[1, 2, 3], [2, 4, 6], [7, 8, 9]]).det() == 0
+        assert IntRows.from_rows([[1, 2, 3], [2, 4, 6], [7, 8, 9]]).det() == 0
         m = [[0, 2, 1], [3, Fraction(-1, 2), 4], [1, 1, Fraction(5, 7)]]
         swapped = [m[1], m[0], m[2]]
-        assert ExactMatrix(m).det() == -ExactMatrix(swapped).det() == cofactor_det(m)
+        assert IntRows.from_rows(m).det() == -IntRows.from_rows(swapped).det() == cofactor_det(m)
 
     def test_random_negative_entries_match_cofactor_expansion(self):
         rng = random.Random(5)
@@ -229,7 +268,7 @@ class TestDeterminant:
                  for _ in range(n)]
                 for _ in range(n)
             ]
-            assert ExactMatrix(rows).det() == cofactor_det(rows)
+            assert IntRows.from_rows(rows).det() == cofactor_det(rows)
 
 
 def jet(val, eps):
