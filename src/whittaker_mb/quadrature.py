@@ -1250,24 +1250,41 @@ def eval_mellin_transform(split: MellinSplit, s_values, lam, tol: float = 1e-7) 
 # positive-cone quadrature of the defining matrix element
 
 
+@functools.lru_cache(maxsize=64)
+def _cone_rows(family, n):
+    """Per positive root, its coroot row (the integer coefficients of
+    lambda in the pairing (lambda, gamma^vee)) and its Cartan scaling
+    exponent as a float row, made once per family and rank."""
+    units = [Weight({i: 1}) for i in range(1, n + 1)]
+    return {
+        label: (
+            tuple(int(coroot_pairing(unit, label, family)) for unit in units),
+            tuple(float(c) for c in cartan_scaling_exponent(family, n, label)),
+        )
+        for label in build_root_system(family, n).positive_roots
+    }
+
+
 def _cone_phase_coeffs(family, n, lam):
-    mu = Weight(enumerate(lam, 1))
+    # the coroot coefficients are 0, +-1 and 2, so each product is exact and
+    # fsum rounds the exact pairing once (+ 0.0: an exact zero has no sign)
+    lam = [float(v) for v in lam]
     out = {}
-    for label in build_root_system(family, n).positive_roots:
+    for label, (row, _) in _cone_rows(family, n).items():
         try:
-            out[label] = float(coroot_pairing(mu, label, family))
-        except OverflowError:  # its grid step is then 0, over the budget (_half_panels)
-            out[label] = math.inf
+            val = math.fsum(c * v for c, v in zip(row, lam) if c) + 0.0
+        except OverflowError:
+            val = math.inf
+        # beyond the float range its grid step is 0, over the budget (_half_panels)
+        out[label] = val if math.isfinite(val) else math.inf
     return out
 
 
 def _cone_exponent(family, n, x):
-    rs = build_root_system(family, n)
     out = {}
-    for label in rs.positive_roots:
-        row = cartan_scaling_exponent(family, n, label)
+    for label, (_, row) in _cone_rows(family, n).items():
         try:
-            out[label] = math.exp(sum(float(c) * xi for c, xi in zip(row, x)))
+            out[label] = math.exp(sum(c * xi for c, xi in zip(row, x)))
         except OverflowError:  # the cone sums then leave the range (_attempts)
             out[label] = math.inf
     return out
@@ -1285,16 +1302,23 @@ def _cone_action(family, n, coords, efac):
 
 # Box search of the cone's tensor rule: the probe values of each log
 # coordinate around the minimum of S, and the step and reach of the march
-# out of it.  Each attempt's box reaches _WIDEN beyond the march box per
-# side, and widens by _WIDEN more when its faces carry mass.  Trimming:
-# after an attempt passes the face check but misses tol, each end of each
-# axis may drop hyperplanes carrying up to TRIM_SHARE * tol * |value| /
-# (2 d) of mass before the next, finer attempt.
+# out of it, whose first call takes _MARCH_BLOCK steps and each next call
+# twice as many.  Each attempt's box reaches _WIDEN beyond the march box
+# per side, and widens by _WIDEN more when its faces carry mass.
+# Trimming: after an attempt passes the face check but misses tol, each
+# end of each axis may drop hyperplanes carrying up to
+# TRIM_SHARE * tol * |value| / (2 d) of mass before the next, finer
+# attempt.  Table entries more than -_EXP_FLOOR e-folds below a table's
+# largest weight are taken at that floor: far under the rule's rounding
+# level, and out of the range where exp underflows and runs several times
+# slower.
 _PROBE = np.linspace(-4.0, 3.0, 8)
 _MARCH_STEP = 0.5
 _MARCH_REACH = 80.0
+_MARCH_BLOCK = 16
 _WIDEN = 1.5
 TRIM_SHARE = 0.01
+_EXP_FLOOR = -700.0
 
 
 @np.errstate(over="ignore", invalid="ignore")  # out-of-range sums end typed in _attempts
@@ -1382,40 +1406,62 @@ def _cone_box(family, n, labels, efac, lt):
     """S at its approximate minimum, and the per-axis bounds of the box
     outside which S exceeds that minimum by `lt`.
 
-    Two sweeps over the axes move each coordinate of the centre to the
-    first minimum of S over the _PROBE values, evaluated as one (8, d)
-    array per axis.  Then every nonzero sign pattern in {-1, 0, 1}^d
-    marches out of the centre in _MARCH_STEP steps until S has risen by
-    `lt`, or up to _MARCH_REACH; all directions still marching at a step
-    are one array.  The reach of every direction, plus 1, widens the box,
-    so slow cross-directions cannot hide beyond the truncation.
+    Two sweeps over the axes move each coordinate of the centre in turn
+    to the first minimum of S over the _PROBE values.  Their 2 d steps
+    run two per array call: the 8 probes of a step and, for each of their
+    outcomes, the 8 probes of the next step, 72 points; the minimum of S
+    is the chosen row of the last call.  Then every nonzero sign pattern
+    in {-1, 0, 1}^d marches out of the centre in _MARCH_STEP steps until
+    S has risen by `lt`, or up to _MARCH_REACH.  Each call evaluates all
+    directions still marching over a block of steps (_MARCH_BLOCK, then
+    twice the last block), and a direction's reach is its first step
+    over `lt`.  The reach of every direction, plus 1, widens the box, so
+    slow cross-directions cannot hide beyond the truncation.
     """
     d = len(labels)
+    size = _PROBE.size
 
     def action(u):
-        coords = {lab: np.exp(u[:, k]) for k, lab in enumerate(labels)}
+        coords = {lab: np.exp(u[..., k]) for k, lab in enumerate(labels)}
         return _cone_action(family, n, coords, efac)
 
     center = np.zeros(d)
-    for sweep in range(2):
-        for k in range(d):
-            trial = np.tile(center, (_PROBE.size, 1))
-            trial[:, k] = _PROBE
-            center[k] = _PROBE[np.argmin(action(trial))]
-    s_center = float(action(center[None, :])[0])
-    dirs = np.array([v for v in itertools.product((-1.0, 0.0, 1.0), repeat=d) if any(v)])
+    for step in range(0, 2 * d, 2):
+        k, k_next = step % d, (step + 1) % d
+        # trial[j, 0]: probe j of this step; trial[j, 1 + m]: probe m of the
+        # next step after probe j won this one
+        trial = np.tile(center, (size, size + 1, 1))
+        trial[:, :, k] = _PROBE[:, None]
+        trial[:, 1:, k_next] = _PROBE
+        s = action(trial)
+        j = int(np.argmin(s[:, 0]))
+        m = int(np.argmin(s[j, 1:]))
+        center[k], center[k_next] = _PROBE[j], _PROBE[m]
+    s_center = float(s[j, 1 + m])
+    dirs = _march_dirs(d)
     reach = np.full(len(dirs), _MARCH_REACH)
     active = np.arange(len(dirs))
-    t = 0.0
-    while active.size and t < _MARCH_REACH:
-        t += _MARCH_STEP
-        hit = action(center + t * dirs[active]) - s_center >= lt
-        reach[active[hit]] = t
-        active = active[~hit]
+    steps = _MARCH_STEP * np.arange(1, round(_MARCH_REACH / _MARCH_STEP) + 1)
+    start, block = 0, _MARCH_BLOCK
+    while active.size and start < steps.size:
+        t = steps[start : start + block]
+        hit = action(center + t[:, None, None] * dirs[active]) - s_center >= lt
+        crossed = hit.any(axis=0)
+        reach[active[crossed]] = t[hit.argmax(axis=0)[crossed]]
+        active = active[~crossed]
+        start, block = start + block, 2 * block
     ends = center + reach[:, None] * dirs
     hi_b = np.maximum(center + 1.0, np.where(dirs > 0, ends + 1.0, -np.inf).max(axis=0))
     lo_b = np.minimum(center - 1.0, np.where(dirs < 0, ends - 1.0, np.inf).min(axis=0))
     return s_center, [(float(lo), float(hi)) for lo, hi in zip(lo_b, hi_b)]
+
+
+@functools.lru_cache(maxsize=8)
+def _march_dirs(d):
+    """Every nonzero sign pattern in {-1, 0, 1}^d, one row each (read-only)."""
+    dirs = np.array([v for v in itertools.product((-1.0, 0.0, 1.0), repeat=d) if any(v)])
+    dirs.flags.writeable = False
+    return dirs
 
 
 def _cone_trim(nodes, marginals, limit):
@@ -1477,7 +1523,9 @@ def _cone_sum(family, n, labels, efac, phase, nodes, s_shift, layout):
     of small tables: the image coordinates sharing a support of two or
     more axes are summed into one table, and the other terms into one
     vector v_k per axis.  Each table and vector is shifted by its minimum
-    before exp (the shifts make one scalar).  As in _contour_sum, each
+    (the shifts make one scalar), into a new array, and floored at
+    _EXP_FLOOR before exp runs on it in place, so that every weight is a
+    normal float and exp never underflows.  As in _contour_sum, each
     axis' vector is that axis' own operand (_strided_sums): the sums
     contract the tables with the columns v_k [Re, Im] of the axis' phase,
     so that no table is cast to complex, and the coarser grids contract
@@ -1503,24 +1551,27 @@ def _cone_sum(family, n, labels, efac, phase, nodes, s_shift, layout):
     tables = {}
     shift = -s_shift
     # bz_map_coords may return an array under two keys or return an input,
-    # so the sums add only into arrays they own; each term is dropped once
-    # added, which keeps one term alive at a time
+    # so nothing writes into the arrays it returns: a table is its first
+    # term, and each further term and the shift make a new array; each term
+    # is dropped once added, which keeps one term alive at a time
     for key, support in supports.items():
+        term = img.pop(key)
         if len(support) > 1:
-            shape = [sizes[a] for a in support]
-            if support in tables:
-                tables[support] += img.pop(key).reshape(shape)
-            else:
-                tables[support] = img.pop(key).reshape(shape).copy()
+            term = term.reshape([sizes[a] for a in support])
+            tables[support] = tables[support] + term if support in tables else term
         elif support:
-            vecs[support[0]] += img.pop(key).reshape(-1)
+            vecs[support[0]] += term.reshape(-1)
         else:
-            shift += float(img.pop(key))
+            shift += float(term)
+    weights = []
     for t in [*tables.values(), *vecs]:
         low = float(t.min())
         shift += low
-        np.subtract(low, t, out=t)
-        np.exp(t, out=t)
+        t = np.subtract(low, t)
+        np.maximum(t, _EXP_FLOOR, out=t)
+        weights.append(np.exp(t, out=t))
+    tables = dict(zip(tables, weights))
+    vecs = weights[len(tables) :]
     factors = [tables[s] for s in shared]
     scale = math.exp(-shift) * voxel
 

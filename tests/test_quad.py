@@ -46,7 +46,7 @@ from whittaker_mb.quadrature import (
     log_gamma_complex,
     plan_contour,
 )
-from whittaker_mb.roots import build_root_system
+from whittaker_mb.roots import Weight, build_root_system, cartan_scaling_exponent, coroot_pairing
 
 from bessel_oracle import bessel_k_imag_order
 
@@ -733,6 +733,22 @@ def _dense_cone(family, n, labels, efac, phase, nodes, s_shift):
     return (*sums, faces, arr.size, mod.sum(), marginals)
 
 
+def _recorded_table_minima(monkeypatch):
+    """A list that collects the least entry of each table _cone_sum hands
+    _strided_sums."""
+    import whittaker_mb.quadrature as quad
+
+    minima = []
+    real = quad._strided_sums
+
+    def recording(plans, factors, *args):
+        minima.extend(float(t.min()) for t in factors)
+        return real(plans, factors, *args)
+
+    monkeypatch.setattr(quad, "_strided_sums", recording)
+    return minima
+
+
 def _laid_out_cone_sum(family, n, labels, efac, phase, nodes, s_shift):
     """_cone_sum on the _cone_layout of its grid."""
     layout = _cone_layout(family, n, labels, [nd.size for nd in nodes])
@@ -798,9 +814,10 @@ class TestContractedKernels:
 
     @pytest.mark.parametrize("family", ["sp", "so_odd"])
     @pytest.mark.parametrize("box", [(-6.0, 6.0), (5.0, 6.5)])
-    def test_cone_sum_wide_box_below_min_s(self, family, box):
+    def test_cone_sum_wide_box_below_min_s(self, family, box, monkeypatch):
         # S spans many orders of magnitude over the box and, on the far box,
         # exceeds 700 everywhere; the weight sits far below 1 everywhere
+        minima = _recorded_table_minima(monkeypatch)
         labels = list(build_root_system(family, 2).positive_roots)
         efac = _cone_exponent(family, 2, (0.4, -0.3))
         phase = _cone_phase_coeffs(family, 2, (1.1, -0.6))
@@ -820,6 +837,8 @@ class TestContractedKernels:
         for a, b in zip(got[3], ref[3]):
             assert _close(a, b)
         assert _close(got[5], mass)
+        # the floored log-weights leave no subnormal or zero entry
+        assert minima and min(minima) >= np.finfo(float).tiny
         # where S - s_shift runs into the hundreds, the dense weight itself is
         # off by more than 1e-13 relative, so the marginals compare to the mass
         for a, b in zip(got[6](), ref[6]):
@@ -1283,18 +1302,52 @@ def _eval_d4_points(family, count):
 class TestConeBox:
     # eval_d4's tolerances: sp rank 2 at 2e-4, so_odd rank 2 at 2e-5
     D4_TOL = {"sp": 2e-4, "so_odd": 2e-5}
+    STRUCTURES = [("gl", 2), ("so_odd", 1), ("sp", 1), ("gl", 3), ("so_even", 2), ("sp", 2), ("so_odd", 2)]
 
-    @pytest.mark.parametrize(
-        "family,n",
-        [("gl", 2), ("so_odd", 1), ("gl", 3), ("so_even", 2), ("sp", 2), ("so_odd", 2)],
-    )
-    def test_box_search_matches_scalar_march(self, family, n):
-        rng = random.Random(zlib.crc32(repr(("box", family, n)).encode()))
-        x = tuple(rng.uniform(-1.0, 1.0) for _ in range(n))
+    @staticmethod
+    def _box(monkeypatch, family, n, x, tol):
+        """_cone_box and _scalar_cone_box at x and tol, and the step counts
+        of the march's array calls (those after the d calls of the sweeps)."""
+        import whittaker_mb.quadrature as quad
+
         labels = list(build_root_system(family, n).positive_roots)
         efac = _cone_exponent(family, n, x)
-        lt = math.log(10.0 / 1e-5) + 6.0
-        assert _cone_box(family, n, labels, efac, lt) == _scalar_cone_box(family, n, labels, efac, lt)
+        lt = math.log(10.0 / tol) + 6.0
+        calls = []
+        real = quad._cone_action
+
+        def recording(family, n, coords, efac):
+            calls.append(np.shape(next(iter(coords.values()))))
+            return real(family, n, coords, efac)
+
+        monkeypatch.setattr(quad, "_cone_action", recording)
+        got = _cone_box(family, n, labels, efac, lt)
+        monkeypatch.undo()
+        assert all(shape == (8, 9) for shape in calls[: len(labels)])
+        blocks = [shape[0] for shape in calls[len(labels) :]]
+        return got, _scalar_cone_box(family, n, labels, efac, lt), blocks
+
+    @pytest.mark.parametrize("family,n", STRUCTURES)
+    def test_box_search_matches_scalar_march(self, family, n, monkeypatch):
+        rng = random.Random(zlib.crc32(repr(("box", family, n)).encode()))
+        x = tuple(rng.uniform(-1.0, 1.0) for _ in range(n))
+        for tol in (1e-5, 1e-12):
+            got, ref, blocks = self._box(monkeypatch, family, n, x, tol)
+            assert got == ref and blocks == [16]
+        # slower growth: the marches run on past the first block
+        got, ref, blocks = self._box(monkeypatch, family, n, tuple(20.0 * v for v in x), 1e-12)
+        assert got == ref and blocks[:2] == [16, 32]
+        # a direction that never crosses marches every block, to _MARCH_REACH
+        got, ref, blocks = self._box(monkeypatch, family, n, tuple(200.0 * v for v in x), 1e-5)
+        assert got == ref and blocks == [16, 32, 64, 48]
+        assert max(hi - lo for lo, hi in got[1]) >= 80.0 + 2.0
+
+    @pytest.mark.parametrize("family,n", [s for s in STRUCTURES if s[1] == 2])
+    def test_box_search_matches_scalar_march_at_eval_d4_points(self, family, n, monkeypatch):
+        for point_family, tol in self.D4_TOL.items():
+            for _, x in _eval_d4_points(point_family, 8):
+                got, ref, _ = self._box(monkeypatch, family, n, x, tol)
+                assert got == ref
 
     @pytest.mark.parametrize("family", ["sp", "so_odd"])
     def test_trimmed_box_sum_within_dropped_mass(self, family):
@@ -1330,6 +1383,38 @@ class TestConeBox:
             assert part_nd[0] == nd[0] or marg[0] <= limit
             assert part_nd[-1] == nd[-1] or marg[-1] <= limit
         assert part_face <= face + 2 * len(labels) * limit
+
+    @pytest.mark.parametrize("family,n", [*STRUCTURES, ("gl", 4), ("so_even", 3), ("sp", 3)])
+    def test_cached_rows_keep_the_exact_pairing(self, family, n):
+        rng = random.Random(zlib.crc32(repr(("rows", family, n)).encode()))
+        values = [0.0, -0.0, 1 / 3, 2.0**-1074, 1e16, -1e16 + 2.0, 1.7e308, -1.7e308]
+        labels = build_root_system(family, n).positive_roots
+        for _ in range(100):
+            lam = [rng.choice([rng.uniform(-2.0, 2.0), rng.choice(values)]) for _ in range(n)]
+            x = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+            mu = Weight(enumerate(lam, 1))
+            want = {}
+            for label in labels:
+                try:
+                    want[label] = float(coroot_pairing(mu, label, family))
+                except OverflowError:
+                    want[label] = math.inf
+            # the same bits, signed zeros included
+            assert repr(_cone_phase_coeffs(family, n, lam)) == repr(want)
+            exponent = {
+                label: math.exp(sum(float(c) * xi for c, xi in zip(cartan_scaling_exponent(family, n, label), x)))
+                for label in labels
+            }
+            assert repr(_cone_exponent(family, n, x)) == repr(exponent)
+
+    def test_tables_hold_normal_floats(self, monkeypatch):
+        minima = _recorded_table_minima(monkeypatch)
+        for family, tol in self.D4_TOL.items():
+            for lam, x in _eval_d4_points(family, 8):
+                eval_cone(family, 2, lam, x, tol=tol)
+        assert min(minima) >= np.finfo(float).tiny
+        # the floor is reached: these entries lie beyond exp's normal range
+        assert min(minima) < 1e-300
 
     def test_converged_grid_half_of_untrimmed(self, monkeypatch):
         import whittaker_mb.quadrature as quad
