@@ -342,7 +342,7 @@ def cartan_exponent(family: str, n: int):
 # the wave-function integrand in telescoped variables
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MBIntegrand:
     family: str
     n: int

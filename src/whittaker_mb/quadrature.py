@@ -55,12 +55,15 @@ MAX_ENTRIES, and a plan over them raises DimensionTooLarge.  Both
 routes do this from the panel counts, before any node vector is built.
 
 Each contour structure is compiled once per process, on first use: the
-key is the integrand object itself with the names of its fixed symbols
-(_contour_program), and the program holds what depends on the structure
-alone: the float coefficients of every factor and its offset terms in
-the order they are added, the lattice direction of each factor, the
-groups of factors that share a support, and the contraction plans, each
-planned once with a nominal length on every grid axis.  A contraction
+key is the integrand object itself, which compares by identity, with the
+names of its fixed symbols (_contour_program).  _integrate looks the
+program up once per call and hands it to its attempts and to the strip
+bound.  The program holds what depends on the structure alone: the float
+coefficients of every factor and its offset terms in the order they are
+added, each variable's row of the torus exponent, the lattice direction
+of each factor, the groups of factors that share a support, and the
+contraction plans, each planned once with a nominal length on every grid
+axis.  A contraction
 is lowered once into the steps numpy's einsum runs for its path (a
 single-operand np.einsum per operand, reshapes and transposes, and
 np.matmul or np.multiply per pair), keyed by the order of the axis
@@ -101,7 +104,6 @@ import functools
 import hashlib
 import itertools
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,7 +171,6 @@ class QuadResult:
     value: complex
     est_error: float
     evaluations: int
-    wall_time: float
     converged: bool = True
 
 
@@ -742,11 +743,11 @@ class _ContourProgram:
     computes only values.
 
     The program holds what depends on the structure alone: the decay rate
-    of each axis, the constraints and the Gamma factors with their
-    coefficients as floats, each factor's offset terms in the order they
-    are added, its lattice direction, the groups of factors that share a
-    support and the contractions of the sums and the selector
-    (_axis_plans).  Their flops and largest entry are held against the
+    of each axis, the constraints, the torus rows and the Gamma factors
+    with their coefficients as floats, each factor's offset terms in the
+    order they are added, its lattice direction, the groups of factors
+    that share a support and the contractions of the sums and the
+    selector (_axis_plans).  Their flops and largest entry are held against the
     budget at each call's grid, before any node vector is built.
 
     On the grid z_k = base_k + i step j_k, |j_k| <= halves[k], the argument
@@ -774,6 +775,9 @@ class _ContourProgram:
         ]
         # each constraint's coefficient on each contour variable
         self.slopes = [[float(f.gamma.get(v, 0)) for v in variables] for f in integrand.constraints]
+        # the x-coefficient row of each variable in the torus exponent
+        rows = integrand.exponent
+        self.torus = [(v, [float(c) for c in rows[v]]) for v in variables if rows.get(v)]
         self.consts, groups = [], {}
         for sign, forms in ((1.0, integrand.num), (-1.0, integrand.den)):
             for f in forms:
@@ -789,6 +793,12 @@ class _ContourProgram:
         supports = [*self.shared, *((k,) for k in range(self.d) if (k,) in groups)]
         self.factors = [f for s in supports for f in groups[s]]
         self.plans = _axis_plans(self.shared, self.d, ((), None)) if self.d else ()
+
+    def torus_slopes(self, x):
+        """Coefficient hx_v of each variable in the torus weight exp(sum z_v hx_v)."""
+        if x is None:
+            return {}
+        return {v: sum(c * xi for c, xi in zip(row, x)) for v, row in self.torus}
 
     def slacks(self, base, fixed):
         """constraint_slacks at the base point `base` (a dict)."""
@@ -871,7 +881,20 @@ class _ContourProgram:
         return out
 
     def sums(self, base, lam, hx, halves, fixed, step):
-        """_contour_sum with this program."""
+        """Trapezoid sum of prod Gamma(num)/prod Gamma(den) * exp(sum z_v hx_v)
+        over the tensor grid z_k = base_k + i step j, |j| <= halves[k],
+        contracted factor by factor: one table per shared support
+        (_support_tables) and, as each axis' own operand, its weight vector
+        exp(z_k hx_k) times the factors on that axis alone, the layout
+        _cone_sum shares (_axis_plans, _strided_sums).  The grids of every
+        second and fourth node contract the same operands sliced, and one
+        selector contraction of the moduli, each weight's as [w, w * ends]
+        columns (_face_columns), gives the mass and each axis' face mass.
+        Returns (fine, coarse, coarse4, face_abs, n_evals, mass), n_evals
+        being the node count of the dense grid and mass the sum of the
+        moduli of all terms.  Raises DimensionTooLarge, before any node
+        vector is built, when the plans exceed the budget.
+        """
         if not self.d:
             val = complex(np.exp(self._logs([base], lam, fixed, halves, step)[0]))
             return val, val, val, [0.0], 1, abs(val)
@@ -894,7 +917,7 @@ class _ContourProgram:
         return fine, coarse, coarse4, face_abs, math.prod(sizes), mass * abs(scale)
 
     def masses(self, bases, lam, fixed, halves, step):
-        """The mass of _contour_sum without torus weight at each point of
+        """The mass of sums without torus weight at each point of
         `bases`: one log_gamma_array call for all of them, and the
         selector contraction alone."""
         sizes = [2 * m + 1 for m in halves]
@@ -910,72 +933,19 @@ class _ContourProgram:
         return out
 
 
-class _Same:
-    """A cache key that stands for `obj` itself: it hashes and compares by
-    identity and keeps `obj` alive while the key lives, so the id of an
-    object in the cache is never another object's."""
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj):
-        self.obj = obj
-
-    def __hash__(self):
-        return id(self.obj)
-
-    def __eq__(self, other):
-        return self.obj is other.obj
-
-
 @functools.lru_cache(maxsize=64)
-def _compiled(key, fixed_names):
-    return _ContourProgram(key.obj, fixed_names)
+def _compiled(integrand, fixed_names):
+    return _ContourProgram(integrand, fixed_names)
 
 
 def _contour_program(integrand, fixed):
     """The _ContourProgram of `integrand` with the symbols of `fixed` held
     fixed, compiled on first use and kept for the 64 latest integrands.
-    The key is the integrand object itself (each shipped integrand is one
-    frozen object per process), so an integrand made with
-    dataclasses.replace gets its own program."""
-    return _compiled(_Same(integrand), tuple(sorted(fixed or ())))
-
-
-def _contour_sum(integrand, base, lam, hx, halves, fixed=None, *, step):
-    """Trapezoid sum of prod Gamma(num)/prod Gamma(den) * exp(sum z_v hx_v)
-    over the tensor grid z_k = base_k + i step j, |j| <= halves[k],
-    contracted factor by factor, on the program of the integrand
-    (_contour_program).
-
-    Each factor's table is gathered from its log Gamma on one line.
-    Factors that share a support of two or more axes make one table,
-    exp'd on the line when they all share one direction and on the
-    gathered log table otherwise; those on one axis are added to the log
-    of that axis' weight vector exp(z_k hx_k) before exp, and each weight
-    vector is its axis' own operand, the layout _cone_sum shares
-    (_axis_plans, _strided_sums).  The sums on the grids of every second
-    and every fourth node contract the same operands sliced.  One more
-    contraction takes the moduli with each weight vector's moduli w as
-    [w, w * ends] columns (_face_columns): it gives the mass and the mass
-    on each axis' pair of boundary faces.
-    Returns (fine, coarse, coarse4, face_abs, n_evals, mass), n_evals
-    being the node count of the dense grid and mass the sum of the
-    moduli of all terms.  Raises DimensionTooLarge, before any node vector
-    is built, when the plans exceed the budget.
-    """
-    return _contour_program(integrand, fixed).sums(base, lam, hx, halves, fixed, step)
-
-
-def _torus_slopes(integrand: MBIntegrand, x):
-    """Coefficient hx_v of each variable in the torus weight exp(sum z_v hx_v)."""
-    if x is None:
-        return {}
-    rows = integrand.exponent
-    return {
-        v: sum(float(c) * xi for c, xi in zip(rows[v], x))
-        for v in integrand.variables
-        if rows.get(v)
-    }
+    The key is the integrand object itself, which compares by identity
+    (each shipped integrand is one frozen object per process) and which
+    the cache entry keeps alive; a dataclasses.replace copy gets its own
+    program."""
+    return _compiled(integrand, tuple(sorted(fixed or ())))
 
 
 def plan_contour(integrand: MBIntegrand, lam, tol, x=None, base=None, fixed=None) -> ContourSpec:
@@ -1005,7 +975,7 @@ def plan_contour(integrand: MBIntegrand, lam, tol, x=None, base=None, fixed=None
     # spectral shifts translate the Gamma decay profile, so they add to
     # the truncation instead of scaling with the decay rate
     ts = [1.3 * (lt + 6.0) / r + 1.0 + 2.2 * (lammax + smax) for r in rates]
-    hx_mag = max((abs(v) for v in _torus_slopes(integrand, x).values()), default=0.0)
+    hx_mag = max((abs(v) for v in program.torus_slopes(x).values()), default=0.0)
     # Aliasing error decays double-exponentially in 1/h for these
     # integrands (the conjugate function is exponential-type), so the
     # step is set by a fixed budget plus the oscillation of the torus
@@ -1068,28 +1038,24 @@ def _integrate(
     reads 20 to 400 times the tolerance their honest estimates met, and
     eval_mb is checked against the cone route.
     """
-    t0 = time.perf_counter()
-    variables = integrand.variables
     spec = plan_contour(integrand, lam, tol, x=x, base=base, fixed=fixed)
-    base = dict(zip(variables, spec.base_point))
-    rates = _contour_program(integrand, fixed).rates
-    hx = _torus_slopes(integrand, x)
+    program = _contour_program(integrand, fixed)
+    base = dict(zip(program.variables, spec.base_point))
+    hx = program.torus_slopes(x)
 
     def attempt(spec):
         h = spec.step
         halves = [p // 2 for p in spec.panels]
-        fine, coarse, coarse4, face_abs, evals, mass = _contour_sum(
-            integrand, base, lam, hx, halves, fixed, step=h
-        )
+        fine, coarse, coarse4, face_abs, evals, mass = program.sums(base, lam, hx, halves, fixed, h)
         tail = 0.0
-        for k in range(len(variables)):
-            tail += 3.0 * face_abs[k] / max(rates[k] * h, 1e-9) * h
+        for k in range(program.d):
+            tail += 3.0 * face_abs[k] / max(program.rates[k] * h, 1e-9) * h
         err = scale * (_extrapolated(fine, coarse, coarse4, mass) + tail)
         if x is None and err <= tol * abs(scale * fine):
-            err = max(err, abs(scale) * _strip_bound(integrand, base, lam, halves, fixed, h))
+            err = max(err, abs(scale) * _strip_bound(program, base, lam, halves, fixed, h))
         return phase * scale * fine, err, evals, lambda: _refine_spec(spec)
 
-    return _attempts(attempt, spec, attempts, tol, t0, "estimated error {err:.3g} above tolerance")
+    return _attempts(attempt, spec, attempts, tol, "estimated error {err:.3g} above tolerance")
 
 
 # Share of the distance to the nearest pole line by which _strip_bound
@@ -1098,11 +1064,11 @@ _STRIP_SHARE = 0.9
 _STRIP_FREE = 2.0
 
 
-def _strip_bound(integrand: MBIntegrand, base, lam, halves, fixed, step):
+def _strip_bound(program, base, lam, halves, fixed, step):
     """Bound on the discretization error of the trapezoid sum at `step`,
     with halves[k] (even) nodes a side on axis k, of a Gamma-product
     integrand without torus weight (Trefethen and Weideman, SIAM Rev. 56,
-    2014, Thm 5.1, one side at a time).
+    2014, Thm 5.1, one side at a time), on its _ContourProgram.
 
     On each axis and side, the contour may move by the distance a to the
     nearest pole line with the other axes held (_STRIP_FREE where no
@@ -1114,10 +1080,9 @@ def _strip_bound(integrand: MBIntegrand, base, lam, halves, fixed, step):
     log_gamma_array call and one selector contraction each
     (_ContourProgram.masses).
     """
-    program = _contour_program(integrand, fixed)
     slacks = program.slacks(base, fixed)
     moved, shares = [], []
-    for k, v in enumerate(integrand.variables):
+    for k, v in enumerate(program.variables):
         for side in (1.0, -1.0):
             reach = _STRIP_FREE
             for slopes, slack in zip(program.slopes, slacks):
@@ -1138,7 +1103,7 @@ def _strip_bound(integrand: MBIntegrand, base, lam, halves, fixed, step):
     return total
 
 
-def _attempts(attempt, grid, tries, tol, t0, message):
+def _attempts(attempt, grid, tries, tol, message):
     """Up to `tries` attempts of a tensor trapezoid route (_integrate,
     eval_cone), the first on `grid`: the loop of both routes.
 
@@ -1152,8 +1117,7 @@ def _attempts(attempt, grid, tries, tol, t0, message):
     OverflowError (which abs() of a complex NaN can raise as well).  If
     none meets tol, NotConverged carries the last finite result, or None
     where there is none, and `message` formatted with its err.
-    evaluations sums over the finite attempts, and wall_time runs from t0
-    to the end of the attempt.
+    evaluations sums over the finite attempts.
     """
     evals_total, last = 0, None
     for k in range(tries):
@@ -1173,8 +1137,8 @@ def _attempts(attempt, grid, tries, tol, t0, message):
             break
         evals_total += evals
         if err <= tol * max(abs(value), 1e-300) or value == 0:
-            return QuadResult(value, err, evals_total, time.perf_counter() - t0)
-        last = QuadResult(value, err, evals_total, time.perf_counter() - t0, converged=False)
+            return QuadResult(value, err, evals_total)
+        last = QuadResult(value, err, evals_total, converged=False)
     if last is None:  # the first attempt left the range
         raise NotConverged(message, None)
     raise NotConverged(message.format(err=last.est_error), last)
@@ -1358,7 +1322,6 @@ def eval_cone(
     (_cone_trim).  At most five attempts run, in the loop and under the
     budget of the Mellin-Barnes engine (_attempts).
     """
-    t0 = time.perf_counter()
     rs = build_root_system(family, n)
     labels = list(rs.positive_roots)
     d = len(labels)
@@ -1399,7 +1362,7 @@ def eval_cone(
         return value, err, evals, trim
 
     message = "cone quadrature not converged (err {err:.3g})"
-    return _attempts(attempt, (bounds, h, 0.0), 5, tol, t0, message)
+    return _attempts(attempt, (bounds, h, 0.0), 5, tol, message)
 
 
 def _cone_box(family, n, labels, efac, lt):
@@ -1416,7 +1379,9 @@ def _cone_box(family, n, labels, efac, lt):
     directions still marching over a block of steps (_MARCH_BLOCK, then
     twice the last block), and a direction's reach is its first step
     over `lt`.  The reach of every direction, plus 1, widens the box, so
-    slow cross-directions cannot hide beyond the truncation.
+    slow cross-directions cannot hide beyond the truncation.  Where S is
+    not finite at its minimum (an E_gamma factor beyond the floating-point
+    range), NotConverged without a result is raised before the march.
     """
     d = len(labels)
     size = _PROBE.size
@@ -1438,6 +1403,8 @@ def _cone_box(family, n, labels, efac, lt):
         m = int(np.argmin(s[j, 1:]))
         center[k], center[k_next] = _PROBE[j], _PROBE[m]
     s_center = float(s[j, 1 + m])
+    if not math.isfinite(s_center):  # no step of the march would cross lt
+        raise NotConverged(f"cone exponent S = {s_center} is outside the floating-point range")
     dirs = _march_dirs(d)
     reach = np.full(len(dirs), _MARCH_REACH)
     active = np.arange(len(dirs))
@@ -1525,7 +1492,7 @@ def _cone_sum(family, n, labels, efac, phase, nodes, s_shift, layout):
     vector v_k per axis.  Each table and vector is shifted by its minimum
     (the shifts make one scalar), into a new array, and floored at
     _EXP_FLOOR before exp runs on it in place, so that every weight is a
-    normal float and exp never underflows.  As in _contour_sum, each
+    normal float and exp never underflows.  As in _ContourProgram.sums, each
     axis' vector is that axis' own operand (_strided_sums): the sums
     contract the tables with the columns v_k [Re, Im] of the axis' phase,
     so that no table is cast to complex, and the coarser grids contract

@@ -264,15 +264,30 @@ class TestEval:
         assert captured.err.startswith("error: ") and "floating-point range" in captured.err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("method,x", [("cone", "50,-50"), ("cone", "800,0"), ("mb", "-800,0")])
-    def test_large_x_ends_finite_or_typed(self, method, x, capsys):
+    @pytest.mark.parametrize(
+        "group,lam,method,x",
+        [
+            pytest.param("gl", "0.5,0", "cone", "50,-50", id="cone-50,-50"),
+            pytest.param("gl", "0.5,0", "cone", "800,0", id="cone-800,0"),
+            pytest.param("gl", "0.5,0", "mb", "-800,0", id="mb--800,0"),
+            pytest.param("sp", "0.5,0", "cone", "800,0", id="sp2-cone-800,0"),
+            pytest.param("so-odd", "0.5,0", "cone", "800,0", id="so-odd2-cone-800,0"),
+            pytest.param("gl", "0.5,0,0", "cone", "800,0,0", id="gl3-cone-800,0,0"),
+        ],
+    )
+    def test_large_x_ends_finite_or_typed(self, group, lam, method, x, capsys):
         """A sum out of floating-point range is a typed failure: no traceback,
         no numpy warning and no non-finite number in the record."""
-        code = run(["eval", "--group", "gl", "--rank", "2", "--lambda=0.5,0", f"--x={x}",
+        rank = str(lam.count(",") + 1)
+        code = run(["eval", "--group", group, "--rank", rank, f"--lambda={lam}", f"--x={x}",
                     "--method", method])
         assert code in (0, 2, 3)
         record = _finite_json(capsys.readouterr().out)
         assert (method in record) == (code == 0)
+        if x.startswith("800"):
+            # an E_gamma factor beyond the range makes S infinite at every
+            # probe: the cone ends out of range, not over the budget
+            assert code == 3 and "floating-point range" in record["error"]
 
     def test_mb_dimension_guard_is_usage_error(self):
         code = run(

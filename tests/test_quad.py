@@ -29,7 +29,7 @@ from whittaker_mb.quadrature import (
     _cone_sum,
     _cone_trim,
     _axis_plans,
-    _contour_sum,
+    _contour_program,
     _lp_model,
     _strip_bound,
     _support_tables,
@@ -541,13 +541,46 @@ class TestStripBound:
         spec = plan_contour(inner, lam, 1e-7, fixed=fixed)
         base = dict(zip(inner.variables, spec.base_point))
         halves = [p // 2 for p in spec.panels]
-        fine = _contour_sum(inner, base, lam, {}, halves, fixed, step=spec.step)[0]
+        program = _contour_program(inner, fixed)
+        fine = program.sums(base, lam, {}, halves, fixed, spec.step)[0]
         scale = float(split.jacobian) / (2.0 * math.pi)
         ref = bump_gl3(lam, *s)
         error = abs(scale * fine - ref)
         assert error > 1e-7 * abs(ref)
-        bound = abs(scale) * _strip_bound(inner, base, lam, halves, fixed, spec.step)
+        bound = abs(scale) * _strip_bound(program, base, lam, halves, fixed, spec.step)
         assert error <= bound <= 100.0 * error
+
+    @pytest.mark.parametrize("family,n,shared", [("sp", 2, 1), ("so_odd", 2, 1), ("gl", 4, 2)])
+    def test_masses_match_dense_grid_at_moved_points(self, family, n, shared, monkeypatch):
+        """The masses of the strip bound, whose shared supports take the
+        moduli-only table path, against the dense-grid sum of the
+        integrand's moduli at each moved base point."""
+        import whittaker_mb.quadrature as quad
+
+        inner = mellin_of_whittaker(family, n).inner
+        outer = n if family != "gl" else n - 1
+        fixed = {("s", j + 1): complex(v) for j, v in enumerate((0.8, 1.1, 0.9)[:outer])}
+        lam = (0.3, -0.2, 0.1, 0.05)[:n]
+        spec = plan_contour(inner, lam, 1e-4, fixed=fixed)
+        base = dict(zip(inner.variables, spec.base_point))
+        halves = [p // 2 for p in spec.panels]
+        program = _contour_program(inner, fixed)
+        assert len(program.shared) == shared
+        calls, real = [], quad._ContourProgram.masses
+
+        def recording(program, bases, lam, fixed, halves, step):
+            out = real(program, bases, lam, fixed, halves, step)
+            calls.append((bases, halves, step, out))
+            return out
+
+        monkeypatch.setattr(quad._ContourProgram, "masses", recording)
+        _strip_bound(program, base, lam, halves, fixed, spec.step)
+        ((bases, half, step, masses),) = calls
+        assert len(bases) == len(masses) == 2 * inner.dimension
+        nodes = [np.arange(-m, m + 1) * step for m in half]
+        for point, mass in zip(bases, masses):
+            ref = _dense_contour(inner.num, inner.den, inner.variables, point, lam, {}, nodes, fixed)
+            assert _close(mass, ref[5])
 
 
 class TestEvalMB:
@@ -700,7 +733,7 @@ def _integrand(num, den, variables):
 
 
 def _dense_contour(num, den, variables, base, lam, hx, nodes, fixed):
-    """The contour sums of _contour_sum, from the whole grid at once."""
+    """The contour sums of _ContourProgram.sums, from the whole grid at once."""
     d = len(variables)
     grids = np.meshgrid(*[base[v] + 1j * nd for v, nd in zip(variables, nodes)], indexing="ij")
     z = dict(zip(variables, grids))
@@ -774,7 +807,8 @@ class TestContractedKernels:
         hx = {g[0]: 0.3, g[d - 1]: -0.2}
         fixed = {s1: 0.7 + 0.2j}
         nodes = [np.arange(-m, m + 1) * 0.3 for m in self.HALF[:d]]
-        got = _contour_sum(_integrand(num, den, g), base, lam, hx, self.HALF[:d], fixed, step=0.3)
+        program = _contour_program(_integrand(num, den, g), fixed)
+        got = program.sums(base, lam, hx, self.HALF[:d], fixed, 0.3)
         ref = _dense_contour(num, den, g, base, lam, hx, nodes, fixed)
         for a, b in zip(got[:3], ref[:3]):
             assert _close(a, b)
@@ -874,12 +908,12 @@ class TestCommonStepLattice:
     HALF = (3, 5, 4)
 
     def _sum(self, num, den, half, step, fixed, hx=None, dense=True):
-        """_contour_sum on the grid of `half` nodes a side at `step`, and
+        """_ContourProgram.sums on the grid of `half` nodes a side at `step`, and
         with `dense` the dense-grid reference."""
         g = [("g", k + 1, k + 2) for k in range(len(half))]
         base = {v: 0.25 + 0.125 * k for k, v in enumerate(g)}  # exact in binary
         args = (base, (0.4, -0.7), hx or {})
-        got = _contour_sum(_integrand(num, den, g), *args, half, fixed, step=step)
+        got = _contour_program(_integrand(num, den, g), fixed).sums(*args, half, fixed, step)
         if not dense:
             return got
         nodes = [np.arange(-m, m + 1) * step for m in half]
@@ -973,17 +1007,17 @@ class TestCommonStepLattice:
 
         mb = assemble_mb_integrand("sp", 2)
         calls, bounds, subs = [], [], []
-        real_lg, real_sum = quad.log_gamma_array, quad._contour_sum
+        real_lg, real_sums = quad.log_gamma_array, quad._ContourProgram.sums
         real_plans = quad._budgeted_plans
 
-        def contour_sum(integrand, base, lam, hx, halves, fixed=None, *, step):
+        def sums(program, base, lam, hx, halves, fixed, step):
             calls.append([])
-            sizes = {v: 2 * m + 1 for v, m in zip(integrand.variables, halves)}
+            sizes = {v: 2 * m + 1 for v, m in zip(mb.variables, halves)}
             bounds.append(sum(
                 sum(abs(a) * (sizes[v] - 1) for v, a in f.gamma.items()) + 1
-                for f in integrand.num + integrand.den
+                for f in mb.num + mb.den
             ))
-            return real_sum(integrand, base, lam, hx, halves, fixed, step=step)
+            return real_sums(program, base, lam, hx, halves, fixed, step)
 
         def plans(what, plans, sizes):
             subs.append(plans[0].subs)
@@ -993,7 +1027,7 @@ class TestCommonStepLattice:
             calls[-1].append(np.shape(z))
             return real_lg(z)
 
-        monkeypatch.setattr(quad, "_contour_sum", contour_sum)
+        monkeypatch.setattr(quad._ContourProgram, "sums", sums)
         monkeypatch.setattr(quad, "_budgeted_plans", plans)
         monkeypatch.setattr(quad, "log_gamma_array", log_gamma)
         eval_mb(mb, (0.3, -0.2), (0.9, -0.5), tol=1e-4)
@@ -1234,12 +1268,35 @@ class TestProgramCache:
             num = tuple(AffineForm(f.gamma, f.ilam, f.const + Fraction(k, 1000)) for f in inner.num)
             integrand = replace(inner, num=num)
             cold = quad._ContourProgram(integrand, names).sums(base, lam, {}, [4], fixed, 0.25)
-            got = _contour_sum(integrand, base, lam, {}, [4], fixed, step=0.25)
+            got = _contour_program(integrand, fixed).sums(base, lam, {}, [4], fixed, 0.25)
             del integrand
             assert got == cold
             values.add(got[0])
             assert quad._compiled.cache_info().currsize <= bound
         assert len(values) == 2000
+
+    def test_each_structure_compiles_once(self):
+        """Repeated evals and Mellin rows on the shipped integrands compile
+        one program per structure; a dataclasses.replace copy with equal
+        fields is another integrand and gets its own."""
+        import whittaker_mb.quadrature as quad
+
+        quad._compiled.cache_clear()
+        for k in range(3):
+            for family, n in (("gl", 2), ("sp", 1)):
+                lam, x = (0.5, -0.5)[:n], (0.1 * k, -0.2)[:n]
+                eval_mb(assemble_mb_integrand(family, n), x, lam, tol=1e-6)
+            for family, n in (("gl", 3), ("so_odd", 2)):
+                s = (0.8 + 0.1 * k, 1.1)
+                eval_mellin_transform(mellin_of_whittaker(family, n), s, (0.5, 0.0, -0.5)[:n])
+            assert quad._compiled.cache_info().misses == 4
+        mb = assemble_mb_integrand("gl", 2)
+        copy = replace(mb)
+        assert copy != mb
+        args = ((0.1, -0.2), (0.5, -0.5))
+        assert eval_mb(copy, *args).value == eval_mb(mb, *args).value
+        assert quad._compiled.cache_info().misses == 5
+        assert quad._contour_program(copy, None) is not quad._contour_program(mb, None)
 
     def test_barnes_lemma_as_on_a_cold_cache(self):
         import whittaker_mb.quadrature as quad
@@ -1543,14 +1600,14 @@ class TestContractionBudget:
             eval_mb(*args, tol=1e-15, max_refine=0)
         first = exc.value.result
 
-        real = quad._contour_sum
+        real = quad._ContourProgram.sums
 
         def over_budget_after_the_first(*a, **kw):
             out = real(*a, **kw)
             monkeypatch.setattr(quad, "MAX_FLOPS", 10.0)
             return out
 
-        monkeypatch.setattr(quad, "_contour_sum", over_budget_after_the_first)
+        monkeypatch.setattr(quad._ContourProgram, "sums", over_budget_after_the_first)
         with pytest.raises(NotConverged) as exc:
             eval_mb(*args, tol=1e-15)
         res = exc.value.result
